@@ -126,13 +126,15 @@ def _resolve(ns, specs, section):
     for name, (cast, default) in specs.items():
         v = getattr(ns, name, None)
         if v is None and cp is not None:
-            raw = None
-            if cp.has_option(section, name):
-                raw = cp.get(section, name)
-            elif cp.has_option("DEFAULT", name):
-                raw = cp.get("DEFAULT", name)
-            if raw is not None:
-                v = cast(raw)
+            where = next((sec for sec in (section, "DEFAULT")
+                          if cp.has_option(sec, name)), None)
+            if where is not None:
+                raw = cp.get(where, name)
+                try:
+                    v = cast(raw)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(
+                        f"[{where}] {name} = {raw!r}: {exc}") from exc
         if v is None:
             v = default
         out[name] = v
@@ -529,6 +531,9 @@ def build_parser():
         sp.add_argument("--out", help="write JSON here instead of stdout")
         sp.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (or set {_ENV_SEED})")
+
+    def sweeping(sp):
+        common(sp)
         sp.add_argument("--threads", type=int, default=1)
 
     np_ = sub.add_parser("norm", help="one norm of one field")
@@ -549,7 +554,7 @@ def build_parser():
     np_.add_argument("--n", type=int)
 
     bp = sub.add_parser("bilinear", help="two-factor product ratio sweep")
-    common(bp)
+    sweeping(bp)
     bp.add_argument("--s", type=_pfloat)
     bp.add_argument("--p", type=_pfloat)
     bp.add_argument("--p1", type=_pfloat)
@@ -567,7 +572,7 @@ def build_parser():
     bp.add_argument("--n", type=int)
 
     tp = sub.add_parser("trilinear", help="three-factor product ratio sweep")
-    common(tp)
+    sweeping(tp)
     tp.add_argument("--s", type=_pfloat)
     tp.add_argument("--p", type=_pfloat)
     tp.add_argument("--exponents", type=_triples,
@@ -584,7 +589,7 @@ def build_parser():
 
     cp = sub.add_parser("counterexample",
                         help="exhibit the breakdown at s = 2 + 1/p")
-    common(cp)
+    sweeping(cp)
     cp.add_argument("--p", type=_pfloat)
     cp.add_argument("--resolutions", type=_res_list)
     cp.add_argument("--L", type=_pfloat)

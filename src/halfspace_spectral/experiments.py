@@ -40,8 +40,9 @@ from .grid import (GridSpec, HalfField, SampledField, lp_norm, make_grid,
 from .halfspace_ops import (OP_DIRICHLET, OP_NEUMANN, boundary_trace,
                             frac_power, normal_derivative,
                             tangential_derivative)
-from .norms import SpaceSpec, besov_norm, sobolev_norm
-from .spectral import (DyadicBank, build_bank, fractional_laplacian,
+from .norms import SpaceSpec, _check_leak, besov_norm, sobolev_norm
+from .spectral import (DyadicBank, _dyadic_blocks, _radial_frequency,
+                       build_bank, fractional_laplacian,
                        singular_integral_frac_lap)
 
 __all__ = [
@@ -91,6 +92,22 @@ def _exponent(v) -> float:
     return x
 
 
+def _check_sweep(cfg):
+    """Checks shared by both sweep configs; sorts the resolutions."""
+    if cfg.kind not in ("sobolev", "besov"):
+        raise ConfigError(f"unknown norm kind {cfg.kind!r}")
+    if cfg.kind == "besov" and cfg.q is None:
+        raise ConfigError("besov sweeps need q")
+    if cfg.kind == "sobolev" and cfg.q is not None:
+        raise ConfigError("sobolev sweeps take no q")
+    if cfg.count < 1:
+        raise ConfigError("need at least one sample per resolution")
+    if len(cfg.resolutions) < 1:
+        raise ConfigError("at least one resolution required")
+    object.__setattr__(cfg, "resolutions",
+                       tuple(sorted(int(N) for N in cfg.resolutions)))
+
+
 @dataclass(frozen=True)
 class BilinearConfig:
     """Product estimate  ||fg||_(s,p) <= C (||f||_(s,p1) ||g||_p2
@@ -118,23 +135,17 @@ class BilinearConfig:
             object.__setattr__(self, name, _exponent(getattr(self, name)))
         _check_holder(self.p, (self.p1, self.p2), "first bilinear term")
         _check_holder(self.p, (self.p3, self.p4), "second bilinear term")
-        if self.kind not in ("sobolev", "besov"):
-            raise ConfigError(f"unknown norm kind {self.kind!r}")
-        if self.kind == "besov" and self.q is None:
-            raise ConfigError("besov sweeps need q")
-        if self.count < 1:
-            raise ConfigError("need at least one sample per resolution")
-        if len(self.resolutions) < 1:
-            raise ConfigError("at least one resolution required")
-        object.__setattr__(self, "resolutions",
-                           tuple(sorted(int(N) for N in self.resolutions)))
+        _check_sweep(self)
 
     @property
     def arity(self):
         return 2
 
-    def smooth_exponents(self, slot: int):
-        return ((self.p1, self.p2), (self.p3, self.p4))[slot]
+    @property
+    def exponents(self):
+        """Exponent pair of each term; pair i carries the regularity on
+        factor i."""
+        return ((self.p1, self.p2), (self.p3, self.p4))
 
 
 @dataclass(frozen=True)
@@ -164,70 +175,37 @@ class TrilinearConfig:
         object.__setattr__(self, "p", _exponent(self.p))
         for i, t in enumerate(cleaned):
             _check_holder(self.p, t, f"trilinear term {i + 1}")
-        if self.kind == "besov" and self.q is None:
-            raise ConfigError("besov sweeps need q")
-        if self.count < 1:
-            raise ConfigError("need at least one sample per resolution")
-        if len(self.resolutions) < 1:
-            raise ConfigError("at least one resolution required")
-        object.__setattr__(self, "resolutions",
-                           tuple(sorted(int(N) for N in self.resolutions)))
+        _check_sweep(self)
 
     @property
     def arity(self):
         return 3
 
 
-def _graded_norm(hf: HalfField, cfg, bank: DyadicBank | None) -> float:
-    spec = SpaceSpec(cfg.kind, cfg.s, cfg.p, cfg.q, cfg.homogeneous, cfg.op)
+def _graded_norm(hf: HalfField, cfg, p: float, bank) -> float:
+    spec = SpaceSpec(cfg.kind, cfg.s, p, cfg.q, cfg.homogeneous, cfg.op)
     if cfg.kind == "sobolev":
         return sobolev_norm(hf, spec)
     return besov_norm(hf, spec, bank)
 
 
-def _graded_norm_at(hf: HalfField, cfg, p: float, bank) -> float:
-    if cfg.kind == "sobolev":
-        return sobolev_norm(
-            hf, SpaceSpec("sobolev", cfg.s, p, None, cfg.homogeneous, cfg.op))
-    return besov_norm(
-        hf, SpaceSpec("besov", cfg.s, p, cfg.q, cfg.homogeneous, cfg.op), bank)
-
-
-def bilinear_ratio(f: HalfField, g: HalfField, cfg: BilinearConfig,
-                   bank: DyadicBank | None = None) -> dict:
-    """One ratio evaluation; zero denominators are flagged, not divided."""
+def _product_ratio(fields, cfg, bank: DyadicBank | None) -> dict:
+    """||prod fields|| over the sum of terms; term i puts the regularity
+    on factor i and the Lebesgue exponents of ``cfg.exponents[i]`` on
+    the others.  Zero denominators are flagged, not divided."""
     if bank is None and cfg.kind == "besov":
-        bank = get_bank(f.grid)
-    product = HalfField(f.grid, f.values * g.values, cfg.op)
-    num = _graded_norm(product, cfg, bank)
-    t1 = _graded_norm_at(f, cfg, cfg.p1, bank) * lp_norm(g, cfg.p2)
-    t2 = lp_norm(f, cfg.p3) * _graded_norm_at(g, cfg, cfg.p4, bank)
-    den = t1 + t2
-    degenerate = den == 0.0
-    return {
-        "lhs": num,
-        "rhs": den,
-        "terms": [t1, t2],
-        "ratio": np.nan if degenerate else num / den,
-        "degenerate": degenerate,
-    }
-
-
-def trilinear_ratio(f: HalfField, g: HalfField, h: HalfField,
-                    cfg: TrilinearConfig,
-                    bank: DyadicBank | None = None) -> dict:
-    if bank is None and cfg.kind == "besov":
-        bank = get_bank(f.grid)
-    trio = (f, g, h)
-    product = HalfField(f.grid, f.values * g.values * h.values, cfg.op)
-    num = _graded_norm(product, cfg, bank)
+        bank = get_bank(fields[0].grid)
+    values = fields[0].values
+    for fld in fields[1:]:
+        values = values * fld.values
+    num = _graded_norm(HalfField(fields[0].grid, values, cfg.op), cfg,
+                       cfg.p, bank)
     terms = []
-    for slot, (pa, pb, pc) in enumerate(cfg.exponents):
-        ps = (pa, pb, pc)
+    for slot, ps in enumerate(cfg.exponents):
         term = 1.0
-        for j, fld in enumerate(trio):
+        for j, fld in enumerate(fields):
             if j == slot:
-                term *= _graded_norm_at(fld, cfg, ps[j], bank)
+                term *= _graded_norm(fld, cfg, ps[j], bank)
             else:
                 term *= lp_norm(fld, ps[j])
         terms.append(term)
@@ -240,6 +218,19 @@ def trilinear_ratio(f: HalfField, g: HalfField, h: HalfField,
         "ratio": np.nan if degenerate else num / den,
         "degenerate": degenerate,
     }
+
+
+def bilinear_ratio(f: HalfField, g: HalfField, cfg: BilinearConfig,
+                   bank: DyadicBank | None = None) -> dict:
+    """One two-factor ratio evaluation."""
+    return _product_ratio((f, g), cfg, bank)
+
+
+def trilinear_ratio(f: HalfField, g: HalfField, h: HalfField,
+                    cfg: TrilinearConfig,
+                    bank: DyadicBank | None = None) -> dict:
+    """One three-factor ratio evaluation."""
+    return _product_ratio((f, g, h), cfg, bank)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +360,7 @@ def _family_tuples(cfg, grid, ref_N):
 def ratio_sweep(cfg, threads: int = 1) -> RatioReport:
     """Run the configured family over every resolution and classify."""
     t0 = time.perf_counter()
+    ratio = bilinear_ratio if cfg.arity == 2 else trilinear_ratio
     ref_N = min(cfg.resolutions)
     items, excluded, per_res = [], [], []
     for N in cfg.resolutions:
@@ -378,11 +370,7 @@ def ratio_sweep(cfg, threads: int = 1) -> RatioReport:
 
         def one(idx_tuple):
             idx, tup = idx_tuple
-            if cfg.arity == 2:
-                r = bilinear_ratio(tup[0], tup[1], cfg, bank)
-            else:
-                r = trilinear_ratio(tup[0], tup[1], tup[2], cfg, bank)
-            return idx, r
+            return idx, ratio(*tup, cfg, bank)
 
         results = _map_ordered(one, list(enumerate(tuples)), threads)
         ratios = []
@@ -455,21 +443,12 @@ def paraproduct_split(F: SampledField, G: SampledField,
                 "ignores the zero mode")
 
     js = list(bank.octaves)
-    lam = np.sqrt(sum(xi ** 2 for xi in F.grid.freq_mesh()))
-    lam = np.broadcast_to(lam, F.values.shape)
+    lam = _radial_frequency(F.grid)
 
     def blocks_of(X):
         xhat = np.fft.fftn(X.values)
-        power = np.abs(xhat) ** 2
-        nz = lam > 0
-        total = float(np.sum(power[nz]))
-        outside = float(np.sum(power[nz & ((lam < 2.0 ** bank.j_min)
-                                           | (lam > 2.0 ** bank.j_max))]))
-        if total > 0 and outside / total > 1e-8:
-            raise NumericalGuardError(
-                f"{outside / total:.3e} of the energy is outside the "
-                "resolved band; paraproduct pieces would not reconstruct")
-        return [np.fft.ifftn(bank.phi(j, lam) * xhat).real for j in js]
+        _check_leak(xhat, lam, bank, low_too=True)
+        return [block for _, block in _dyadic_blocks(xhat, lam, bank, js)]
 
     bF = blocks_of(F)
     bG = blocks_of(G)
@@ -661,13 +640,11 @@ def besov_block_floor(p: float, grid: GridSpec,
             "increase N")
     field = _phi_odd_field(grid)
     fhat = np.fft.fftn(field.values)
-    lam = np.abs(grid.freq_axis())
     js = list(range(j0, bank.j_max + 1))
-    blocks = []
-    for j in js:
-        block = np.fft.ifftn(bank.phi(j, lam) * fhat).real
-        blocks.append(2.0 ** (j / p) * lp_norm(SampledField(grid, block), p))
-    blocks_arr = np.asarray(blocks)
+    blocks_arr = np.asarray([
+        2.0 ** (j / p) * lp_norm(SampledField(grid, block), p)
+        for j, block in _dyadic_blocks(fhat, _radial_frequency(grid), bank,
+                                       js)])
 
     last4 = blocks_arr[-4:]
     plateau = bool(last4.min() > 0.5 * float(np.median(last4))

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError
 from .grid import BC_DIRICHLET, BC_NEUMANN, GridSpec, HalfField, sample_half
 from .halfspace_ops import OP_DIRICHLET
-from .spectral import smooth_step
+from .spectral import _resolved_octaves, smooth_step
 
 __all__ = ["cutoff_profile", "bump", "counterexample_expr", "make_family",
            "FAMILY_NAMES"]
@@ -73,9 +73,8 @@ def _mode_range(grid: GridSpec, ref_N: int):
     """Integer mode numbers inside the resolved band of the reference
     grid, capped low enough that pairwise products stay in band too."""
     ref = GridSpec(grid.n, grid.L, ref_N, grid.stagger)
+    j_min, j_max = _resolved_octaves(ref)
     slop = 1e-9
-    j_min = int(np.ceil(np.log2(np.pi / ref.L) + 1.0 - slop))
-    j_max = int(np.floor(np.log2(np.pi / ref.h) - 1.0 + slop))
     m_lo = int(np.ceil(2.0 ** j_min * ref.L / np.pi + slop))
     m_hi = int(np.floor(2.0 ** (j_max - 2) * ref.L / np.pi))
     if m_hi <= m_lo + 4:

@@ -18,6 +18,7 @@ guards downstream catch the worst offenders.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -253,15 +254,25 @@ def load_field(path):
         magic, kind, bc, stagger, _, n, N, L, count = _HEADER.unpack(raw)
         if magic != _MAGIC:
             raise ConfigError(f"{path}: not a field container")
+        if kind not in (0, 1):
+            raise ConfigError(f"{path}: unknown field kind {kind}")
+        if bc not in _BC_FROM_CODE:
+            raise ConfigError(f"{path}: unknown boundary code {bc}")
+        grid = make_grid(int(n), float(L), int(N), bool(stagger))
+        full = kind == 0
+        shape = (grid.N,) * (grid.n - 1) + (grid.N if full else grid.N // 2,)
+        need = grid.N ** (grid.n - 1) * shape[-1]
+        if count != need:
+            raise ConfigError(
+                f"{path}: header counts {count} values, the grid needs {need}")
+        # compare with the file size before allocating the payload
+        if os.fstat(fh.fileno()).st_size - _HEADER.size < count * 8:
+            raise ConfigError(f"{path}: truncated payload")
         payload = fh.read(count * 8)
-    if len(payload) != count * 8:
-        raise ConfigError(f"{path}: truncated payload")
-    data = np.frombuffer(payload, dtype="<f8")
-    grid = make_grid(int(n), float(L), int(N), bool(stagger))
-    if kind == 0:
-        return SampledField(grid, data.reshape((grid.N,) * grid.n).copy())
-    shape = (grid.N,) * (grid.n - 1) + (grid.N // 2,)
-    return HalfField(grid, data.reshape(shape).copy(), _BC_FROM_CODE[int(bc)])
+    data = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+    if full:
+        return SampledField(grid, data)
+    return HalfField(grid, data, _BC_FROM_CODE[bc])
 
 
 def export_csv(field, path) -> None:

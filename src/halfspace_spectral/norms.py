@@ -33,7 +33,8 @@ from .errors import ConfigError, NumericalGuardError
 from .extension import restrict
 from .grid import HalfField, SampledField, lp_norm
 from .halfspace_ops import OP_DIRICHLET, OP_NEUMANN, extend_for, frac_power
-from .spectral import DyadicBank, Multiplier, apply_multiplier
+from .spectral import (DyadicBank, Multiplier, _dyadic_blocks,
+                       _leak_fraction, _radial_frequency, apply_multiplier)
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -80,17 +81,18 @@ class SpaceSpec:
                 "package probes assume 1 < p < inf", stacklevel=3)
 
 
-def _check_tag(hf: HalfField, spec: SpaceSpec):
+def _checked(hf: HalfField, spec: SpaceSpec, kind: str, what: str):
+    """Kind and boundary-tag checks; returns the field tagged spec.op."""
+    if spec.kind != kind:
+        raise ConfigError(f"{what} needs a {kind} SpaceSpec")
     if hf.bc is not None and hf.bc != spec.op:
         raise ConfigError(
             f"field tagged {hf.bc!r} evaluated in a {spec.op!r} norm")
+    return hf if hf.bc is not None else hf.with_bc(spec.op)
 
 
 def sobolev_norm(hf: HalfField, spec: SpaceSpec) -> float:
-    if spec.kind != "sobolev":
-        raise ConfigError("sobolev_norm needs a sobolev SpaceSpec")
-    _check_tag(hf, spec)
-    work = hf if hf.bc is not None else hf.with_bc(spec.op)
+    work = _checked(hf, spec, "sobolev", "sobolev_norm")
     if spec.homogeneous:
         return lp_norm(frac_power(work, spec.op, spec.s), spec.p)
     ext = extend_for(work, spec.op)
@@ -104,36 +106,30 @@ def sobolev_norm(hf: HalfField, spec: SpaceSpec) -> float:
 # ---------------------------------------------------------------------------
 # dyadic machinery shared by the Besov evaluations
 
-def _spectrum(ext: SampledField):
-    fhat = np.fft.fftn(ext.values)
-    lam = np.sqrt(sum(xi ** 2 for xi in ext.grid.freq_mesh()))
-    lam = np.broadcast_to(lam, fhat.shape)
-    return fhat, lam
+def _spectrum(work: HalfField, op: str):
+    ext = extend_for(work, op)
+    return ext, np.fft.fftn(ext.values), _radial_frequency(ext.grid)
 
 
-def _leak_fraction(fhat, lam, bank: DyadicBank, low_too: bool) -> float:
-    power = np.abs(fhat) ** 2
-    nonzero = lam > 0
-    total = float(np.sum(power[nonzero]))
-    if total == 0.0:
-        return 0.0
-    out = lam > 2.0 ** bank.j_max
-    if low_too:
-        out |= nonzero & (lam < 2.0 ** bank.j_min)
-    return float(np.sum(power[out])) / total
+def _check_leak(fhat, lam, bank: DyadicBank, low_too: bool) -> float:
+    """The leak guard of every dyadic split: raise above ``_LEAK_TOL``."""
+    leak = _leak_fraction(fhat, lam, bank, low_too)
+    if leak > _LEAK_TOL:
+        raise NumericalGuardError(
+            f"{leak:.3e} of the spectral energy lies outside the resolved "
+            f"band [2^{bank.j_min}, 2^{bank.j_max}]; the truncated j-sum "
+            "would misreport it")
+    return leak
 
 
-def _block_profile(ext: SampledField, fhat, lam, bank: DyadicBank, octaves,
-                   p: float, half: bool, op: str):
-    """L^p norms of the dyadic blocks, on the half-grid or the box."""
-    inv_n = ext.values.size
-    out = []
-    for j in octaves:
-        sym = bank.phi(j, lam)
-        block = np.fft.ifftn(sym * fhat).real
-        f = SampledField(ext.grid, block)
-        out.append(lp_norm(restrict(f, bc=op) if half else f, p))
-    return out
+def _half_norm(values, grid, spec: SpaceSpec) -> float:
+    """L^p norm on the half-space of a full-box array."""
+    return lp_norm(restrict(SampledField(grid, values), bc=spec.op), spec.p)
+
+
+def _lowpass(fhat, lam, bank: DyadicBank):
+    """The inhomogeneous psi term, everything below octave 1."""
+    return np.fft.ifftn(bank.psi(lam) * fhat).real
 
 
 def _lq(values, q: float) -> float:
@@ -145,42 +141,43 @@ def _lq(values, q: float) -> float:
     return float(np.sum(arr ** q) ** (1.0 / q))
 
 
+def _dyadic_pass(hf: HalfField, spec: SpaceSpec, bank: DyadicBank,
+                 what: str, box: bool = False):
+    """One leak-checked pass of the bank over the extension of ``hf``.
+
+    Returns the half-space report and, with ``box``, the same norm of
+    the extension over the full box, taken from the same blocks (else
+    None).
+    """
+    work = _checked(hf, spec, "besov", what)
+    ext, fhat, lam = _spectrum(work, spec.op)
+    leak = _check_leak(fhat, lam, bank, low_too=spec.homogeneous)
+    j_lo = bank.j_min if spec.homogeneous else max(bank.j_min, 1)
+    blocks, box_weighted = [], []
+    for j, block in _dyadic_blocks(fhat, lam, bank,
+                                   range(j_lo, bank.j_max + 1)):
+        b = _half_norm(block, ext.grid, spec)
+        blocks.append({"j": j, "norm": b, "weighted": 2.0 ** (spec.s * j) * b})
+        if box:
+            box_weighted.append(2.0 ** (spec.s * j)
+                                * lp_norm(SampledField(ext.grid, block),
+                                          spec.p))
+    terms = {"blocks": blocks, "leak": leak}
+    value = _lq([b["weighted"] for b in blocks], spec.q)
+    full = _lq(box_weighted, spec.q) if box else None
+    if not spec.homogeneous:
+        low = _lowpass(fhat, lam, bank)
+        terms["lowpass"] = _half_norm(low, ext.grid, spec)
+        value = terms["lowpass"] + value
+        if box:
+            full += lp_norm(SampledField(ext.grid, low), spec.p)
+    terms["value"] = value
+    return terms, full
+
+
 def besov_norm_report(hf: HalfField, spec: SpaceSpec, bank: DyadicBank) -> dict:
     """Besov norm plus the block profile and the leak estimate."""
-    if spec.kind != "besov":
-        raise ConfigError("besov_norm needs a besov SpaceSpec")
-    _check_tag(hf, spec)
-    work = hf if hf.bc is not None else hf.with_bc(spec.op)
-    ext = extend_for(work, spec.op)
-    fhat, lam = _spectrum(ext)
-
-    leak = _leak_fraction(fhat, lam, bank, low_too=spec.homogeneous)
-    if leak > _LEAK_TOL:
-        raise NumericalGuardError(
-            f"{leak:.3e} of the spectral energy lies outside the resolved "
-            f"band [2^{bank.j_min}, 2^{bank.j_max}]; the truncated j-sum "
-            "would misreport the norm")
-
-    if spec.homogeneous:
-        octaves = list(bank.octaves)
-    else:
-        octaves = [j for j in bank.octaves if j >= 1]
-    blocks = _block_profile(ext, fhat, lam, bank, octaves, spec.p,
-                            half=True, op=spec.op)
-    weighted = [2.0 ** (spec.s * j) * b for j, b in zip(octaves, blocks)]
-    terms = {"blocks": [{"j": j, "norm": b, "weighted": w}
-                        for j, b, w in zip(octaves, blocks, weighted)],
-             "leak": leak}
-    if spec.homogeneous:
-        value = _lq(weighted, spec.q)
-    else:
-        lowpass = np.fft.ifftn(bank.psi(lam) * fhat).real
-        low = lp_norm(restrict(SampledField(ext.grid, lowpass), bc=spec.op),
-                      spec.p)
-        terms["lowpass"] = low
-        value = low + _lq(weighted, spec.q)
-    terms["value"] = value
-    return terms
+    return _dyadic_pass(hf, spec, bank, "besov_norm")[0]
 
 
 def besov_norm(hf: HalfField, spec: SpaceSpec, bank: DyadicBank) -> float:
@@ -197,10 +194,7 @@ def besov_norm_semigroup(hf: HalfField, spec: SpaceSpec, M: int | None = None,
     ``bank`` at 16 quadrature nodes per decade.  Pass a wider custom
     ``t_grid`` when validating against closed forms.
     """
-    if spec.kind != "besov":
-        raise ConfigError("semigroup characterization needs a besov SpaceSpec")
-    _check_tag(hf, spec)
-    work = hf if hf.bc is not None else hf.with_bc(spec.op)
+    work = _checked(hf, spec, "besov", "semigroup characterization")
     if M is None:
         M = int(np.ceil(spec.s / 2.0)) + 1
     if not (isinstance(M, (int, np.integer)) and M > spec.s / 2.0 and M >= 1):
@@ -216,24 +210,20 @@ def besov_norm_semigroup(hf: HalfField, spec: SpaceSpec, M: int | None = None,
         raise ConfigError("t_grid must be a positive 1-D array")
     if np.any(np.diff(t_grid) <= 0):
         raise ConfigError("t_grid must be increasing")
-
-    ext = extend_for(work, spec.op)
-    fhat, lam = _spectrum(ext)
-    lam2 = lam ** 2
-
     if not spec.homogeneous:
-        keep = t_grid <= 1.0
-        if not np.any(keep):
+        if bank is None:
+            raise ConfigError("inhomogeneous variant needs the bank's low-pass")
+        t_grid = t_grid[t_grid <= 1.0]
+        if t_grid.size == 0:
             raise ConfigError("inhomogeneous variant integrates over (0, 1]")
-        t_grid = t_grid[keep]
 
+    ext, fhat, lam = _spectrum(work, spec.op)
+    lam2 = lam ** 2
     vals = np.empty(t_grid.size)
     for i, t in enumerate(t_grid):
         sym = (t * lam2) ** M * np.exp(-t * lam2)
         block = np.fft.ifftn(sym * fhat).real
-        nrm = lp_norm(restrict(SampledField(ext.grid, block), bc=spec.op),
-                      spec.p)
-        vals[i] = t ** (-spec.s / 2.0) * nrm
+        vals[i] = t ** (-spec.s / 2.0) * _half_norm(block, ext.grid, spec)
 
     if np.isinf(spec.q):
         body = float(np.max(vals))
@@ -241,11 +231,7 @@ def besov_norm_semigroup(hf: HalfField, spec: SpaceSpec, M: int | None = None,
         body = float(_trapz(vals ** spec.q, np.log(t_grid)) ** (1.0 / spec.q))
     if spec.homogeneous:
         return body
-    if bank is None:
-        raise ConfigError("inhomogeneous variant needs the bank's low-pass")
-    lowpass = np.fft.ifftn(bank.psi(lam) * fhat).real
-    low = lp_norm(restrict(SampledField(ext.grid, lowpass), bc=spec.op), spec.p)
-    return low + body
+    return _half_norm(_lowpass(fhat, lam, bank), ext.grid, spec) + body
 
 
 def extension_norm_equivalence(hf: HalfField, spec: SpaceSpec,
@@ -255,31 +241,12 @@ def extension_norm_equivalence(hf: HalfField, spec: SpaceSpec,
     By construction the ratio is 2^(-1/p) for p < inf (each block of a
     parity extension has definite parity, so restriction halves its
     p-th power mass); the report keeps both values and flags the
-    degenerate zero-field case instead of dividing by it.
+    degenerate zero-field case instead of dividing by it.  Both norms
+    come from one pass over the blocks.
     """
-    if spec.kind != "besov":
-        raise ConfigError("extension equivalence is a besov check")
-    _check_tag(hf, spec)
-    work = hf if hf.bc is not None else hf.with_bc(spec.op)
-    ext = extend_for(work, spec.op)
-    fhat, lam = _spectrum(ext)
-    leak = _leak_fraction(fhat, lam, bank, low_too=spec.homogeneous)
-    if leak > _LEAK_TOL:
-        raise NumericalGuardError(
-            f"spectral leak {leak:.3e} outside the resolved band")
-    if spec.homogeneous:
-        octaves = list(bank.octaves)
-    else:
-        octaves = [j for j in bank.octaves if j >= 1]
-    full_blocks = _block_profile(ext, fhat, lam, bank, octaves, spec.p,
-                                 half=False, op=spec.op)
-    full_weighted = [2.0 ** (spec.s * j) * b
-                     for j, b in zip(octaves, full_blocks)]
-    full = _lq(full_weighted, spec.q)
-    if not spec.homogeneous:
-        lowpass = np.fft.ifftn(bank.psi(lam) * fhat).real
-        full += lp_norm(SampledField(ext.grid, lowpass), spec.p)
-    half = besov_norm(work, spec, bank)
+    terms, full = _dyadic_pass(hf, spec, bank, "extension equivalence",
+                               box=True)
+    half = terms["value"]
     degenerate = full == 0.0
     return {
         "half_norm": half,

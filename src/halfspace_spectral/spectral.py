@@ -16,6 +16,13 @@ eta is tabulated once and evaluated through a cubic spline so that
 every run of a given build works off the identical table (the table
 hash is echoed into experiment reports).
 
+This module is the single owner of the dyadic split: the radial
+frequency |xi|, the octave range a grid resolves, the leak fraction
+(the share of non-DC spectral energy outside that range) and the loop
+that inverse-transforms one block phi_j(|xi|) fhat at a time.  The
+Besov norms, the extension equivalence, the paraproduct and the
+band-limited families all go through these private helpers.
+
 A real-space quadrature for the fractional Laplacian at order
 s in (0, 1) lives here too; it is the independent check that the
 |xi|^s symbol is the operator it claims to be.
@@ -294,17 +301,48 @@ class DyadicBank:
         return range(self.j_min, self.j_max + 1)
 
 
+def _resolved_octaves(grid: GridSpec) -> tuple[int, int]:
+    """(j_min, j_max): octaves whose band [2^(j-1), 2^(j+1)] lies inside
+    the grid's resolved range [pi / L, pi / h]."""
+    slop = 1e-9
+    j_min = int(np.ceil(np.log2(np.pi / grid.L) + 1.0 - slop))
+    j_max = int(np.floor(np.log2(np.pi / grid.h) - 1.0 + slop))
+    return j_min, j_max
+
+
+def _radial_frequency(grid: GridSpec) -> np.ndarray:
+    """|xi| on the full frequency grid, fft order."""
+    return _radial(grid.freq_mesh())
+
+
+def _leak_fraction(fhat, lam, bank: DyadicBank, low_too: bool) -> float:
+    """Share of the non-DC energy of ``fhat`` above 2^j_max and, with
+    ``low_too``, below 2^j_min: what a truncated j-sum cannot see."""
+    power = np.abs(fhat) ** 2
+    nonzero = lam > 0
+    total = float(np.sum(power[nonzero]))
+    if total == 0.0:
+        return 0.0
+    out = lam > 2.0 ** bank.j_max
+    if low_too:
+        out |= nonzero & (lam < 2.0 ** bank.j_min)
+    return float(np.sum(power[out])) / total
+
+
+def _dyadic_blocks(fhat, lam, bank: DyadicBank, octaves):
+    """Yield (j, real block) for each octave, one inverse FFT at a time,
+    so that no more than one block is held in memory."""
+    for j in octaves:
+        yield j, np.fft.ifftn(bank.phi(j, lam) * fhat).real
+
+
 def build_bank(grid: GridSpec, phi0_scale: float = 1.0) -> DyadicBank:
     """Build the bank for a grid, deriving the resolved octave range.
 
     ``phi0_scale`` exists for fault injection in the self-test; any
     value other than 1 deliberately breaks the partition of unity.
     """
-    lam_min = np.pi / grid.L
-    lam_nyq = np.pi / grid.h
-    slop = 1e-9
-    j_min = int(np.ceil(np.log2(lam_min) + 1.0 - slop))
-    j_max = int(np.floor(np.log2(lam_nyq) - 1.0 + slop))
+    j_min, j_max = _resolved_octaves(grid)
     if j_max - j_min < 4:
         raise ConfigError(
             f"resolved band spans only {j_max - j_min} octaves "

@@ -3,6 +3,7 @@
 import io
 import contextlib
 import json
+import struct
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from halfspace_spectral import BC_DIRICHLET, make_grid, sample_half, save_field
-from halfspace_spectral.cli import main
+from halfspace_spectral.cli import build_parser, main
 
 
 def run_cli(args):
@@ -129,6 +130,39 @@ def test_missing_field_file_exits_two(tmp_path):
                           "--L", "16"])
     assert rc == 2
     assert "configuration error" in err
+
+
+def test_bad_ini_value_exits_two(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[norm]\nN = lots\n")
+    rc, _, err = run_cli(["norm", "--config", str(ini), "--kind",
+                          "sobolev", "--s", "1.0", "--p", "2"])
+    assert rc == 2
+    assert "[norm] N" in err
+
+
+def test_malformed_field_file_exits_two(tmp_path):
+    path = tmp_path / "bad.hsf"
+    path.write_bytes(struct.pack("<8sBBBBQQdQ", b"HSFIELD1", 1, 9, 1, 0, 1,
+                                 1024, 16.0, 512) + b"\x00" * 4096)
+    rc, _, err = run_cli(["norm", "--field", f"file:{path}", "--s", "1.0",
+                          "--p", "2", "--N", "1024", "--L", "16"])
+    assert rc == 2
+    assert "configuration error" in err
+
+
+@pytest.mark.parametrize("command", ["norm", "selftest"])
+def test_threads_flag_only_on_sweeping_commands(command):
+    with pytest.raises(SystemExit) as exc:
+        with contextlib.redirect_stderr(io.StringIO()):
+            main([command, "--threads", "2"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["bilinear", "trilinear",
+                                     "counterexample"])
+def test_threads_flag_reaches_the_sweeping_commands(command):
+    assert build_parser().parse_args([command, "--threads", "2"]).threads == 2
 
 
 def test_numerical_guards_exit_three():

@@ -71,6 +71,32 @@ def test_besov_sweeps_need_q():
     _cfg(kind="besov", q=1.0)
 
 
+def _tri(**kw):
+    base = dict(s=1.0, p=2.0,
+                exponents=((2.0, INF, INF), (INF, 2.0, INF), (INF, INF, 2.0)),
+                op=OP_DIRICHLET, family="bump_random", count=2, seed=0,
+                resolutions=(512,), L=16.0, n=1)
+    base.update(kw)
+    return TrilinearConfig(**base)
+
+
+def test_sobolev_sweeps_take_no_q():
+    with pytest.raises(ConfigError):
+        _cfg(q=2.0)
+    with pytest.raises(ConfigError):
+        _tri(q=2.0)
+
+
+def test_trilinear_kind_validated():
+    with pytest.raises(ConfigError):
+        _tri(kind="holder")
+    _tri(kind="besov", q=2.0)
+
+
+def test_bilinear_exponents_pair_up_per_term():
+    assert _cfg(p1=4.0, p2=4.0).exponents == ((4.0, 4.0), (INF, 2.0))
+
+
 def test_resolutions_sorted_and_integer():
     cfg = _cfg(resolutions=(2048, 512, 1024))
     assert cfg.resolutions == (512, 1024, 2048)

@@ -238,6 +238,45 @@ def test_load_rejects_truncated_file(tmp_path, grid1d):
         load_field(path)
 
 
+def _write_header(path, kind=1, bc=0, n=1, N=64, L=16.0, count=32,
+                  values=32):
+    """A field container with a hand-made header and ``values`` zeros."""
+    header = struct.pack("<8sBBBBQQdQ", b"HSFIELD1", kind, bc, 1, 0, n, N,
+                         L, count)
+    path.write_bytes(header + b"\x00" * (8 * values))
+    return path
+
+
+def test_load_accepts_a_hand_made_header(tmp_path):
+    back = load_field(_write_header(tmp_path / "ok.hsf"))
+    assert isinstance(back, HalfField)
+    assert back.values.shape == (32,)
+
+
+def test_load_rejects_a_count_that_does_not_match_the_grid(tmp_path):
+    path = _write_header(tmp_path / "f.hsf", count=40, values=40)
+    with pytest.raises(ConfigError, match="values"):
+        load_field(path)
+
+
+def test_load_rejects_an_unknown_boundary_code(tmp_path):
+    path = _write_header(tmp_path / "f.hsf", bc=7)
+    with pytest.raises(ConfigError, match="boundary code"):
+        load_field(path)
+
+
+def test_load_rejects_an_overflowing_count(tmp_path):
+    path = _write_header(tmp_path / "f.hsf", count=2 ** 61)
+    with pytest.raises(ConfigError):
+        load_field(path)
+
+
+def test_load_rejects_an_unknown_field_kind(tmp_path):
+    path = _write_header(tmp_path / "f.hsf", kind=2)
+    with pytest.raises(ConfigError, match="kind"):
+        load_field(path)
+
+
 def test_csv_export_1d(tmp_path, grid1d_small):
     hf = sample_half(grid1d_small, lambda x: x ** 2)
     path = tmp_path / "f.csv"

@@ -240,6 +240,19 @@ def test_semigroup_route_is_an_equivalent_norm(grid1d, bank1d):
         assert 0.2 < sg / dy < 2.0
 
 
+def test_inhomogeneous_semigroup_without_bank_fails_before_any_transform(
+        grid1d, monkeypatch):
+    f = _band_field(grid1d)
+    spec = SpaceSpec("besov", 0.8, 2.0, 2.0, False, OP_DIRICHLET)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("inverse FFT ran before the config check")
+
+    monkeypatch.setattr(np.fft, "ifftn", refuse)
+    with pytest.raises(ConfigError):
+        besov_norm_semigroup(f, spec, t_grid=np.geomspace(1e-4, 1.0, 20))
+
+
 # ---------------------------------------------------------------------------
 # extension equivalence
 
@@ -252,6 +265,25 @@ def test_extension_equivalence_constant_is_exact(grid1d, bank1d, p):
     assert eq["ratio"] == pytest.approx(2.0 ** (-1.0 / p), rel=1e-12)
     assert eq["half_norm"] == pytest.approx(
         eq["ratio"] * eq["full_norm"], rel=1e-12)
+
+
+@pytest.mark.parametrize("homogeneous", [True, False])
+def test_extension_equivalence_is_one_pass(grid1d, bank1d, monkeypatch,
+                                           homogeneous):
+    f = _band_field(grid1d)
+    spec = SpaceSpec("besov", 0.7, 3.0, 2.0, homogeneous, OP_DIRICHLET)
+    expected = besov_norm(f, spec, bank1d)
+    calls = []
+    fftn = np.fft.fftn
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fftn(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counting)
+    eq = extension_norm_equivalence(f, spec, bank1d)
+    assert len(calls) == 1
+    assert eq["half_norm"] == expected
 
 
 def test_extension_equivalence_2d():
