@@ -30,9 +30,8 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from . import __version__
+from . import __version__, norms
 from .errors import ConfigError, NumericalGuardError
 from .families import cutoff_profile, make_family
 from .grid import (GridSpec, HalfField, SampledField, lp_norm, make_grid,
@@ -334,7 +333,7 @@ def _config_echo(cfg) -> dict:
            "kind": cfg.kind, "homogeneous": cfg.homogeneous,
            "family": cfg.family, "count": cfg.count, "seed": cfg.seed,
            "resolutions": list(cfg.resolutions), "L": cfg.L, "n": cfg.n,
-           "tolerances": {"holder": _HOLDER_TOL, "leak": 1e-8}}
+           "tolerances": {"holder": _HOLDER_TOL, "leak": norms._LEAK_TOL}}
     if cfg.q is not None:
         out["q"] = _fmt_exponent(cfg.q)
     if isinstance(cfg, BilinearConfig):
@@ -598,6 +597,8 @@ def _limit_profile(bank: DyadicBank, p: float) -> dict:
     W(x) = int_0^inf (K(x-y) - K(x+y)) dy = 2 int_0^x K, computed here
     by direct quadrature, nowhere touching the FFT path.
     """
+    from scipy.integrate import cumulative_trapezoid
+
     eta_grid = np.linspace(0.5, 2.0, 2049)
     phi_vals = bank.phi0(eta_grid)
     x = np.arange(0.0, 64.0, 1.0 / 128.0)

@@ -12,16 +12,21 @@ the exp(-1/x) cutoff, the band profile is
     phi_0(lambda) = eta(lambda) - eta(2 lambda),  supp in [1/2, 2],
 
 and phi_j = phi_0(2^-j .) telescopes to 1 over j in Z for lambda > 0.
-eta is tabulated once and evaluated through a cubic spline so that
-every run of a given build works off the identical table (the table
-hash is echoed into experiment reports).
+Both profiles are evaluated in closed form.  Since eta(lambda) = 1 on
+[0, 1] and eta(2 lambda) = 0 on [1, inf), phi_0 takes one smooth step
+S = ``smooth_step`` per point: 1 - S(2 - 2 lambda) on (1/2, 1] and
+S(2 - lambda) on (1, 2), bitwise equal to the difference above.  The
+bank's ``table_hash`` hashes eta at 2^16 + 1 equispaced knots of [0, 2]
+together with ``phi0_scale``, and is echoed into experiment reports so
+that they pin the exact profiles they were produced with.
 
 This module is the single owner of the dyadic split: the radial
 frequency |xi|, the octave range a grid resolves, the leak fraction
 (the share of non-DC spectral energy outside that range) and the loop
 that inverse-transforms one block phi_j(|xi|) fhat at a time.  The
-Besov norms, the extension equivalence, the paraproduct and the
-band-limited families all go through these private helpers.
+Besov norms, the extension equivalence, the paraproduct, the
+band-limited families and the public ``dyadic_block`` all go through
+these private helpers.
 
 A real-space quadrature for the fractional Laplacian at order
 s in (0, 1) lives here too; it is the independent check that the
@@ -31,13 +36,11 @@ s in (0, 1) lives here too; it is the independent check that the
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.signal import fftconvolve
-from scipy.special import gamma
 
 from .errors import ConfigError, NumericalGuardError
 from .grid import GridSpec, SampledField
@@ -56,10 +59,6 @@ __all__ = [
     "smooth_step",
     "frac_lap_constant",
 ]
-
-#: relative ceiling on the imaginary residue left after a real-kernel
-#: multiplier round trip
-_IMAG_TOL = 1e-10
 
 #: zero-mean requirement for negative-order and Riesz symbols
 _MEAN_TOL = 1e-12
@@ -114,6 +113,9 @@ class Multiplier:
 
 
 def _symbol_on_grid(m: Multiplier, grid: GridSpec) -> np.ndarray:
+    """The full complex symbol array, fft order, after the finiteness
+    and Hermitian-symmetry checks."""
+    name = m.name or "<anonymous>"
     # homogeneous symbols are singular at the origin; evaluate with the
     # warnings off, then pin the zero mode to its declared value
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -121,8 +123,15 @@ def _symbol_on_grid(m: Multiplier, grid: GridSpec) -> np.ndarray:
     sym = np.broadcast_to(sym, (grid.N,) * grid.n).copy()
     sym[(0,) * grid.n] = m.zero_mode_value
     if not np.all(np.isfinite(sym)):
-        raise ConfigError(f"multiplier {m.name or '<anonymous>'} not finite "
+        raise ConfigError(f"multiplier {name} not finite "
                           "on the resolved frequency grid")
+    # reversing an fft-ordered axis and rolling by one maps m to -m
+    mirror = np.roll(np.flip(sym), 1, axis=tuple(range(grid.n)))
+    if not np.array_equal(np.conjugate(mirror, out=mirror), sym):
+        raise NumericalGuardError(
+            f"multiplier {name} lacks Hermitian symmetry: sym(-m) != "
+            "conj(sym(m)) (an odd symbol must vanish on the unpaired "
+            "Nyquist plane)")
     return sym
 
 
@@ -130,30 +139,31 @@ def apply_multiplier(f: SampledField, m: Multiplier) -> SampledField:
     """Apply a multiplier and return the real part.
 
     The symbol must carry the Hermitian symmetry of a real-kernel
-    operator; the imaginary residue is checked against 1e-10 relative
-    to the field scale and discarded.  The scale includes the peak
-    magnitude of symbol * transform, because that is the quantity
-    whose rounding the inverse transform redistributes; a symbol with
-    a genuinely broken symmetry lands six or more orders of magnitude
-    above this floor.
+    operator, sym(-m) = conj(sym(m)) on the whole frequency grid; on the
+    unpaired Nyquist plane, its own mirror, that asks for a real symbol.
+    The check is exact and independent of the data, so the imaginary
+    part of the round trip is pure roundoff and is discarded.
     """
-    sym = _symbol_on_grid(m, f.grid)
-    spectral = sym * np.fft.fftn(f.values)
+    # the product is formed in place, so at most two full complex
+    # arrays are alive at once
+    spectral = _symbol_on_grid(m, f.grid)
+    spectral *= np.fft.fftn(f.values)
     out = np.fft.ifftn(spectral)
-    scale = max(float(np.max(np.abs(f.values))),
-                float(np.max(np.abs(out.real))),
-                float(np.max(np.abs(spectral))), 1.0)
-    resid = float(np.max(np.abs(out.imag)))
-    if resid > _IMAG_TOL * scale:
-        raise NumericalGuardError(
-            f"multiplier {m.name or '<anonymous>'} left imaginary residue "
-            f"{resid:.3e} (scale {scale:.3e}); symbol lacks Hermitian symmetry "
-            "or input has unpaired Nyquist content")
     return SampledField(f.grid, np.ascontiguousarray(out.real))
 
 
 def _radial(mesh):
     return np.sqrt(sum(xi ** 2 for xi in mesh))
+
+
+def _require_zero_mean(f: SampledField, what: str) -> None:
+    """Raise ConfigError unless |mean| <= 1e-12 * sup|f|."""
+    mean = abs(float(np.mean(f.values)))
+    sup = float(np.max(np.abs(f.values)))
+    if mean > _MEAN_TOL * max(sup, 1e-300):
+        raise ConfigError(
+            f"{what} needs a zero-mean field; "
+            f"|mean| = {mean:.3e} exceeds 1e-12 * sup = {sup:.3e}")
 
 
 def fractional_laplacian(f: SampledField, s: float) -> SampledField:
@@ -163,12 +173,7 @@ def fractional_laplacian(f: SampledField, s: float) -> SampledField:
     otherwise the inverse power is meaningless on the box.
     """
     if s < 0:
-        mean = abs(float(np.mean(f.values)))
-        sup = float(np.max(np.abs(f.values)))
-        if mean > _MEAN_TOL * max(sup, 1e-300):
-            raise ConfigError(
-                f"negative-order power s={s} needs a zero-mean field; "
-                f"|mean| = {mean:.3e} exceeds 1e-12 * sup = {sup:.3e}")
+        _require_zero_mean(f, f"negative-order power s={s}")
     return apply_multiplier(
         f, Multiplier(lambda *mesh: _radial(mesh) ** s, 0.0, f"|xi|^{s}"))
 
@@ -228,11 +233,7 @@ def riesz_transform(f: SampledField, k: int) -> SampledField:
     n = f.grid.n
     if not 1 <= k <= n:
         raise ConfigError(f"axis {k} outside 1..{n}")
-    mean = abs(float(np.mean(f.values)))
-    sup = float(np.max(np.abs(f.values)))
-    if mean > _MEAN_TOL * max(sup, 1e-300):
-        raise ConfigError(
-            f"riesz transform needs a zero-mean field; |mean| = {mean:.3e}")
+    _require_zero_mean(f, "riesz transform")
     ixi = 1j * _nyquist_safe_axis(f.grid, k)
 
     def sym(*mesh):
@@ -253,45 +254,38 @@ def semigroup_symbol(f: SampledField, t: float, s: float) -> SampledField:
 # ---------------------------------------------------------------------------
 # dyadic bank
 
-#: eta is tabulated on [0, 2] at this many intervals
+#: the table hash samples eta on [0, 2] at this many intervals
 _TABLE_SIZE = 2 ** 16
 
 
 @dataclass(frozen=True, eq=False)
 class DyadicBank:
-    """Tabulated Littlewood-Paley profiles tied to a grid's resolved band.
+    """Littlewood-Paley profiles tied to a grid's resolved band.
 
     Octaves j in [j_min, j_max] have their full band [2^(j-1), 2^(j+1)]
     inside the resolved frequency range of the grid.  ``table_hash``
-    identifies the eta table (and any fault-injection scaling) so that
+    identifies the eta profile (and any fault-injection scaling) so that
     reports can pin the exact bank they were produced with.
     """
 
     j_min: int
     j_max: int
-    table: np.ndarray
     table_hash: str
     phi0_scale: float = 1.0
-    _spline: CubicSpline = field(repr=False, compare=False, default=None)
-
-    def eta(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        flat = np.atleast_1d(lam)
-        out = np.empty_like(flat)
-        lo = flat <= 0.0
-        hi = flat >= 2.0
-        mid = ~(lo | hi)
-        out[lo] = 1.0
-        out[hi] = 0.0
-        out[mid] = self._spline(flat[mid])
-        return out.reshape(lam.shape) if lam.ndim else float(out[0])
 
     def psi(self, lam):
         """Inhomogeneous low-pass; psi + sum_{j>=1} phi_j = 1 on lam >= 0."""
-        return self.eta(lam)
+        return eta_profile(lam)
 
     def phi0(self, lam):
-        return self.phi0_scale * (self.eta(lam) - self.eta(2.0 * np.asarray(lam)))
+        """eta(lam) - eta(2 lam), one smooth step per point of (1/2, 2)."""
+        lam = np.asarray(lam, dtype=float)
+        out = np.zeros_like(lam)
+        inner = (lam > 0.5) & (lam <= 1.0)
+        outer = (lam > 1.0) & (lam < 2.0)
+        out[inner] = 1.0 - smooth_step(2.0 - 2.0 * lam[inner])
+        out[outer] = smooth_step(2.0 - lam[outer])
+        return self.phi0_scale * out
 
     def phi(self, j: int, lam):
         return self.phi0(np.asarray(lam, dtype=float) * 2.0 ** (-j))
@@ -347,17 +341,12 @@ def build_bank(grid: GridSpec, phi0_scale: float = 1.0) -> DyadicBank:
         raise ConfigError(
             f"resolved band spans only {j_max - j_min} octaves "
             f"(j_min={j_min}, j_max={j_max}); increase N")
-    knots = np.linspace(0.0, 2.0, _TABLE_SIZE + 1)
-    table = eta_profile(knots)
-    spline = CubicSpline(knots, table)
     digest = hashlib.sha256()
-    digest.update(table.tobytes())
+    digest.update(eta_profile(np.linspace(0.0, 2.0, _TABLE_SIZE + 1)).tobytes())
     digest.update(np.float64(phi0_scale).tobytes())
-    bank = DyadicBank(j_min=j_min, j_max=j_max, table=table,
+    return DyadicBank(j_min=j_min, j_max=j_max,
                       table_hash=digest.hexdigest()[:16],
                       phi0_scale=float(phi0_scale))
-    object.__setattr__(bank, "_spline", spline)
-    return bank
 
 
 def dyadic_block(f: SampledField, j: int, bank: DyadicBank) -> SampledField:
@@ -365,9 +354,9 @@ def dyadic_block(f: SampledField, j: int, bank: DyadicBank) -> SampledField:
     if not bank.j_min <= j <= bank.j_max:
         raise ConfigError(
             f"octave j={j} outside resolved range [{bank.j_min}, {bank.j_max}]")
-    return apply_multiplier(
-        f, Multiplier(lambda *mesh: bank.phi(j, _radial(mesh)), 0.0,
-                      f"phi_{j}"))
+    _, block = next(_dyadic_blocks(np.fft.fftn(f.values),
+                                   _radial_frequency(f.grid), bank, (j,)))
+    return SampledField(f.grid, block)
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +364,8 @@ def dyadic_block(f: SampledField, j: int, bank: DyadicBank) -> SampledField:
 
 def frac_lap_constant(s: float) -> float:
     """Normalization c_{1,s} = 2^s Gamma((1+s)/2) / (sqrt(pi) |Gamma(-s/2)|)."""
-    return float(2.0 ** s * gamma((1.0 + s) / 2.0)
-                 / (np.sqrt(np.pi) * abs(gamma(-s / 2.0))))
+    return (2.0 ** s * math.gamma((1.0 + s) / 2.0)
+            / (math.sqrt(math.pi) * abs(math.gamma(-s / 2.0))))
 
 
 #: cells on each side treated by the symmetric Taylor window
@@ -397,6 +386,8 @@ def singular_integral_frac_lap(f: SampledField, s: float) -> SampledField:
     This shares no code path with the spectral symbol and is the oracle
     against which |xi|^s is validated.
     """
+    from scipy.signal import fftconvolve
+
     if f.grid.n != 1:
         raise ConfigError("real-space quadrature is 1-D only")
     if not 0.0 < s < 1.0:

@@ -2,13 +2,20 @@
 
 Grids and banks are immutable, so the expensive ones are session
 scoped.  Everything else is built where it is used.
+
+Property tests draw the same examples on every run and store none, so
+the suite does not depend on a hypothesis database.
 """
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from halfspace_spectral import make_grid
 from halfspace_spectral.experiments import get_bank
+
+settings.register_profile("deterministic", database=None, derandomize=True)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -273,6 +273,14 @@ def test_wall_time_not_in_the_payload():
     assert "wall_time_s" not in rep.to_json_dict()["meta"]
 
 
+def test_echoed_leak_tolerance_is_the_guard_in_force(monkeypatch):
+    from halfspace_spectral import norms
+    cfg = _cfg(count=1, resolutions=(512,))
+    assert ratio_sweep(cfg).config["tolerances"]["leak"] == 1e-8
+    monkeypatch.setattr(norms, "_LEAK_TOL", 3e-7)
+    assert ratio_sweep(cfg).config["tolerances"]["leak"] == 3e-7
+
+
 def test_neumann_sweep_runs():
     cfg = _cfg(op=OP_NEUMANN, s=1.5, count=2, resolutions=(512, 1024))
     rep = ratio_sweep(cfg)

@@ -19,6 +19,7 @@ from halfspace_spectral import (
     fractional_laplacian,
     integrate,
     lp_norm,
+    make_family,
     make_grid,
     normal_derivative,
     odd_extend,
@@ -107,6 +108,17 @@ def test_unknown_operator_rejected(grid1d):
     hf = sample_half(grid1d, lambda x: x)
     with pytest.raises(ConfigError):
         frac_power(hf, "robin", 1.0)
+
+
+@pytest.mark.parametrize("s", [3.0, 3.5, 4.0])
+def test_high_order_power_on_the_finest_rung_is_not_a_guard_fault(s):
+    # at N = 131072 the imaginary roundoff of the |xi|^s round trip
+    # outgrows 1e-10 of the spectral peak, yet the symbol is exactly
+    # Hermitian and the operator is legitimate
+    g = make_grid(1, 16.0, 131072)
+    f = make_family("counterexample", g, OP_DIRICHLET, 0, 1)[0]
+    out = frac_power(f, OP_DIRICHLET, s)
+    assert np.all(np.isfinite(out.values))
 
 
 def test_dirichlet_power_refuses_neumann_tag(grid1d):

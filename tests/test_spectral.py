@@ -5,6 +5,10 @@ heat solution, the Poisson kernel decay and the Gamma-function
 normalization of the real-space kernel.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,9 +109,19 @@ def test_non_hermitian_symbol_guard_fires(grid1d):
         apply_multiplier(f, bad)
 
 
+def test_odd_symbol_live_on_the_nyquist_plane_is_rejected(grid1d):
+    # the m = -N/2 mode is its own mirror, so an odd symbol must vanish
+    # there; the guard reads the symbol, so a band-interior input that
+    # never excites that mode still exposes the defect
+    f, _ = _mode(grid1d, 4, "cos")
+    raw = Multiplier(lambda *mesh: 1j * mesh[0], 0.0, "i xi, Nyquist kept")
+    with pytest.raises(NumericalGuardError, match="Hermitian"):
+        apply_multiplier(f, raw)
+
+
 def test_legitimate_high_order_passes_the_residue_guard(grid1d):
-    # steep symbols amplify roundoff; the guard must scale with the
-    # spectral peak rather than trip on benign rounding noise
+    # steep symbols amplify roundoff; the guard checks the symmetry of
+    # the symbol itself and so never trips on benign rounding noise
     f = sample(grid1d, lambda x: x * bump(x, 0.0, 2.0))
     out = fractional_laplacian(f, 2.5)
     assert np.all(np.isfinite(out.values))
@@ -259,6 +273,18 @@ def test_bank_rejects_too_few_octaves():
         build_bank(make_grid(1, 16.0, 64))
 
 
+def test_octave_profile_is_the_telescoping_difference(bank1d):
+    # closed form: bitwise eta(lam) - eta(2 lam), not an interpolant
+    lam = np.linspace(0.0, 3.0, 300001)
+    ref = eta_profile(lam) - eta_profile(2.0 * lam)
+    assert np.array_equal(bank1d.phi0(lam), ref)
+
+
+def test_bank_hash_pins_the_eta_knot_table(grid1d):
+    # reports echo this hash; it must not move with the evaluation route
+    assert build_bank(grid1d).table_hash == "20b15ff3b14a1778"
+
+
 def test_bank_hash_is_stable_and_scale_sensitive(grid1d):
     a = build_bank(grid1d)
     b = build_bank(grid1d)
@@ -348,4 +374,23 @@ def test_eigenmode_scaling_property(m, s):
     g = make_grid(1, 16.0, 512)
     f, k = _mode(g, m)
     out = fractional_laplacian(f, s)
-    assert np.max(np.abs(out.values - k ** s * f.values)) < 1e-10 * k ** s
+    # the eps * xi_max^s roundoff floor of test_eigenmode_scaling_exact
+    tol = 1e-10 * k ** s + 1e-14 * (np.pi / g.h) ** s
+    assert np.max(np.abs(out.values - k ** s * f.values)) < tol
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+
+def test_package_import_loads_no_scipy():
+    # scipy serves only the quadrature oracle and the block-floor limit
+    # profile, and is imported inside them
+    src = os.path.dirname(os.path.dirname(
+        sys.modules["halfspace_spectral"].__file__))
+    probe = ("import sys, halfspace_spectral; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
