@@ -1,7 +1,8 @@
 """Fractional calculus for the Dirichlet and Neumann Laplacian on the
-half-space, realized through reflection extensions and Fourier
-multipliers on a staggered periodic grid, plus the experiment harness
-that probes product estimates against resolution.
+half-space, defined through reflection extensions and Fourier
+multipliers on a staggered periodic grid and computed by half-length
+sine and cosine transforms, plus the experiment harness that probes
+product estimates against resolution.
 """
 
 __version__ = "0.1.0"

@@ -1,14 +1,21 @@
 """Functional calculus for the Dirichlet and Neumann Laplacian.
 
-Operators on the half-space are realized by the method of images:
-extend with the parity matching the boundary condition (odd for
-Dirichlet, even for Neumann), apply the full-space multiplier, restrict
-back.  Radial symbols commute with the reflection exactly, so the
-restriction loses nothing and identities such as
+The method of images defines the operators: extend with the parity
+matching the boundary condition (odd for Dirichlet, even for Neumann),
+apply the full-space multiplier, restrict back.  On the staggered grid
+that is exactly the multiplier applied to the sine modes sin(k x_n)
+(Dirichlet) or the cosine modes cos(k x_n) (Neumann), k = pi m / L,
+times the tangential Fourier modes.  The operators here are computed
+that way, by the half-length sine/cosine transform that
+:mod:`halfspace_spectral.spectral` owns, on half the points and with no
+extension.  The image route (``extend_for``, ``fractional_laplacian``
+or ``apply_multiplier``, ``restrict``) stays public as the oracle that
+the tests and the self-test compare against.  Radial symbols commute
+with the reflection, so identities such as
 
     2^(1/p) || A_D^(s/2) f ||_{L^p(half)} = || Lambda^s f_odd ||_{L^p(box)}
 
-hold by construction, not asymptotically.
+hold to roundoff, not asymptotically.
 
 The normal derivative anticommutes with the reflection and therefore
 swaps the two calculi; its output is tagged with the opposite boundary
@@ -20,10 +27,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BoundaryTagError, ConfigError
-from .extension import even_extend, odd_extend, restrict
+from .extension import even_extend, odd_extend
 from .grid import BC_DIRICHLET, BC_NEUMANN, HalfField
-from .spectral import (apply_multiplier, derivative_multiplier,
-                       fractional_laplacian, semigroup_symbol)
+from .spectral import (Multiplier, _half_multiplier, _half_normal_derivative,
+                       _power_multiplier, _require_zero_mean,
+                       _semigroup_multiplier, derivative_multiplier)
 
 __all__ = [
     "OP_DIRICHLET",
@@ -51,15 +59,35 @@ def extend_for(hf: HalfField, op: str):
     return odd_extend(hf) if _check_op(op) == OP_DIRICHLET else even_extend(hf)
 
 
+def _is_odd(hf: HalfField, bc: str | None) -> bool:
+    """Whether ``hf`` goes through the sine modes in the ``bc`` calculus
+    (Dirichlet, or none for an untagged tangential derivative) rather
+    than the cosine modes, after the tag and grid checks."""
+    if hf.bc is not None and hf.bc != bc:
+        raise BoundaryTagError(
+            f"{hf.bc}-tagged field in the {bc} calculus")
+    if not hf.grid.stagger:
+        raise ConfigError("half-space transforms require a staggered grid")
+    return bc != OP_NEUMANN
+
+
+def _calculus(hf: HalfField, op: str, m: Multiplier) -> HalfField:
+    """The multiplier ``m`` in the ``op`` calculus, tagged ``op``."""
+    odd = _is_odd(hf, _check_op(op))
+    return HalfField(hf.grid, _half_multiplier(hf.values, hf.grid, m, odd), op)
+
+
 def frac_power(hf: HalfField, op: str, s: float) -> HalfField:
     """A^(s/2) f for A the Dirichlet or Neumann Laplacian.
 
     s is the order in terms of |xi|^s on the extension; s = 2 is the
-    operator itself.  Negative s requires the extension to be zero-mean
-    (odd extensions always are).
+    operator itself.  Negative s under Neumann requires a zero-mean
+    field, the mean of its even extension; the sine modes of Dirichlet
+    have no zero mode.
     """
-    ext = extend_for(hf, op)
-    return restrict(fractional_laplacian(ext, s), bc=op)
+    if s < 0 and not _is_odd(hf, _check_op(op)):
+        _require_zero_mean(hf, f"negative-order power s={s}")
+    return _calculus(hf, op, _power_multiplier(s))
 
 
 def semigroup(hf: HalfField, op: str, t: float, s: float = 2.0) -> HalfField:
@@ -70,47 +98,42 @@ def semigroup(hf: HalfField, op: str, t: float, s: float = 2.0) -> HalfField:
     """
     if not 0.0 < s <= 2.0:
         raise ConfigError(f"semigroup order s={s} outside (0, 2]")
-    ext = extend_for(hf, op)
-    return restrict(semigroup_symbol(ext, t, s), bc=op)
+    return _calculus(hf, op, _semigroup_multiplier(t, s))
 
 
 def normal_derivative(hf: HalfField) -> HalfField:
-    """d/dx_n through the extension; swaps the boundary tag.
+    """d/dx_n; swaps the boundary tag.
 
-    The derivative of an odd extension is even and vice versa, so a
+    The derivative of a sine mode is a cosine mode and vice versa (on
+    the box: the derivative of an odd extension is even), so a
     Dirichlet-tagged input comes back Neumann-tagged and conversely.
-    Untagged input is refused: the parity of the extension would be
+    Untagged input is refused: the choice of calculus would be
     arbitrary and the two choices genuinely differ.
     """
-    if hf.bc == BC_DIRICHLET:
-        ext, out_tag = odd_extend(hf), BC_NEUMANN
-    elif hf.bc == BC_NEUMANN:
-        ext, out_tag = even_extend(hf), BC_DIRICHLET
-    else:
+    if hf.bc not in (BC_DIRICHLET, BC_NEUMANN):
         raise BoundaryTagError(
             "normal derivative needs a boundary-tagged field")
-    d = apply_multiplier(ext, derivative_multiplier(hf.grid, hf.grid.n))
-    return restrict(d, bc=out_tag)
+    odd = _is_odd(hf, hf.bc)
+    return HalfField(hf.grid, _half_normal_derivative(hf.values, hf.grid, odd),
+                     BC_NEUMANN if odd else BC_DIRICHLET)
 
 
 def tangential_derivative(hf: HalfField, k: int) -> HalfField:
     """d/dx_k for a tangential axis k < n; preserves the boundary tag.
 
     k = n is routed to :func:`normal_derivative`.  Tangential axes do
-    not interact with the reflection, so both parity extensions give
-    the identical restricted result and untagged fields are fine.
+    not interact with the normal modes, so both calculi give the
+    identical result and untagged fields are fine.
     """
     n = hf.grid.n
     if not 1 <= k <= n:
         raise ConfigError(f"axis {k} outside 1..{n}")
     if k == n:
         return normal_derivative(hf)
-    if hf.bc == BC_NEUMANN:
-        ext = even_extend(hf)
-    else:
-        ext = odd_extend(hf)
-    d = apply_multiplier(ext, derivative_multiplier(hf.grid, k))
-    return restrict(d, bc=hf.bc)
+    values = _half_multiplier(hf.values, hf.grid,
+                              derivative_multiplier(hf.grid, k),
+                              _is_odd(hf, hf.bc))
+    return HalfField(hf.grid, values, hf.bc)
 
 
 def boundary_trace(hf: HalfField) -> np.ndarray:

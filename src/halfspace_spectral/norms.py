@@ -32,9 +32,10 @@ import numpy as np
 from .errors import ConfigError, NumericalGuardError
 from .extension import restrict
 from .grid import HalfField, SampledField, lp_norm
-from .halfspace_ops import OP_DIRICHLET, OP_NEUMANN, extend_for, frac_power
+from .halfspace_ops import (OP_DIRICHLET, OP_NEUMANN, _calculus, extend_for,
+                            frac_power)
 from .spectral import (DyadicBank, Multiplier, _dyadic_blocks,
-                       _leak_fraction, _radial_frequency, apply_multiplier)
+                       _leak_fraction, _radial_frequency)
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -95,12 +96,11 @@ def sobolev_norm(hf: HalfField, spec: SpaceSpec) -> float:
     work = _checked(hf, spec, "sobolev", "sobolev_norm")
     if spec.homogeneous:
         return lp_norm(frac_power(work, spec.op, spec.s), spec.p)
-    ext = extend_for(work, spec.op)
     s = spec.s
     bessel = Multiplier(
         lambda *mesh: (1.0 + sum(xi ** 2 for xi in mesh)) ** (s / 2.0),
         1.0, f"(1+|xi|^2)^{s / 2}")
-    return lp_norm(restrict(apply_multiplier(ext, bessel), bc=spec.op), spec.p)
+    return lp_norm(_calculus(work, spec.op, bessel), spec.p)
 
 
 # ---------------------------------------------------------------------------

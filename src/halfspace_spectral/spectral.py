@@ -1,9 +1,26 @@
-"""Fourier multipliers on the periodic box and the dyadic filter bank.
+"""Fourier multipliers on the box and the half-space, and the dyadic
+filter bank.
 
-Everything here acts on full-grid fields.  A multiplier is a function
-of the resolved angular frequencies xi_i = (pi/L) m_i applied
-diagonally in DFT space; the zero mode is assigned explicitly since
-homogeneous symbols like |xi|^s are singular or ambiguous there.
+This module owns every transform of the package.  A multiplier is a
+function of the resolved angular frequencies xi_i = (pi/L) m_i applied
+diagonally in transform space; the zero mode is assigned explicitly
+since homogeneous symbols like |xi|^s are singular or ambiguous there.
+
+On the box, ``apply_multiplier`` acts on full-grid fields through the
+complex DFT.  Composed with a parity extension and a restriction it is
+the method of images, which defines the half-space operators and stays
+public as their oracle.  The half-space operators themselves run on
+the half-grid: the odd or even extension followed by a full DFT is
+exactly a DST-II or DCT-II of length N/2 along the normal axis on the
+staggered grid (Martucci 1994), whose modes sin(k x_n) and cos(k x_n),
+k = pi m / L, are the Dirichlet and Neumann eigenfunctions.  The
+private pair ``_half_forward``/``_half_inverse`` computes it as a
+tangential DFT times a DCT-II (the DST-II is the DCT-II of the samples
+with alternating signs, in reverse coefficient order), and the DCT-II
+as one complex FFT of permuted samples (Makhoul 1980).  Each operator
+call is one ``numpy.fft.fftn`` and one ``ifftn`` of N^(n-1) N/2
+points.  A half-space symbol must be Hermitian in the tangential
+frequencies, exactly, as a box symbol must be in all of them.
 
 The dyadic bank realizes a standard smooth partition of unity: with
 eta(lambda) equal to 1 on [0, 1], supported in [0, 2] and built from
@@ -35,6 +52,7 @@ s in (0, 1) lives here too; it is the independent check that the
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -112,6 +130,12 @@ class Multiplier:
     name: str = ""
 
 
+def _mirror(a: np.ndarray, axes: tuple) -> np.ndarray:
+    """A copy of ``a`` with frequency m moved to -m along ``axes``:
+    reversing an fft-ordered axis and rolling it by one does that."""
+    return np.roll(np.flip(a, axes), 1, axes) if axes else a.copy()
+
+
 def _symbol_on_grid(m: Multiplier, grid: GridSpec) -> np.ndarray:
     """The full complex symbol array, fft order, after the finiteness
     and Hermitian-symmetry checks."""
@@ -125,8 +149,7 @@ def _symbol_on_grid(m: Multiplier, grid: GridSpec) -> np.ndarray:
     if not np.all(np.isfinite(sym)):
         raise ConfigError(f"multiplier {name} not finite "
                           "on the resolved frequency grid")
-    # reversing an fft-ordered axis and rolling by one maps m to -m
-    mirror = np.roll(np.flip(sym), 1, axis=tuple(range(grid.n)))
+    mirror = _mirror(sym, tuple(range(grid.n)))
     if not np.array_equal(np.conjugate(mirror, out=mirror), sym):
         raise NumericalGuardError(
             f"multiplier {name} lacks Hermitian symmetry: sym(-m) != "
@@ -174,8 +197,11 @@ def fractional_laplacian(f: SampledField, s: float) -> SampledField:
     """
     if s < 0:
         _require_zero_mean(f, f"negative-order power s={s}")
-    return apply_multiplier(
-        f, Multiplier(lambda *mesh: _radial(mesh) ** s, 0.0, f"|xi|^{s}"))
+    return apply_multiplier(f, _power_multiplier(s))
+
+
+def _power_multiplier(s: float) -> Multiplier:
+    return Multiplier(lambda *mesh: _radial(mesh) ** s, 0.0, f"|xi|^{s}")
 
 
 def directional_multiplier(f: SampledField, s: float, axis: int) -> SampledField:
@@ -216,12 +242,7 @@ def derivative_multiplier(grid: GridSpec, axis: int) -> Multiplier:
     if not 1 <= axis <= grid.n:
         raise ConfigError(f"axis {axis} outside 1..{grid.n}")
     ixi = 1j * _nyquist_safe_axis(grid, axis)
-
-    def sym(*mesh):
-        return np.broadcast_to(
-            ixi, np.broadcast_shapes(*[m.shape for m in mesh], ixi.shape))
-
-    return Multiplier(sym, 0.0, f"i xi_{axis}")
+    return Multiplier(lambda *mesh: ixi, 0.0, f"i xi_{axis}")
 
 
 def riesz_transform(f: SampledField, k: int) -> SampledField:
@@ -244,11 +265,144 @@ def riesz_transform(f: SampledField, k: int) -> SampledField:
 
 def semigroup_symbol(f: SampledField, t: float, s: float) -> SampledField:
     """exp(-t |xi|^s); the zero mode rides along with value 1."""
+    return apply_multiplier(f, _semigroup_multiplier(t, s))
+
+
+def _semigroup_multiplier(t: float, s: float) -> Multiplier:
     if t < 0:
         raise ConfigError(f"semigroup time t={t} must be >= 0")
-    return apply_multiplier(
-        f, Multiplier(lambda *mesh: np.exp(-t * _radial(mesh) ** s), 1.0,
-                      f"exp(-{t}|xi|^{s})"))
+    return Multiplier(lambda *mesh: np.exp(-t * _radial(mesh) ** s), 1.0,
+                      f"exp(-{t}|xi|^{s})")
+
+
+# ---------------------------------------------------------------------------
+# half-space transforms
+
+@functools.lru_cache(maxsize=None)
+def _half_twiddles(M: int):
+    """exp(-i pi k / 2M) / 2 and exp(i pi k / 2M), k = 0..M-1, read-only.
+
+    The 1/2 of the first belongs to the tangential pairing.
+    """
+    fwd = 0.5 * np.exp(-0.5j * np.pi * np.arange(M) / M)
+    inv = 2.0 * np.conjugate(fwd)
+    fwd.flags.writeable = inv.flags.writeable = False
+    return fwd, inv
+
+
+def _half_forward(values: np.ndarray, odd: bool) -> np.ndarray:
+    """Tangential DFT times normal DCT-II of real half-grid samples.
+
+    The DCT-II of length M = N/2 is the real part of the twiddled FFT of
+    the even samples followed by the reversed odd ones.  With ``odd``
+    the odd samples are negated too, and since DST-II(x)_(M-1-k) =
+    DCT-II((-1)^j x)_k, coefficient k holds the sine mode M - k instead
+    of the cosine mode k.  The tangential axes stay complex, so the
+    real part pairs (m', k) with (-m', k).
+    """
+    M = values.shape[-1]
+    v = np.empty(values.shape)
+    v[..., :M // 2] = values[..., ::2]
+    if odd:
+        np.negative(values[..., ::-2], out=v[..., M // 2:])
+    else:
+        v[..., M // 2:] = values[..., ::-2]
+    coef = np.fft.fftn(v)
+    coef *= _half_twiddles(M)[0]
+    out = _mirror(coef, tuple(range(coef.ndim - 1)))
+    np.conjugate(out, out=out)
+    out += coef
+    return out
+
+
+def _half_inverse(coef: np.ndarray, odd: bool) -> np.ndarray:
+    """Inverse of :func:`_half_forward`: the real half-grid samples.
+
+    Along the normal, the DCT-III of real coefficients X is the inverse
+    FFT of conj(twiddle) (X_k - i X_(M-k)), with X_M = 0, unpermuted.
+    """
+    M = coef.shape[-1]
+    z = np.empty_like(coef)
+    z[..., 0] = coef[..., 0]
+    np.multiply(coef[..., :0:-1], -1j, out=z[..., 1:])
+    z[..., 1:] += coef[..., 1:]
+    z *= _half_twiddles(M)[1]
+    v = np.fft.ifftn(z).real
+    out = np.empty(v.shape)
+    out[..., ::2] = v[..., :M // 2]
+    if odd:
+        np.negative(v[..., :M // 2 - 1:-1], out=out[..., 1::2])
+    else:
+        out[..., 1::2] = v[..., :M // 2 - 1:-1]
+    return out
+
+
+def _normal_wavenumbers(grid: GridSpec, odd: bool) -> np.ndarray:
+    """pi m / L in coefficient order: m = M - k for sine modes, k for
+    cosine ones; the same values the box grid assigns to |xi_n|."""
+    M = grid.N // 2
+    xi = np.abs(grid.freq_axis()[:M + 1])
+    return xi[M:0:-1] if odd else xi[:M]
+
+
+def _half_symbol(m: Multiplier, grid: GridSpec, odd: bool) -> np.ndarray:
+    """The symbol on the tangential frequencies times the normal modes,
+    broadcastable to the coefficient shape, after the finiteness and
+    the exact tangential Hermitian checks.
+
+    Only the cosine modes hold the zero mode, and the symbol is
+    broadcast into a full array only when its value there has to be
+    pinned.  sym(-m', k) = conj(sym(m', k)) makes the operator's
+    kernel real, so the round trip's imaginary part is roundoff; in 1-D
+    it asks for a real symbol.
+    """
+    name = m.name or "<anonymous>"
+    n = grid.n
+    shape = (grid.N,) * (n - 1) + (grid.N // 2,)
+    mesh = grid.freq_mesh()[:-1] + (
+        _normal_wavenumbers(grid, odd).reshape((1,) * (n - 1) + (-1,)),)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sym = np.asarray(m.symbol(*mesh))
+    zero = (0,) * n
+    if not odd and np.broadcast_to(sym, shape)[zero] != m.zero_mode_value:
+        sym = np.broadcast_to(sym, shape).astype(
+            np.result_type(sym, m.zero_mode_value))
+        sym[zero] = m.zero_mode_value
+    if not np.all(np.isfinite(sym)):
+        raise ConfigError(f"multiplier {name} not finite "
+                          "on the resolved frequency grid")
+    mirror = _mirror(sym, tuple(range(n - 1)))
+    if not np.array_equal(np.conjugate(mirror, out=mirror), sym):
+        raise NumericalGuardError(
+            f"multiplier {name} lacks Hermitian symmetry: sym(-m', k) != "
+            "conj(sym(m', k)) (an odd symbol must vanish on the unpaired "
+            "Nyquist plane)")
+    return sym
+
+
+def _half_multiplier(values: np.ndarray, grid: GridSpec, m: Multiplier,
+                     odd: bool) -> np.ndarray:
+    """Apply ``m`` in the sine (``odd``) or cosine calculus."""
+    sym = _half_symbol(m, grid, odd)
+    coef = _half_forward(values, odd)
+    coef *= sym
+    return _half_inverse(coef, odd)
+
+
+def _half_normal_derivative(values: np.ndarray, grid: GridSpec,
+                            odd: bool) -> np.ndarray:
+    """d/dx_n: sin(k x_n) -> k cos(k x_n) and cos(k x_n) -> -k sin(k x_n).
+
+    Mode m is cosine coefficient m and sine coefficient M - m, so the
+    map is the index reversal k -> M - k times +-pi m / L.  The sine
+    mode M has no cosine partner on the grid and is dropped, as the
+    unpaired Nyquist plane is on the box.
+    """
+    coef = _half_forward(values, odd)
+    out = np.zeros_like(coef)
+    k = _normal_wavenumbers(grid, not odd)[1:]
+    np.multiply(coef[..., :0:-1], k if odd else -k, out=out[..., 1:])
+    return _half_inverse(out, not odd)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +517,13 @@ def dyadic_block(f: SampledField, j: int, bank: DyadicBank) -> SampledField:
 # real-space fractional Laplacian, the independent route
 
 def frac_lap_constant(s: float) -> float:
-    """Normalization c_{1,s} = 2^s Gamma((1+s)/2) / (sqrt(pi) |Gamma(-s/2)|)."""
+    """Normalization c_{1,s} = 2^s Gamma((1+s)/2) / (sqrt(pi) |Gamma(-s/2)|).
+
+    At s = 0, 2, 4, ... Gamma(-s/2) has a pole and the constant takes its
+    limit, 0.0.
+    """
+    if s >= 0 and s % 2 == 0:
+        return 0.0
     return (2.0 ** s * math.gamma((1.0 + s) / 2.0)
             / (math.sqrt(math.pi) * abs(math.gamma(-s / 2.0))))
 

@@ -329,6 +329,15 @@ def test_kernel_constant_gamma_formula():
         assert frac_lap_constant(s) > 0.0
 
 
+@pytest.mark.parametrize("s", [0.0, 2.0, 4.0])
+def test_kernel_constant_is_zero_at_the_gamma_poles(s):
+    # Gamma(-s/2) has a pole there; the constant is the limit, not an error
+    assert frac_lap_constant(s) == 0.0
+    for side in (-1e-9, 1e-9):
+        if s + side > 0:
+            assert 0.0 < frac_lap_constant(s + side) < 1e-6
+
+
 def test_quadrature_route_matches_spectral_on_decaying_fields():
     # zero-mean keeps the decay-to-zero tail convention of the
     # quadrature aligned with the periodic symbol
