@@ -40,9 +40,8 @@ from .halfspace_ops import (OP_DIRICHLET, OP_NEUMANN, boundary_trace,
                             frac_power, normal_derivative,
                             tangential_derivative)
 from .norms import SpaceSpec, _check_leak, besov_norm, sobolev_norm
-from .spectral import (DyadicBank, _dyadic_blocks, _radial_frequency,
-                       build_bank, fractional_laplacian,
-                       singular_integral_frac_lap)
+from .spectral import (DyadicBank, _dyadic_blocks, _radial, build_bank,
+                       fractional_laplacian, singular_integral_frac_lap)
 
 __all__ = [
     "BilinearConfig",
@@ -442,12 +441,13 @@ def paraproduct_split(F: SampledField, G: SampledField,
                 "ignores the zero mode")
 
     js = list(bank.octaves)
-    lam = _radial_frequency(F.grid)
+    lam = _radial(F.grid.freq_mesh())
 
     def blocks_of(X):
         xhat = np.fft.fftn(X.values)
-        _check_leak(xhat, lam, bank, low_too=True)
-        return [block for _, block in _dyadic_blocks(xhat, lam, bank, js)]
+        _check_leak(np.abs(xhat) ** 2, lam, bank, low_too=True)
+        return [block for _, block in _dyadic_blocks(
+            xhat, lam, bank, js, lambda a: np.fft.ifftn(a).real)]
 
     bF = blocks_of(F)
     bG = blocks_of(G)
@@ -644,8 +644,8 @@ def besov_block_floor(p: float, grid: GridSpec,
     js = list(range(j0, bank.j_max + 1))
     blocks_arr = np.asarray([
         2.0 ** (j / p) * lp_norm(SampledField(grid, block), p)
-        for j, block in _dyadic_blocks(fhat, _radial_frequency(grid), bank,
-                                       js)])
+        for j, block in _dyadic_blocks(fhat, _radial(grid.freq_mesh()), bank,
+                                       js, lambda a: np.fft.ifftn(a).real)])
 
     last4 = blocks_arr[-4:]
     plateau = bool(last4.min() > 0.5 * float(np.median(last4))

@@ -4,8 +4,8 @@ On a staggered grid the reflection j -> N-1-j along the last axis is a
 bijection of the sample set, so odd and even extension are exact and
 ``restrict`` inverts them with no interpolation.  Odd extension defines
 the Dirichlet functional calculus, even extension the Neumann one; the
-operators compute it by sine and cosine transforms on the half-grid,
-and the Besov passes and the oracle of the tests go through these
+operators and the Besov passes compute it by sine and cosine transforms
+on the half-grid, and the oracle of the tests goes through these
 extensions.
 
 Norm bookkeeping that tests rely on: for p < inf the full-box L^p norm

@@ -3,8 +3,10 @@
 Homogeneous Sobolev: ||f||_{H^s_p(A)} = ||A^(s/2) f||_{L^p(half)}.
 Inhomogeneous replaces the symbol by (1 + |xi|^2)^(s/2).
 
-Besov norms run the dyadic bank over the parity extension, restrict
-each block to the half-space, weight by 2^(sj) and take the l^q sum
+Besov norms run the dyadic bank, and the semigroup characterization
+its heat flows, over the sine (Dirichlet) or cosine (Neumann)
+coefficients of the field, the spectrum of its parity extension; each
+block's half-space norm is weighted by 2^(sj) and the l^q sum taken
 over the resolved octaves.  Truncating the j-sum to the resolved band
 is only honest when the field actually lives there, so the spectral
 leak guard raises when more than 1e-8 of the (non-DC) energy sits
@@ -30,12 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalGuardError
-from .extension import restrict
-from .grid import HalfField, SampledField, lp_norm
-from .halfspace_ops import (OP_DIRICHLET, OP_NEUMANN, _calculus, extend_for,
-                            frac_power)
-from .spectral import (DyadicBank, Multiplier, _dyadic_blocks,
-                       _leak_fraction, _radial_frequency)
+from .grid import HalfField, lp_norm
+from .halfspace_ops import (OP_DIRICHLET, OP_NEUMANN, _calculus, _is_odd,
+                            extend_for, frac_power)
+from .spectral import DyadicBank, Multiplier, _dyadic_blocks, _half_spectrum
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -106,30 +106,25 @@ def sobolev_norm(hf: HalfField, spec: SpaceSpec) -> float:
 # ---------------------------------------------------------------------------
 # dyadic machinery shared by the Besov evaluations
 
-def _spectrum(work: HalfField, op: str):
-    ext = extend_for(work, op)
-    return ext, np.fft.fftn(ext.values), _radial_frequency(ext.grid)
+def _check_leak(power, lam, bank: DyadicBank, low_too: bool) -> float:
+    """The leak guard of every dyadic split.
 
-
-def _check_leak(fhat, lam, bank: DyadicBank, low_too: bool) -> float:
-    """The leak guard of every dyadic split: raise above ``_LEAK_TOL``."""
-    leak = _leak_fraction(fhat, lam, bank, low_too)
+    Returns the share of the non-DC energy in ``power`` above 2^j_max
+    and, with ``low_too``, below 2^j_min (what a truncated j-sum cannot
+    see) and raises when it exceeds ``_LEAK_TOL``.
+    """
+    nonzero = lam > 0
+    total = float(np.sum(power[nonzero]))
+    out = lam > 2.0 ** bank.j_max
+    if low_too:
+        out |= nonzero & (lam < 2.0 ** bank.j_min)
+    leak = float(np.sum(power[out])) / total if total else 0.0
     if leak > _LEAK_TOL:
         raise NumericalGuardError(
             f"{leak:.3e} of the spectral energy lies outside the resolved "
             f"band [2^{bank.j_min}, 2^{bank.j_max}]; the truncated j-sum "
             "would misreport it")
     return leak
-
-
-def _half_norm(values, grid, spec: SpaceSpec) -> float:
-    """L^p norm on the half-space of a full-box array."""
-    return lp_norm(restrict(SampledField(grid, values), bc=spec.op), spec.p)
-
-
-def _lowpass(fhat, lam, bank: DyadicBank):
-    """The inhomogeneous psi term, everything below octave 1."""
-    return np.fft.ifftn(bank.psi(lam) * fhat).real
 
 
 def _lq(values, q: float) -> float:
@@ -143,34 +138,35 @@ def _lq(values, q: float) -> float:
 
 def _dyadic_pass(hf: HalfField, spec: SpaceSpec, bank: DyadicBank,
                  what: str, box: bool = False):
-    """One leak-checked pass of the bank over the extension of ``hf``.
+    """One leak-checked pass of the bank over the sine or cosine
+    coefficients of ``hf``.
 
-    Returns the half-space report and, with ``box``, the same norm of
-    the extension over the full box, taken from the same blocks (else
-    None).
+    Returns the half-space report and, with ``box``, the same norm over
+    the full box of the blocks' parity extensions (else None).
     """
     work = _checked(hf, spec, "besov", what)
-    ext, fhat, lam = _spectrum(work, spec.op)
-    leak = _check_leak(fhat, lam, bank, low_too=spec.homogeneous)
+    coef, lam, power, inverse = _half_spectrum(
+        work.values, work.grid, _is_odd(work, spec.op))
+    leak = _check_leak(power, lam, bank, low_too=spec.homogeneous)
     j_lo = bank.j_min if spec.homogeneous else max(bank.j_min, 1)
     blocks, box_weighted = [], []
-    for j, block in _dyadic_blocks(fhat, lam, bank,
-                                   range(j_lo, bank.j_max + 1)):
-        b = _half_norm(block, ext.grid, spec)
+    for j, block in _dyadic_blocks(coef, lam, bank,
+                                   range(j_lo, bank.j_max + 1), inverse):
+        part = work.with_values(block)
+        b = lp_norm(part, spec.p)
         blocks.append({"j": j, "norm": b, "weighted": 2.0 ** (spec.s * j) * b})
         if box:
             box_weighted.append(2.0 ** (spec.s * j)
-                                * lp_norm(SampledField(ext.grid, block),
-                                          spec.p))
+                                * lp_norm(extend_for(part, spec.op), spec.p))
     terms = {"blocks": blocks, "leak": leak}
     value = _lq([b["weighted"] for b in blocks], spec.q)
     full = _lq(box_weighted, spec.q) if box else None
     if not spec.homogeneous:
-        low = _lowpass(fhat, lam, bank)
-        terms["lowpass"] = _half_norm(low, ext.grid, spec)
+        low = work.with_values(inverse(bank.psi(lam) * coef))
+        terms["lowpass"] = lp_norm(low, spec.p)
         value = terms["lowpass"] + value
         if box:
-            full += lp_norm(SampledField(ext.grid, low), spec.p)
+            full += lp_norm(extend_for(low, spec.op), spec.p)
     terms["value"] = value
     return terms, full
 
@@ -217,13 +213,14 @@ def besov_norm_semigroup(hf: HalfField, spec: SpaceSpec, M: int | None = None,
         if t_grid.size == 0:
             raise ConfigError("inhomogeneous variant integrates over (0, 1]")
 
-    ext, fhat, lam = _spectrum(work, spec.op)
+    coef, lam, _, inverse = _half_spectrum(work.values, work.grid,
+                                           _is_odd(work, spec.op))
     lam2 = lam ** 2
     vals = np.empty(t_grid.size)
     for i, t in enumerate(t_grid):
         sym = (t * lam2) ** M * np.exp(-t * lam2)
-        block = np.fft.ifftn(sym * fhat).real
-        vals[i] = t ** (-spec.s / 2.0) * _half_norm(block, ext.grid, spec)
+        block = work.with_values(inverse(sym * coef))
+        vals[i] = t ** (-spec.s / 2.0) * lp_norm(block, spec.p)
 
     if np.isinf(spec.q):
         body = float(np.max(vals))
@@ -231,7 +228,8 @@ def besov_norm_semigroup(hf: HalfField, spec: SpaceSpec, M: int | None = None,
         body = float(_trapz(vals ** spec.q, np.log(t_grid)) ** (1.0 / spec.q))
     if spec.homogeneous:
         return body
-    return _half_norm(_lowpass(fhat, lam, bank), ext.grid, spec) + body
+    return lp_norm(work.with_values(inverse(bank.psi(lam) * coef)),
+                   spec.p) + body
 
 
 def extension_norm_equivalence(hf: HalfField, spec: SpaceSpec,

@@ -38,12 +38,11 @@ together with ``phi0_scale``, and is echoed into experiment reports so
 that they pin the exact profiles they were produced with.
 
 This module is the single owner of the dyadic split: the radial
-frequency |xi|, the octave range a grid resolves, the leak fraction
-(the share of non-DC spectral energy outside that range) and the loop
-that inverse-transforms one block phi_j(|xi|) fhat at a time.  The
-Besov norms, the extension equivalence, the paraproduct, the
-band-limited families and the public ``dyadic_block`` all go through
-these private helpers.
+frequency |xi|, the octave range a grid resolves and the loop that
+inverse-transforms one block phi_j(|xi|) fhat at a time, by the box
+DFT or by the half-length pair.  The half-space Besov passes take the
+sine or cosine coefficients, |xi| and the Parseval-weighted power from
+``_half_spectrum``.
 
 A real-space quadrature for the fractional Laplacian at order
 s in (0, 1) lives here too; it is the independent check that the
@@ -142,7 +141,7 @@ def _symbol_on_grid(m: Multiplier, grid: GridSpec) -> np.ndarray:
     name = m.name or "<anonymous>"
     # homogeneous symbols are singular at the origin; evaluate with the
     # warnings off, then pin the zero mode to its declared value
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sym = np.asarray(m.symbol(*grid.freq_mesh()), dtype=complex)
     sym = np.broadcast_to(sym, (grid.N,) * grid.n).copy()
     sym[(0,) * grid.n] = m.zero_mode_value
@@ -345,6 +344,27 @@ def _normal_wavenumbers(grid: GridSpec, odd: bool) -> np.ndarray:
     return xi[M:0:-1] if odd else xi[:M]
 
 
+def _half_mesh(grid: GridSpec, odd: bool) -> tuple:
+    """The tangential frequency mesh with the normal wavenumbers of the
+    sine (``odd``) or cosine modes on the last axis."""
+    return grid.freq_mesh()[:-1] + (_normal_wavenumbers(grid, odd).reshape(
+        (1,) * (grid.n - 1) + (-1,)),)
+
+
+def _half_spectrum(values: np.ndarray, grid: GridSpec, odd: bool):
+    """(coefficients, |xi|, power, inverse) of a real half-grid array.
+
+    The power weighs |coef|^2 as Parseval weighs the extension's
+    spectrum: coefficient 0 holds cosine mode 0 or sine mode M, which
+    is unpaired, and every other coefficient stands for +-m on the box.
+    """
+    coef = _half_forward(values, odd)
+    power = np.abs(coef) ** 2
+    power[..., 1:] *= 2.0
+    return (coef, _radial(_half_mesh(grid, odd)), power,
+            functools.partial(_half_inverse, odd=odd))
+
+
 def _half_symbol(m: Multiplier, grid: GridSpec, odd: bool) -> np.ndarray:
     """The symbol on the tangential frequencies times the normal modes,
     broadcastable to the coefficient shape, after the finiteness and
@@ -359,10 +379,8 @@ def _half_symbol(m: Multiplier, grid: GridSpec, odd: bool) -> np.ndarray:
     name = m.name or "<anonymous>"
     n = grid.n
     shape = (grid.N,) * (n - 1) + (grid.N // 2,)
-    mesh = grid.freq_mesh()[:-1] + (
-        _normal_wavenumbers(grid, odd).reshape((1,) * (n - 1) + (-1,)),)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sym = np.asarray(m.symbol(*mesh))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sym = np.asarray(m.symbol(*_half_mesh(grid, odd)))
     zero = (0,) * n
     if not odd and np.broadcast_to(sym, shape)[zero] != m.zero_mode_value:
         sym = np.broadcast_to(sym, shape).astype(
@@ -458,30 +476,11 @@ def _resolved_octaves(grid: GridSpec) -> tuple[int, int]:
     return j_min, j_max
 
 
-def _radial_frequency(grid: GridSpec) -> np.ndarray:
-    """|xi| on the full frequency grid, fft order."""
-    return _radial(grid.freq_mesh())
-
-
-def _leak_fraction(fhat, lam, bank: DyadicBank, low_too: bool) -> float:
-    """Share of the non-DC energy of ``fhat`` above 2^j_max and, with
-    ``low_too``, below 2^j_min: what a truncated j-sum cannot see."""
-    power = np.abs(fhat) ** 2
-    nonzero = lam > 0
-    total = float(np.sum(power[nonzero]))
-    if total == 0.0:
-        return 0.0
-    out = lam > 2.0 ** bank.j_max
-    if low_too:
-        out |= nonzero & (lam < 2.0 ** bank.j_min)
-    return float(np.sum(power[out])) / total
-
-
-def _dyadic_blocks(fhat, lam, bank: DyadicBank, octaves):
-    """Yield (j, real block) for each octave, one inverse FFT at a time,
-    so that no more than one block is held in memory."""
+def _dyadic_blocks(fhat, lam, bank: DyadicBank, octaves, inverse):
+    """Yield (j, real block) for each octave, one ``inverse`` transform
+    at a time, so that no more than one block is held in memory."""
     for j in octaves:
-        yield j, np.fft.ifftn(bank.phi(j, lam) * fhat).real
+        yield j, inverse(bank.phi(j, lam) * fhat)
 
 
 def build_bank(grid: GridSpec, phi0_scale: float = 1.0) -> DyadicBank:
@@ -509,7 +508,8 @@ def dyadic_block(f: SampledField, j: int, bank: DyadicBank) -> SampledField:
         raise ConfigError(
             f"octave j={j} outside resolved range [{bank.j_min}, {bank.j_max}]")
     _, block = next(_dyadic_blocks(np.fft.fftn(f.values),
-                                   _radial_frequency(f.grid), bank, (j,)))
+                                   _radial(f.grid.freq_mesh()), bank, (j,),
+                                   lambda a: np.fft.ifftn(a).real))
     return SampledField(f.grid, block)
 
 

@@ -1,5 +1,7 @@
 """Operator calculus on the half-space through the parity extensions."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -440,7 +442,9 @@ def test_overflowing_symbol_is_a_config_error(grid2d):
     # regression guard: the finiteness check on the half-size symbol
     f = sample_half(grid2d, lambda x, y: bump(x, 0.0, 2.0) * bump(y, 3.0, 1.5),
                     bc=BC_NEUMANN)
-    with np.errstate(over="ignore"):
+    # and no overflow warning escapes before the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ConfigError, match="not finite"):
             frac_power(f, OP_NEUMANN, 400.0)
         with pytest.raises(ConfigError, match="not finite"):

@@ -10,18 +10,25 @@ from halfspace_spectral import (
     BC_DIRICHLET,
     BC_NEUMANN,
     ConfigError,
+    HalfField,
+    Multiplier,
     NumericalGuardError,
     OP_DIRICHLET,
     OP_NEUMANN,
     SpaceSpec,
+    apply_multiplier,
     besov_norm,
     besov_norm_report,
     besov_norm_semigroup,
     bump,
+    extend_for,
     extension_norm_equivalence,
+    get_bank,
     lp_norm,
     make_family,
     make_grid,
+    norms,
+    restrict,
     sample_half,
     sobolev_norm,
 )
@@ -309,6 +316,129 @@ def test_extension_equivalence_needs_besov_spec(grid1d, bank1d):
         extension_norm_equivalence(
             f, SpaceSpec("sobolev", 0.7, 2.0, None, True, OP_DIRICHLET),
             bank1d)
+
+
+# ---------------------------------------------------------------------------
+# the sine/cosine route against the method of images
+#
+# The Besov passes run on the sine or cosine coefficients of the field;
+# the oracle builds every quantity from public pieces: the parity
+# extension, box multipliers with the phi_j, psi and semigroup symbols,
+# and the restriction.
+
+_BESOV_GRIDS = {1: (16.0, 4096), 2: (8.0, 256)}
+
+
+def _image(ext, op, profile, zero):
+    """profile(|xi|) applied to ``ext`` on the box, and its restriction."""
+    radial = Multiplier(
+        lambda *mesh: profile(np.sqrt(sum(xi ** 2 for xi in mesh))), zero)
+    box = apply_multiplier(ext, radial)
+    return restrict(box, bc=op), box
+
+
+def _lq(values, q):
+    values = np.asarray(values)
+    if np.isinf(q):
+        return float(np.max(values))
+    return float(np.sum(values ** q) ** (1.0 / q))
+
+
+def _image_leak(ext, bank, low_too):
+    """Share of the extension's non-DC box power outside the band."""
+    lam = np.sqrt(sum(xi ** 2 for xi in ext.grid.freq_mesh()))
+    power = np.abs(np.fft.fftn(ext.values)) ** 2
+    out = lam > 2.0 ** bank.j_max
+    if low_too:
+        out |= (lam > 0) & (lam < 2.0 ** bank.j_min)
+    return float(np.sum(power[out]) / np.sum(power[lam > 0]))
+
+
+@pytest.mark.parametrize("homogeneous", [True, False])
+@pytest.mark.parametrize("op", [OP_DIRICHLET, OP_NEUMANN])
+@pytest.mark.parametrize("n", [1, 2])
+def test_besov_passes_agree_with_the_image_oracle(n, op, homogeneous,
+                                                  monkeypatch):
+    g = make_grid(n, *_BESOV_GRIDS[n])
+    bank = get_bank(g)
+    rng = np.random.default_rng(10 * n + len(op))
+    # unstructured samples excite every mode, cosine mode 0 and sine
+    # mode N/2 included, so the leak guard has to stand aside
+    hf = HalfField(g, rng.standard_normal((g.N,) * (n - 1) + (g.N // 2,)),
+                   op)
+    monkeypatch.setattr(norms, "_LEAK_TOL", np.inf)
+    ext = extend_for(hf, op)
+    leak = _image_leak(ext, bank, low_too=homogeneous)
+    s, M = 1.3, 2
+    js = range(bank.j_min if homogeneous else max(bank.j_min, 1),
+               bank.j_max + 1)
+    blocks = [_image(ext, op, lambda lam, j=j: bank.phi(j, lam), 0.0)
+              for j in js]
+    low = _image(ext, op, bank.psi, 1.0)
+    t_grid = np.geomspace(2.0 ** (-2 * bank.j_max), 1.0, 17)
+    flows = [_image(ext, op, lambda lam, t=t: (t * lam ** 2) ** M
+                    * np.exp(-t * lam ** 2), 0.0)[0] for t in t_grid]
+    for p in (1.0, 2.0, np.inf):
+        spec = SpaceSpec("besov", s, p, p, homogeneous, op)
+        rep = besov_norm_report(hf, spec, bank)
+        assert abs(rep["leak"] - leak) <= 1e-14, p
+        assert [b["j"] for b in rep["blocks"]] == list(js)
+        for b, (half, _) in zip(rep["blocks"], blocks):
+            assert b["norm"] == pytest.approx(lp_norm(half, p),
+                                              rel=1e-12), (p, b["j"])
+        half_value = _lq([2.0 ** (s * j) * lp_norm(half, p)
+                          for j, (half, _) in zip(js, blocks)], p)
+        box_value = _lq([2.0 ** (s * j) * lp_norm(box, p)
+                         for j, (_, box) in zip(js, blocks)], p)
+        if not homogeneous:
+            assert rep["lowpass"] == pytest.approx(lp_norm(low[0], p),
+                                                   rel=1e-12), p
+            half_value += lp_norm(low[0], p)
+            box_value += lp_norm(low[1], p)
+        assert rep["value"] == pytest.approx(half_value, rel=1e-12), p
+        eq = extension_norm_equivalence(hf, spec, bank)
+        assert eq["half_norm"] == pytest.approx(half_value, rel=1e-12), p
+        assert eq["full_norm"] == pytest.approx(box_value, rel=1e-12), p
+        # semigroup: the same log-trapezoid over t as the package
+        vals = np.asarray([t ** (-s / 2.0) * lp_norm(flow, p)
+                           for t, flow in zip(t_grid, flows)])
+        if np.isinf(p):
+            body = float(np.max(vals))
+        else:
+            w = vals ** p
+            body = float(np.sum(0.5 * (w[1:] + w[:-1])
+                                * np.diff(np.log(t_grid))) ** (1.0 / p))
+        oracle = body if homogeneous else body + lp_norm(low[0], p)
+        got = besov_norm_semigroup(hf, spec, M=M, t_grid=t_grid, bank=bank)
+        assert got == pytest.approx(oracle, rel=1e-12), p
+
+
+@pytest.mark.parametrize("op", [OP_DIRICHLET, OP_NEUMANN])
+def test_besov_passes_transform_only_the_half_grid(op, monkeypatch):
+    # the smallest 2-D grid that builds a bank: one forward transform of
+    # the 256 x 128 half-grid, then one inverse per block or t-node and
+    # per low-pass term, and never a 256 x 256 transform of an extension
+    g = make_grid(2, 8.0, 256)
+    bank = get_bank(g)
+    f = make_family("band_random", g, op, 3, 1, g.N)[0]
+    t_grid = np.geomspace(1e-3, 1.0, 5)
+    sizes = []
+    for name in ("fftn", "ifftn"):
+        def record(a, *args, _name=name, _orig=getattr(np.fft, name), **kw):
+            sizes.append((_name, np.size(a)))
+            return _orig(a, *args, **kw)
+        monkeypatch.setattr(np.fft, name, record)
+    half = 256 * 128
+    for homogeneous in (True, False):
+        spec = SpaceSpec("besov", 1.0, 2.0, 2.0, homogeneous, op)
+        sizes.clear()
+        rep = besov_norm_report(f, spec, bank)
+        terms = len(rep["blocks"]) + (not homogeneous)
+        assert sizes == [("fftn", half)] + [("ifftn", half)] * terms
+        sizes.clear()
+        besov_norm_semigroup(f, spec, t_grid=t_grid, bank=bank)
+        terms = t_grid.size + (not homogeneous)
+        assert sizes == [("fftn", half)] + [("ifftn", half)] * terms
 
 
 # ---------------------------------------------------------------------------
