@@ -100,7 +100,7 @@ class GridSpec:
         out = []
         for ax in range(self.n):
             shape = [1] * self.n
-            ax_x = x if (ax < self.n - 1 or not half) else self.half_coords()
+            ax_x = x if (ax < self.n - 1 or not half) else x[self.N // 2:]
             shape[ax] = ax_x.size
             out.append(ax_x.reshape(shape))
         return tuple(out)

@@ -18,9 +18,11 @@ private pair ``_half_forward``/``_half_inverse`` computes it as a
 tangential DFT times a DCT-II (the DST-II is the DCT-II of the samples
 with alternating signs, in reverse coefficient order), and the DCT-II
 as one complex FFT of permuted samples (Makhoul 1980).  Each operator
-call is one ``numpy.fft.fftn`` and one ``ifftn`` of N^(n-1) N/2
-points.  A half-space symbol must be Hermitian in the tangential
-frequencies, exactly, as a box symbol must be in all of them.
+call is one in-place ``numpy.fft.fftn`` and one in-place ``ifftn`` of
+N^(n-1) N/2 points on one complex work buffer: the forward transform
+allocates it, and the inverse overwrites it.  A half-space symbol must
+be Hermitian in the tangential frequencies, exactly, as a box symbol
+must be in all of them.
 
 The dyadic bank realizes a standard smooth partition of unity: with
 eta(lambda) equal to 1 on [0, 1], supported in [0, 2] and built from
@@ -289,6 +291,13 @@ def _half_twiddles(M: int):
     return fwd, inv
 
 
+def _normal_pairs(a: np.ndarray) -> tuple:
+    """Views of the entries k = 1..M/2-1 along the last axis and, in the
+    same order, of their partners M - k; k = 0 and M/2 are unpaired."""
+    M = a.shape[-1]
+    return a[..., 1:M // 2], a[..., :M // 2:-1]
+
+
 def _half_forward(values: np.ndarray, odd: bool) -> np.ndarray:
     """Tangential DFT times normal DCT-II of real half-grid samples.
 
@@ -298,20 +307,25 @@ def _half_forward(values: np.ndarray, odd: bool) -> np.ndarray:
     DCT-II((-1)^j x)_k, coefficient k holds the sine mode M - k instead
     of the cosine mode k.  The tangential axes stay complex, so the
     real part pairs (m', k) with (-m', k).
+
+    The samples go into the real part of one zeroed complex buffer; the
+    FFT, the twiddle and the pairing run in place on it, the pairing
+    through one real temporary at a time.
     """
     M = values.shape[-1]
-    v = np.empty(values.shape)
-    v[..., :M // 2] = values[..., ::2]
+    buf = np.zeros(values.shape, dtype=complex)
+    re, im = buf.real, buf.imag
+    re[..., :M // 2] = values[..., ::2]
     if odd:
-        np.negative(values[..., ::-2], out=v[..., M // 2:])
+        np.negative(values[..., ::-2], out=re[..., M // 2:])
     else:
-        v[..., M // 2:] = values[..., ::-2]
-    coef = np.fft.fftn(v)
-    coef *= _half_twiddles(M)[0]
-    out = _mirror(coef, tuple(range(coef.ndim - 1)))
-    np.conjugate(out, out=out)
-    out += coef
-    return out
+        re[..., M // 2:] = values[..., ::-2]
+    np.fft.fftn(buf, out=buf)
+    buf *= _half_twiddles(M)[0]
+    axes = tuple(range(buf.ndim - 1))
+    re += _mirror(re, axes)
+    im -= _mirror(im, axes)
+    return buf
 
 
 def _half_inverse(coef: np.ndarray, odd: bool) -> np.ndarray:
@@ -319,15 +333,25 @@ def _half_inverse(coef: np.ndarray, odd: bool) -> np.ndarray:
 
     Along the normal, the DCT-III of real coefficients X is the inverse
     FFT of conj(twiddle) (X_k - i X_(M-k)), with X_M = 0, unpermuted.
+
+    ``coef`` is the work buffer and is overwritten: the pairing, the
+    twiddle and the inverse FFT run in place on it.  Callers pass a
+    temporary, such as the product of a symbol and the coefficients.
+    The pairing's temporary is the memory of the real output, which it
+    fills only once the transform is done.
     """
     M = coef.shape[-1]
-    z = np.empty_like(coef)
-    z[..., 0] = coef[..., 0]
-    np.multiply(coef[..., :0:-1], -1j, out=z[..., 1:])
-    z[..., 1:] += coef[..., 1:]
-    z *= _half_twiddles(M)[1]
-    v = np.fft.ifftn(z).real
-    out = np.empty(v.shape)
+    out = np.empty(coef.shape)
+    lo, hi = _normal_pairs(coef)
+    tmp = np.multiply(hi, -1j, out=out.view(complex)[..., 1:])
+    # multiplying by -i and back by i is exact
+    lo *= -1j
+    hi += lo
+    lo *= 1j
+    lo += tmp
+    coef[..., M // 2] *= 1 - 1j
+    coef *= _half_twiddles(M)[1]
+    v = np.fft.ifftn(coef, out=coef).real
     out[..., ::2] = v[..., :M // 2]
     if odd:
         np.negative(v[..., :M // 2 - 1:-1], out=out[..., 1::2])
@@ -336,19 +360,20 @@ def _half_inverse(coef: np.ndarray, odd: bool) -> np.ndarray:
     return out
 
 
-def _normal_wavenumbers(grid: GridSpec, odd: bool) -> np.ndarray:
-    """pi m / L in coefficient order: m = M - k for sine modes, k for
-    cosine ones; the same values the box grid assigns to |xi_n|."""
-    M = grid.N // 2
-    xi = np.abs(grid.freq_axis()[:M + 1])
-    return xi[M:0:-1] if odd else xi[:M]
+def _normal_wavenumbers(xi: np.ndarray, odd: bool) -> np.ndarray:
+    """pi m / L in coefficient order along the last axis of the box
+    frequencies ``xi``: m = M - k for sine modes, k for cosine ones;
+    the same values the box grid assigns to |xi_n|."""
+    M = xi.shape[-1] // 2
+    xi = np.abs(xi[..., :M + 1])
+    return xi[..., M:0:-1] if odd else xi[..., :M]
 
 
 def _half_mesh(grid: GridSpec, odd: bool) -> tuple:
     """The tangential frequency mesh with the normal wavenumbers of the
     sine (``odd``) or cosine modes on the last axis."""
-    return grid.freq_mesh()[:-1] + (_normal_wavenumbers(grid, odd).reshape(
-        (1,) * (grid.n - 1) + (-1,)),)
+    mesh = grid.freq_mesh()
+    return mesh[:-1] + (_normal_wavenumbers(mesh[-1], odd),)
 
 
 def _half_spectrum(values: np.ndarray, grid: GridSpec, odd: bool):
@@ -357,6 +382,8 @@ def _half_spectrum(values: np.ndarray, grid: GridSpec, odd: bool):
     The power weighs |coef|^2 as Parseval weighs the extension's
     spectrum: coefficient 0 holds cosine mode 0 or sine mode M, which
     is unpaired, and every other coefficient stands for +-m on the box.
+    The inverse overwrites its argument, so pass it a product, never
+    the coefficients themselves.
     """
     coef = _half_forward(values, odd)
     power = np.abs(coef) ** 2
@@ -414,13 +441,19 @@ def _half_normal_derivative(values: np.ndarray, grid: GridSpec,
     Mode m is cosine coefficient m and sine coefficient M - m, so the
     map is the index reversal k -> M - k times +-pi m / L.  The sine
     mode M has no cosine partner on the grid and is dropped, as the
-    unpaired Nyquist plane is on the box.
+    unpaired Nyquist plane is on the box.  The reversal swaps the
+    pairs k, M - k in place.
     """
     coef = _half_forward(values, odd)
-    out = np.zeros_like(coef)
-    k = _normal_wavenumbers(grid, not odd)[1:]
-    np.multiply(coef[..., :0:-1], k if odd else -k, out=out[..., 1:])
-    return _half_inverse(out, not odd)
+    M = coef.shape[-1]
+    k = _normal_wavenumbers(grid.freq_axis(), not odd)
+    if not odd:
+        k = -k
+    (lo, hi), (k_lo, k_hi) = _normal_pairs(coef), _normal_pairs(k)
+    lo[...], hi[...] = hi * k_lo, lo * k_hi
+    coef[..., M // 2] *= k[M // 2]
+    coef[..., 0] = 0.0
+    return _half_inverse(coef, not odd)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +511,9 @@ def _resolved_octaves(grid: GridSpec) -> tuple[int, int]:
 
 def _dyadic_blocks(fhat, lam, bank: DyadicBank, octaves, inverse):
     """Yield (j, real block) for each octave, one ``inverse`` transform
-    at a time, so that no more than one block is held in memory."""
+    at a time, so that no more than one block is held in memory.  Each
+    transform gets the product phi_j fhat, a temporary that the
+    half-space inverse overwrites."""
     for j in octaves:
         yield j, inverse(bank.phi(j, lam) * fhat)
 

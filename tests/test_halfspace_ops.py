@@ -1,5 +1,6 @@
 """Operator calculus on the half-space through the parity extensions."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -365,18 +366,9 @@ def test_operators_agree_with_the_image_oracle(n, op):
             assert abs(value - oracle) <= floor + 1e-14 * oracle, (s, p)
 
 
-def test_each_operator_call_is_one_half_size_transform_pair(monkeypatch):
-    # one forward and one inverse FFT of N^(n-1) * N/2 points per call;
-    # the transforms are looked up on numpy.fft at call time
-    g = make_grid(3, 8.0, 32)
-    f = make_family("bump_random", g, OP_DIRICHLET, 0, 1)[0]
-    sizes = []
-    for name in ("fftn", "ifftn"):
-        def record(a, *args, _name=name, _orig=getattr(np.fft, name), **kw):
-            sizes.append((_name, np.size(a)))
-            return _orig(a, *args, **kw)
-        monkeypatch.setattr(np.fft, name, record)
-    calls = {
+def _operator_calls(f):
+    """The five half-space operator calls, by name."""
+    return {
         "frac_power": lambda: frac_power(f, OP_DIRICHLET, 1.5),
         "semigroup": lambda: semigroup(f, OP_DIRICHLET, 0.1),
         "normal_derivative": lambda: normal_derivative(f),
@@ -384,11 +376,42 @@ def test_each_operator_call_is_one_half_size_transform_pair(monkeypatch):
         "sobolev_norm": lambda: sobolev_norm(
             f, SpaceSpec("sobolev", 1.0, 2.0, None, False, OP_DIRICHLET)),
     }
-    for label, call in calls.items():
+
+
+def test_each_operator_call_is_one_half_size_transform_pair(monkeypatch):
+    # one forward and one inverse FFT of N^(n-1) * N/2 points per call,
+    # each on a complex array that it overwrites (out= is the input);
+    # the transforms are looked up on numpy.fft at call time
+    g = make_grid(3, 8.0, 32)
+    f = make_family("bump_random", g, OP_DIRICHLET, 0, 1)[0]
+    sizes = []
+    for name in ("fftn", "ifftn"):
+        def record(a, *args, _name=name, _orig=getattr(np.fft, name), **kw):
+            in_place = np.iscomplexobj(a) and kw.get("out") is a
+            sizes.append((_name, np.size(a), in_place))
+            return _orig(a, *args, **kw)
+        monkeypatch.setattr(np.fft, name, record)
+    half = 32 * 32 * 16
+    for label, call in _operator_calls(f).items():
         sizes.clear()
         call()
-        assert sizes == [("fftn", 32 * 32 * 16), ("ifftn", 32 * 32 * 16)], \
-            label
+        assert sizes == [("fftn", half, True), ("ifftn", half, True)], label
+
+
+def test_operator_calls_hold_few_half_fields_at_once():
+    # peak traced allocation of one call, in half-field float64 bytes:
+    # the complex work buffer is two, the symbol and the output one each
+    g = make_grid(3, 8.0, 64)
+    f = make_family("bump_random", g, OP_DIRICHLET, 0, 1)[0]
+    for label, call in _operator_calls(f).items():
+        call()  # leave the one-off caches out of the peak
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * f.values.nbytes, (label, peak / f.values.nbytes)
 
 
 # ---------------------------------------------------------------------------
