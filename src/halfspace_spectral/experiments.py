@@ -33,15 +33,16 @@ import numpy as np
 
 from . import __version__, norms
 from .errors import ConfigError, NumericalGuardError
+from .extension import odd_extend
 from .families import cutoff_profile, make_family
 from .grid import (GridSpec, HalfField, SampledField, lp_norm, make_grid,
-                   sample)
+                   sample_half)
 from .halfspace_ops import (OP_DIRICHLET, OP_NEUMANN, boundary_trace,
                             frac_power, normal_derivative,
                             tangential_derivative)
 from .norms import SpaceSpec, _check_leak, besov_norm, sobolev_norm
-from .spectral import (DyadicBank, _dyadic_blocks, _radial, build_bank,
-                       fractional_laplacian, singular_integral_frac_lap)
+from .spectral import (DyadicBank, _dyadic_blocks, _half_spectrum, _radial,
+                       build_bank, singular_integral_frac_lap)
 
 __all__ = [
     "BilinearConfig",
@@ -528,33 +529,38 @@ def counterexample_fields(grid: GridSpec):
     return f, f
 
 
-def _phi_odd_field(grid: GridSpec) -> SampledField:
-    """sign(x) Phi(|x|) with Phi = phi^2, the square of the step."""
+def _check_diagnostic_exponent(p: float) -> None:
+    if not 1 <= p < np.inf:
+        raise ConfigError(f"diagnostic exponent p={p} must be finite "
+                          "and >= 1")
+
+
+def _phi_half(grid: GridSpec) -> HalfField:
+    """Phi = phi^2, the square of the step, as a Dirichlet field on the
+    half-line; its odd extension is Phi_odd = sign(x) Phi(|x|)."""
     if grid.n != 1:
         raise ConfigError("profile diagnostics are 1-D")
-
-    def expr(x):
-        return np.sign(x) * cutoff_profile(np.abs(x)) ** 2
-
-    return sample(grid, expr)
+    return sample_half(grid, lambda x: cutoff_profile(x) ** 2, OP_DIRICHLET)
 
 
 def singularity_profile(p: float, grid: GridSpec, delta: float = 0.2,
                         fit_lo_cells: int = 8) -> dict:
     """Fit |Lambda^(1/p) Phi_odd|(x) ~ c x^(-1/p) near the boundary.
 
-    Both engines (spectral symbol, real-space quadrature) are fitted;
-    they must agree to 5 percent in L^2 over the fit window or the
-    profile is rejected as aliased.
+    Both engines (the sine transform of the Dirichlet calculus, and the
+    real-space quadrature of Phi_odd) are fitted; they must agree to 5
+    percent in L^2 over the fit window or the profile is rejected as
+    aliased.  ``antisymmetry_residual`` is measured on the quadrature's
+    box output, which nothing forces to be odd.
     """
-    if np.isinf(p) or p < 1:
-        raise ConfigError("profile exponent p must be finite and >= 1")
+    _check_diagnostic_exponent(p)
     s = 1.0 / p
-    field = _phi_odd_field(grid)
-    spec_vals = fractional_laplacian(field, s).values
-    quad_vals = singular_integral_frac_lap(field, s).values
+    field = _phi_half(grid)
+    spec_vals = frac_power(field, OP_DIRICHLET, s).values
+    quad_box = singular_integral_frac_lap(odd_extend(field), s).values
+    quad_vals = quad_box[grid.N // 2:]
 
-    x = grid.axis_coords()
+    x = grid.half_coords()
     lo = fit_lo_cells * grid.h
     if lo >= delta / 2.0:
         raise ConfigError(
@@ -574,8 +580,8 @@ def singularity_profile(p: float, grid: GridSpec, delta: float = 0.2,
     fit_spec = fit_line(logx, np.log(np.abs(sv)))
     fit_quad = fit_line(logx, np.log(np.abs(qv)))
 
-    scale = float(np.max(np.abs(spec_vals)))
-    anti = float(np.max(np.abs(spec_vals + spec_vals[::-1])))
+    scale = float(np.max(np.abs(quad_box)))
+    anti = float(np.max(np.abs(quad_box + quad_box[::-1])))
     return {
         "p": p,
         "expected_exponent": -s,
@@ -630,22 +636,22 @@ def besov_block_floor(p: float, grid: GridSpec,
     At the critical regularity these stop decaying: the block sequence
     plateaus at a positive floor matching the limiting profile, so
     every finite-q l^q sum diverges like J^(1/q) in the octave count.
+    The blocks are taken on the sine coefficients of Phi; the box norm
+    of an odd block is 2^(1/p) times its half-line norm.
     """
-    if np.isinf(p) or p < 1:
-        raise ConfigError("block floor exponent p must be finite and >= 1")
+    _check_diagnostic_exponent(p)
     bank = get_bank(grid)
     j0 = 2     # the profile has unit scale; octaves below carry its bulk
     if bank.j_max - j0 + 1 < 6:
         raise ConfigError(
             f"only {bank.j_max - j0 + 1} octaves above the support scale; "
             "increase N")
-    field = _phi_odd_field(grid)
-    fhat = np.fft.fftn(field.values)
+    coef, lam, _, inverse = _half_spectrum(_phi_half(grid).values, grid,
+                                           True)
     js = list(range(j0, bank.j_max + 1))
     blocks_arr = np.asarray([
-        2.0 ** (j / p) * lp_norm(SampledField(grid, block), p)
-        for j, block in _dyadic_blocks(fhat, _radial(grid.freq_mesh()), bank,
-                                       js, lambda a: np.fft.ifftn(a).real)])
+        2.0 ** ((j + 1) / p) * lp_norm(HalfField(grid, block), p)
+        for j, block in _dyadic_blocks(coef, lam, bank, js, inverse)])
 
     last4 = blocks_arr[-4:]
     plateau = bool(last4.min() > 0.5 * float(np.median(last4))
@@ -690,13 +696,13 @@ def singular_window_growth(p: float, L: float, resolutions,
     The window floor eps = eps_cells * h shrinks with the mesh, so at
     the critical order the squared norm grows linearly in log N.
     """
+    _check_diagnostic_exponent(p)
     resolutions = sorted(int(N) for N in resolutions)
     norms2 = []
     for N in resolutions:
         grid = make_grid(1, L, N, True)
-        field = _phi_odd_field(grid)
-        out = fractional_laplacian(field, 1.0 / p).values
-        x = grid.axis_coords()
+        out = frac_power(_phi_half(grid), OP_DIRICHLET, 1.0 / p).values
+        x = grid.half_coords()
         mask = (x > eps_cells * grid.h) & (x < delta)
         norms2.append(float(grid.h * np.sum(out[mask] ** 2)))
     fit = fit_line(np.log(np.asarray(resolutions, dtype=float)),

@@ -22,7 +22,7 @@ call is one in-place ``numpy.fft.fftn`` and one in-place ``ifftn`` of
 N^(n-1) N/2 points on one complex work buffer: the forward transform
 allocates it, and the inverse overwrites it.  A half-space symbol must
 be Hermitian in the tangential frequencies, exactly, as a box symbol
-must be in all of them.
+must be in all of them; one guard, ``_symbol``, checks both.
 
 The dyadic bank realizes a standard smooth partition of unity: with
 eta(lambda) equal to 1 on [0, 1], supported in [0, 2] and built from
@@ -137,25 +137,37 @@ def _mirror(a: np.ndarray, axes: tuple) -> np.ndarray:
     return np.roll(np.flip(a, axes), 1, axes) if axes else a.copy()
 
 
-def _symbol_on_grid(m: Multiplier, grid: GridSpec) -> np.ndarray:
-    """The full complex symbol array, fft order, after the finiteness
-    and Hermitian-symmetry checks."""
+def _symbol(m: Multiplier, mesh: tuple, shape: tuple, zero_mode: bool,
+            axes: tuple) -> np.ndarray:
+    """The symbol on ``mesh``, broadcastable to ``shape``, after the
+    finiteness and the exact Hermitian checks along ``axes``.
+
+    Homogeneous symbols are singular at the origin, so the symbol is
+    evaluated with the warnings off.  With ``zero_mode`` the origin is
+    pinned to its declared value, and the symbol is broadcast into a
+    full array only when that changes it.  sym(-m) = conj(sym(m)) along
+    ``axes`` makes the kernel real, so the imaginary part of a round
+    trip is roundoff; on an unpaired Nyquist plane, its own mirror,
+    that asks for a real symbol.
+    """
     name = m.name or "<anonymous>"
-    # homogeneous symbols are singular at the origin; evaluate with the
-    # warnings off, then pin the zero mode to its declared value
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sym = np.asarray(m.symbol(*grid.freq_mesh()), dtype=complex)
-    sym = np.broadcast_to(sym, (grid.N,) * grid.n).copy()
-    sym[(0,) * grid.n] = m.zero_mode_value
+        sym = np.asarray(m.symbol(*mesh))
+    sym = sym[(None,) * (len(shape) - sym.ndim)]
+    zero = (0,) * len(shape)
+    if zero_mode and np.broadcast_to(sym, shape)[zero] != m.zero_mode_value:
+        sym = np.broadcast_to(sym, shape).astype(
+            np.result_type(sym, m.zero_mode_value))
+        sym[zero] = m.zero_mode_value
     if not np.all(np.isfinite(sym)):
         raise ConfigError(f"multiplier {name} not finite "
                           "on the resolved frequency grid")
-    mirror = _mirror(sym, tuple(range(grid.n)))
+    mirror = _mirror(sym, axes)
     if not np.array_equal(np.conjugate(mirror, out=mirror), sym):
         raise NumericalGuardError(
             f"multiplier {name} lacks Hermitian symmetry: sym(-m) != "
-            "conj(sym(m)) (an odd symbol must vanish on the unpaired "
-            "Nyquist plane)")
+            f"conj(sym(m)) along axes {axes} (an odd symbol must vanish "
+            "on the unpaired Nyquist plane)")
     return sym
 
 
@@ -163,17 +175,15 @@ def apply_multiplier(f: SampledField, m: Multiplier) -> SampledField:
     """Apply a multiplier and return the real part.
 
     The symbol must carry the Hermitian symmetry of a real-kernel
-    operator, sym(-m) = conj(sym(m)) on the whole frequency grid; on the
-    unpaired Nyquist plane, its own mirror, that asks for a real symbol.
-    The check is exact and independent of the data, so the imaginary
-    part of the round trip is pure roundoff and is discarded.
+    operator on the whole frequency grid; the check is exact and
+    independent of the data.
     """
-    # the product is formed in place, so at most two full complex
-    # arrays are alive at once
-    spectral = _symbol_on_grid(m, f.grid)
-    spectral *= np.fft.fftn(f.values)
-    out = np.fft.ifftn(spectral)
-    return SampledField(f.grid, np.ascontiguousarray(out.real))
+    grid = f.grid
+    spectral = np.fft.fftn(f.values)
+    spectral *= _symbol(m, grid.freq_mesh(), spectral.shape, True,
+                        tuple(range(grid.n)))
+    np.fft.ifftn(spectral, out=spectral)
+    return SampledField(grid, np.ascontiguousarray(spectral.real))
 
 
 def _radial(mesh):
@@ -392,43 +402,15 @@ def _half_spectrum(values: np.ndarray, grid: GridSpec, odd: bool):
             functools.partial(_half_inverse, odd=odd))
 
 
-def _half_symbol(m: Multiplier, grid: GridSpec, odd: bool) -> np.ndarray:
-    """The symbol on the tangential frequencies times the normal modes,
-    broadcastable to the coefficient shape, after the finiteness and
-    the exact tangential Hermitian checks.
-
-    Only the cosine modes hold the zero mode, and the symbol is
-    broadcast into a full array only when its value there has to be
-    pinned.  sym(-m', k) = conj(sym(m', k)) makes the operator's
-    kernel real, so the round trip's imaginary part is roundoff; in 1-D
-    it asks for a real symbol.
-    """
-    name = m.name or "<anonymous>"
-    n = grid.n
-    shape = (grid.N,) * (n - 1) + (grid.N // 2,)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sym = np.asarray(m.symbol(*_half_mesh(grid, odd)))
-    zero = (0,) * n
-    if not odd and np.broadcast_to(sym, shape)[zero] != m.zero_mode_value:
-        sym = np.broadcast_to(sym, shape).astype(
-            np.result_type(sym, m.zero_mode_value))
-        sym[zero] = m.zero_mode_value
-    if not np.all(np.isfinite(sym)):
-        raise ConfigError(f"multiplier {name} not finite "
-                          "on the resolved frequency grid")
-    mirror = _mirror(sym, tuple(range(n - 1)))
-    if not np.array_equal(np.conjugate(mirror, out=mirror), sym):
-        raise NumericalGuardError(
-            f"multiplier {name} lacks Hermitian symmetry: sym(-m', k) != "
-            "conj(sym(m', k)) (an odd symbol must vanish on the unpaired "
-            "Nyquist plane)")
-    return sym
-
-
 def _half_multiplier(values: np.ndarray, grid: GridSpec, m: Multiplier,
                      odd: bool) -> np.ndarray:
-    """Apply ``m`` in the sine (``odd``) or cosine calculus."""
-    sym = _half_symbol(m, grid, odd)
+    """Apply ``m`` in the sine (``odd``) or cosine calculus.
+
+    Only the cosine modes hold the zero mode, and the symbol must be
+    Hermitian in the tangential frequencies; in 1-D that makes it real.
+    """
+    sym = _symbol(m, _half_mesh(grid, odd), values.shape, not odd,
+                  tuple(range(grid.n - 1)))
     coef = _half_forward(values, odd)
     coef *= sym
     return _half_inverse(coef, odd)

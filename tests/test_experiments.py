@@ -14,20 +14,27 @@ from halfspace_spectral import (
     OP_DIRICHLET,
     OP_NEUMANN,
     TrilinearConfig,
+    besov_block_floor,
     bilinear_ratio,
     bump,
     classify_growth,
     counterexample_fields,
+    cutoff_profile,
     derivative_mapping_sweep,
+    dyadic_block,
     fit_line,
+    fractional_laplacian,
     leibniz_decomposition,
     lp_norm,
     make_family,
     make_grid,
+    odd_extend,
     paraproduct_split,
     ratio_sweep,
+    restrict,
     sample,
     sample_half,
+    singular_window_growth,
     singularity_profile,
     trilinear_ratio,
 )
@@ -424,6 +431,60 @@ def test_profile_fits_the_expected_exponent_small():
     assert out["exponent_spectral"] == pytest.approx(-0.5, abs=0.08)
     assert out["engine_rel_l2_diff"] < 0.05
     assert out["antisymmetry_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, INF, float("nan")])
+@pytest.mark.parametrize("diagnostic", [
+    lambda p: singularity_profile(p, make_grid(1, 16.0, 4096)),
+    lambda p: besov_block_floor(p, make_grid(1, 16.0, 4096)),
+    lambda p: singular_window_growth(p, 16.0, (4096,)),
+], ids=["profile", "block_floor", "window_growth"])
+def test_diagnostics_refuse_exponents_outside_one_to_inf(diagnostic, p):
+    # one check for the three, before any work, so that nan is not
+    # reported as a symbol that is not finite
+    with pytest.raises(ConfigError, match="diagnostic exponent"):
+        diagnostic(p)
+
+
+def test_diagnostics_transform_only_the_half_grid(monkeypatch):
+    # the counterexample is the odd reflection of Phi, so the sine
+    # transform of Phi on N/2 points carries it; the quadrature oracle
+    # runs on scipy and is not counted
+    sizes = []
+    for name in ("fftn", "ifftn"):
+        def record(a, *args, _orig=getattr(np.fft, name), **kw):
+            sizes.append(np.size(a))
+            return _orig(a, *args, **kw)
+        monkeypatch.setattr(np.fft, name, record)
+    g = make_grid(1, 16.0, 4096)
+    # box and half sizes of the ladder are disjoint
+    for run, Ns in ((lambda: singular_window_growth(2.0, 16.0, (4096, 16384)),
+                     (4096, 16384)),
+                    (lambda: besov_block_floor(2.0, g), (4096,)),
+                    (lambda: singularity_profile(2.0, g), (4096,))):
+        sizes.clear()
+        run()
+        assert sizes and set(sizes) <= {N // 2 for N in Ns}
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_diagnostics_agree_with_the_image_oracle(p):
+    # the box route on the odd extension of Phi, built here
+    g = make_grid(1, 16.0, 8192)
+    phi_odd = odd_extend(sample_half(g, lambda x: cutoff_profile(x) ** 2,
+                                     bc=BC_DIRICHLET))
+    out = restrict(fractional_laplacian(phi_odd, 1.0 / p)).values
+    x = g.half_coords()
+    mask = (x > 4 * g.h) & (x < 0.25)
+    window = g.h * np.sum(out[mask] ** 2)
+    got = singular_window_growth(p, 16.0, (4096, 8192))["window_norms_sq"][1]
+    assert got == pytest.approx(window, rel=1e-12)
+
+    floor = besov_block_floor(p, g)
+    bank = get_bank(g)
+    box = [2.0 ** (j / p) * lp_norm(dyadic_block(phi_odd, j, bank), p)
+           for j in floor["octaves"]]
+    assert floor["blocks"] == pytest.approx(box, rel=1e-12)
 
 
 def test_get_bank_caches(grid1d):

@@ -501,3 +501,20 @@ def test_complex_symbol_is_refused_in_one_dimension(grid1d):
     spin = Multiplier(lambda xi: np.exp(1j * xi), 1.0, "spin")
     with pytest.raises(NumericalGuardError):
         _half_multiplier(f.values, f.grid, spin, True)
+
+
+@pytest.mark.parametrize("op", [OP_DIRICHLET, OP_NEUMANN])
+@pytest.mark.parametrize("n", [2, 3])
+def test_constant_symbol_doubles_the_field_on_both_routes(n, op):
+    # a scalar symbol is Hermitian in every frequency; the half route
+    # pads it to the grid's dimensions before the tangential check
+    g = make_grid(n, 8.0, 16)
+    hf = sample_half(g, lambda *c: bump(c[0], 0.0, 3.0)
+                     * bump(c[-1], 3.0, 2.0), bc=op)
+    two = Multiplier(lambda *mesh: 2.0, 2.0, "two")
+    half = _half_multiplier(hf.values, g, two, op == OP_DIRICHLET)
+    box = restrict(apply_multiplier(extend_for(hf, op), two))
+    scale = np.max(np.abs(hf.values))
+    assert np.allclose(half, 2.0 * hf.values, rtol=0, atol=1e-14 * scale)
+    assert np.allclose(box.values, 2.0 * hf.values, rtol=0,
+                       atol=1e-14 * scale)
