@@ -5,6 +5,11 @@ of the same configuration: keys are sorted, arrays are emitted in a
 fixed order, and timing information never enters the payload.  Humans
 get progress and wall time on stderr.
 
+Each subcommand's options live in one table of name -> (cast,
+default).  The table drives the argparse flags (``--name``), the INI
+merge (key ``name``) and, for the sweeps, the config fields of the same
+name.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical guard
 tripped (aliasing, band leakage, unresolved singularity).
 """
@@ -38,16 +43,7 @@ from .spectral import build_bank, fractional_laplacian, \
 _ENV_SEED = "HALFSPACE_SPECTRAL_SEED"
 
 
-def _pfloat(text):
-    t = str(text).strip().lower()
-    if t in ("inf", "infinity", "+inf"):
-        return float("inf")
-    return float(text)
-
-
 def _res_list(text):
-    if isinstance(text, (list, tuple)):
-        return tuple(int(v) for v in text)
     parts = [p.strip() for p in str(text).split(",") if p.strip()]
     if not parts:
         raise ConfigError("empty resolution list")
@@ -55,8 +51,6 @@ def _res_list(text):
 
 
 def _bool(text):
-    if isinstance(text, bool):
-        return text
     t = str(text).strip().lower()
     if t in ("1", "true", "yes", "on"):
         return True
@@ -70,7 +64,7 @@ def _triples(text):
     groups = [g.strip() for g in str(text).split(";")]
     if len(groups) != 3:
         raise ConfigError("expected three semicolon-separated triples")
-    return tuple(tuple(_pfloat(v) for v in g.split(",")) for g in groups)
+    return tuple(tuple(float(v) for v in g.split(",")) for g in groups)
 
 
 def _jsonable(obj):
@@ -120,11 +114,12 @@ def _load_ini(path):
     return cp
 
 
-def _resolve(ns, specs, section):
-    cp = _load_ini(ns.config) if getattr(ns, "config", None) else None
+def _resolve(ns):
+    section = ns.command
+    cp = _load_ini(ns.config) if ns.config else None
     out = {}
-    for name, (cast, default) in specs.items():
-        v = getattr(ns, name, None)
+    for name, (cast, default) in _SUBCOMMANDS[section][0].items():
+        v = getattr(ns, name)
         if v is None and cp is not None:
             where = next((sec for sec in (section, "DEFAULT")
                           if cp.has_option(sec, name)), None)
@@ -138,19 +133,20 @@ def _resolve(ns, specs, section):
         if v is None:
             v = default
         out[name] = v
+    out["seed"] = _seed_of(ns, out)
     return out
 
 
 def _seed_of(ns, opts):
-    if getattr(ns, "seed", None) is not None:
-        return int(ns.seed)
+    if ns.seed is not None:
+        return ns.seed
     env = os.environ.get(_ENV_SEED)
     if env is not None:
         try:
             return int(env)
         except ValueError:
             raise ConfigError(f"{_ENV_SEED}={env!r} is not an integer")
-    return int(opts.get("seed", 0))
+    return opts["seed"]
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +155,14 @@ def _seed_of(ns, opts):
 _NORM_SPECS = {
     "field": (str, "xphi"),
     "kind": (str, "sobolev"),
-    "s": (_pfloat, 1.0),
-    "p": (_pfloat, 2.0),
-    "q": (_pfloat, None),
+    "s": (float, 1.0),
+    "p": (float, 2.0),
+    "q": (float, None),
     "op": (str, OP_DIRICHLET),
     "inhomogeneous": (_bool, False),
     "semigroup": (_bool, False),
     "N": (int, 4096),
-    "L": (_pfloat, 16.0),
+    "L": (float, 16.0),
     "n": (int, 1),
     "seed": (int, 0),
 }
@@ -208,9 +204,9 @@ def _build_field(spec_text, grid, op, seed):
         return sample_half(grid, lambda x: fun(kappa * x), bc=op)
     if name == "bump":
         from .families import bump
-        center = _pfloat(kwargs.pop("center", grid.L / 4))
-        width = _pfloat(kwargs.pop("width", 1.0))
-        amp = _pfloat(kwargs.pop("amp", 1.0))
+        center = float(kwargs.pop("center", grid.L / 4))
+        width = float(kwargs.pop("width", 1.0))
+        amp = float(kwargs.pop("amp", 1.0))
         if kwargs:
             raise ConfigError(f"unknown options {sorted(kwargs)}")
         return sample_half(grid, lambda x: amp * bump(x, center, width),
@@ -229,23 +225,21 @@ def _build_field(spec_text, grid, op, seed):
 
 
 def cmd_norm(ns):
-    o = _resolve(ns, _NORM_SPECS, "norm")
-    seed = _seed_of(ns, o)
+    o = _resolve(ns)
     grid = make_grid(o["n"], o["L"], o["N"], True)
-    hf = _build_field(o["field"], grid, o["op"], seed)
+    hf = _build_field(o["field"], grid, o["op"], o["seed"])
     homogeneous = not o["inhomogeneous"]
     space = SpaceSpec(o["kind"], o["s"], o["p"], o["q"], homogeneous,
                       o["op"])
     payload = {
         "field": o["field"],
-        "space": {"kind": o["kind"], "s": o["s"],
-                  "p": "inf" if np.isinf(o["p"]) else o["p"],
+        "space": {"kind": o["kind"], "s": o["s"], "p": o["p"],
                   "homogeneous": homogeneous, "op": o["op"]},
-        "meta": {"version": __version__, "seed": seed,
+        "meta": {"version": __version__, "seed": o["seed"],
                  "grid": {"n": o["n"], "L": o["L"], "N": o["N"]}},
     }
     if o["q"] is not None:
-        payload["space"]["q"] = "inf" if np.isinf(o["q"]) else o["q"]
+        payload["space"]["q"] = o["q"]
     t0 = time.perf_counter()
     if o["kind"] == "sobolev":
         payload["value"] = sobolev_norm(hf, space)
@@ -270,21 +264,21 @@ def cmd_norm(ns):
 # bilinear / trilinear sweeps
 
 _SWEEP_SPECS = {
-    "s": (_pfloat, None),
-    "p": (_pfloat, 2.0),
-    "p1": (_pfloat, None),
-    "p2": (_pfloat, None),
-    "p3": (_pfloat, None),
-    "p4": (_pfloat, None),
+    "s": (float, None),
+    "p": (float, 2.0),
+    "p1": (float, None),
+    "p2": (float, None),
+    "p3": (float, None),
+    "p4": (float, None),
     "op": (str, OP_DIRICHLET),
     "kind": (str, "sobolev"),
-    "q": (_pfloat, None),
+    "q": (float, None),
     "inhomogeneous": (_bool, False),
     "family": (str, "bump_random"),
     "count": (int, 8),
     "seed": (int, 0),
     "resolutions": (_res_list, (2048, 4096, 8192)),
-    "L": (_pfloat, 16.0),
+    "L": (float, 16.0),
     "n": (int, 1),
 }
 
@@ -295,15 +289,24 @@ _TRI_SPECS["exponents"] = (_triples, None)
 _TRI_SPECS["count"] = (int, 4)
 
 
-def _sweep_payload(report, threads):
+def _config_args(o):
+    """Sweep config fields from resolved options: each option is the
+    field of the same name, except the negated ``homogeneous``."""
+    args = dict(o)
+    args["homogeneous"] = not args.pop("inhomogeneous")
+    return args
+
+
+def _sweep(ns, cfg):
+    report = ratio_sweep(cfg, threads=ns.threads)
     _say(f"# sweep finished in {report.wall_time_s:.2f}s "
-         f"(threads={threads}), verdict: {report.verdict}")
-    return report.to_json_dict()
+         f"(threads={ns.threads}), verdict: {report.verdict}")
+    _emit(report.to_json_dict(), ns.out)
+    return 0
 
 
 def cmd_bilinear(ns):
-    o = _resolve(ns, _SWEEP_SPECS, "bilinear")
-    o["seed"] = _seed_of(ns, o)
+    o = _resolve(ns)
     if o["s"] is None:
         raise ConfigError("bilinear sweep needs --s")
     p = o["p"]
@@ -311,67 +314,50 @@ def cmd_bilinear(ns):
         o["p1"], o["p2"], o["p3"], o["p4"] = p, float("inf"), float("inf"), p
     if any(o[k] is None for k in ("p1", "p2", "p3", "p4")):
         raise ConfigError("give all four exponents p1..p4 or none")
-    cfg = BilinearConfig(
-        s=o["s"], p=p, p1=o["p1"], p2=o["p2"], p3=o["p3"], p4=o["p4"],
-        op=o["op"], kind=o["kind"], q=o["q"],
-        homogeneous=not o["inhomogeneous"], family=o["family"],
-        count=o["count"], seed=o["seed"], resolutions=o["resolutions"],
-        L=o["L"], n=o["n"])
-    report = ratio_sweep(cfg, threads=ns.threads)
-    _emit(_sweep_payload(report, ns.threads), ns.out)
-    return 0
+    return _sweep(ns, BilinearConfig(**_config_args(o)))
 
 
 def cmd_trilinear(ns):
-    o = _resolve(ns, _TRI_SPECS, "trilinear")
-    o["seed"] = _seed_of(ns, o)
+    o = _resolve(ns)
     if o["s"] is None:
         raise ConfigError("trilinear sweep needs --s")
     p = o["p"]
     if o["exponents"] is None:
         inf = float("inf")
         o["exponents"] = ((p, inf, inf), (inf, p, inf), (inf, inf, p))
-    cfg = TrilinearConfig(
-        s=o["s"], p=p, exponents=o["exponents"], op=o["op"], kind=o["kind"],
-        q=o["q"], homogeneous=not o["inhomogeneous"], family=o["family"],
-        count=o["count"], seed=o["seed"], resolutions=o["resolutions"],
-        L=o["L"], n=o["n"])
-    report = ratio_sweep(cfg, threads=ns.threads)
-    _emit(_sweep_payload(report, ns.threads), ns.out)
-    return 0
+    return _sweep(ns, TrilinearConfig(**_config_args(o)))
 
 
 # ---------------------------------------------------------------------------
 # counterexample
 
 _CEX_SPECS = {
-    "p": (_pfloat, 2.0),
+    "p": (float, 2.0),
     "resolutions": (_res_list, (4096, 8192, 16384, 32768)),
-    "L": (_pfloat, 16.0),
+    "L": (float, 16.0),
     "seed": (int, 0),
     "quick": (_bool, False),
 }
 
 
 def cmd_counterexample(ns):
-    o = _resolve(ns, _CEX_SPECS, "counterexample")
-    seed = _seed_of(ns, o)
+    o = _resolve(ns)
     p = o["p"]
-    if np.isinf(p) or p <= 1:
+    if not 1 < p < np.inf:
         raise ConfigError("counterexample needs 1 < p < inf")
     s = 2.0 + 1.0 / p
     inf = float("inf")
     _say(f"# probing s = 2 + 1/p = {s} at N in {list(o['resolutions'])}")
-    cfg = BilinearConfig(
-        s=s, p=p, p1=p, p2=inf, p3=inf, p4=p, op=OP_DIRICHLET,
-        kind="sobolev", family="counterexample", count=1, seed=seed,
-        resolutions=o["resolutions"], L=o["L"], n=1)
-    report = ratio_sweep(cfg, threads=ns.threads)
+    common = dict(s=s, p=p, op=OP_DIRICHLET, kind="sobolev",
+                  family="counterexample", count=1, seed=o["seed"],
+                  resolutions=o["resolutions"], L=o["L"], n=1)
+    report = ratio_sweep(BilinearConfig(p1=p, p2=inf, p3=inf, p4=p, **common),
+                         threads=ns.threads)
     payload = {
         "regularity": s,
         "p": p,
         "sweep": report.to_json_dict(),
-        "meta": {"version": __version__, "seed": seed},
+        "meta": {"version": __version__, "seed": o["seed"]},
     }
     _say(f"# bilinear sweep verdict: {report.verdict} "
          f"({report.wall_time_s:.2f}s)")
@@ -388,9 +374,8 @@ def cmd_counterexample(ns):
         payload["profile"] = singularity_profile(p, grid)
         _say(f"# singularity profile done ({time.perf_counter() - t0:.2f}s)")
         tri = TrilinearConfig(
-            s=s, p=p, exponents=((p, inf, inf), (inf, p, inf), (inf, inf, p)),
-            op=OP_DIRICHLET, kind="sobolev", family="counterexample",
-            count=1, seed=seed, resolutions=o["resolutions"], L=o["L"], n=1)
+            exponents=((p, inf, inf), (inf, p, inf), (inf, inf, p)),
+            **common)
         tri_report = ratio_sweep(tri, threads=ns.threads)
         payload["trilinear_contrast"] = tri_report.to_json_dict()
         _say(f"# trilinear contrast verdict: {tri_report.verdict}")
@@ -518,6 +503,30 @@ def cmd_selftest(ns):
 
 # ---------------------------------------------------------------------------
 
+# subcommand -> (option table, help, takes --threads)
+_SUBCOMMANDS = {
+    "norm": (_NORM_SPECS, "one norm of one field", False),
+    "bilinear": (_SWEEP_SPECS, "two-factor product ratio sweep", True),
+    "trilinear": (_TRI_SPECS, "three-factor product ratio sweep", True),
+    "counterexample": (_CEX_SPECS, "exhibit the breakdown at s = 2 + 1/p",
+                       True),
+}
+
+_CHOICES = {
+    "kind": ["sobolev", "besov"],
+    "op": [OP_DIRICHLET, OP_NEUMANN],
+}
+
+_HELP = {
+    "seed": f"RNG seed (or set {_ENV_SEED})",
+    "field": "xphi | sine:k=4 | cosine:k=2 | bump:center=4,width=1 | "
+             "random:family=NAME | file:PATH",
+    "semigroup": "also run the heat-semigroup route (besov only)",
+    "exponents": "'p1,p2,p3;p4,p5,p6;p7,p8,p9'",
+    "quick": "ratio sweep only, skip the profile diagnostics",
+}
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="halfspace-spectral",
@@ -529,75 +538,24 @@ def build_parser():
     def common(sp):
         sp.add_argument("--config", help="INI file; flags override it")
         sp.add_argument("--out", help="write JSON here instead of stdout")
-        sp.add_argument("--seed", type=int, default=None,
-                        help=f"RNG seed (or set {_ENV_SEED})")
 
-    def sweeping(sp):
+    for command, (specs, help_text, threads) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
         common(sp)
-        sp.add_argument("--threads", type=int, default=1)
-
-    np_ = sub.add_parser("norm", help="one norm of one field")
-    common(np_)
-    np_.add_argument("--field", help="xphi | sine:k=4 | cosine:k=2 | "
-                                     "bump:center=4,width=1 | "
-                                     "random:family=NAME | file:PATH")
-    np_.add_argument("--kind", choices=["sobolev", "besov"])
-    np_.add_argument("--s", type=_pfloat)
-    np_.add_argument("--p", type=_pfloat)
-    np_.add_argument("--q", type=_pfloat)
-    np_.add_argument("--op", choices=[OP_DIRICHLET, OP_NEUMANN])
-    np_.add_argument("--inhomogeneous", action="store_true", default=None)
-    np_.add_argument("--semigroup", action="store_true", default=None,
-                     help="also run the heat-semigroup route (besov only)")
-    np_.add_argument("--N", type=int)
-    np_.add_argument("--L", type=_pfloat)
-    np_.add_argument("--n", type=int)
-
-    bp = sub.add_parser("bilinear", help="two-factor product ratio sweep")
-    sweeping(bp)
-    bp.add_argument("--s", type=_pfloat)
-    bp.add_argument("--p", type=_pfloat)
-    bp.add_argument("--p1", type=_pfloat)
-    bp.add_argument("--p2", type=_pfloat)
-    bp.add_argument("--p3", type=_pfloat)
-    bp.add_argument("--p4", type=_pfloat)
-    bp.add_argument("--op", choices=[OP_DIRICHLET, OP_NEUMANN])
-    bp.add_argument("--kind", choices=["sobolev", "besov"])
-    bp.add_argument("--q", type=_pfloat)
-    bp.add_argument("--inhomogeneous", action="store_true", default=None)
-    bp.add_argument("--family")
-    bp.add_argument("--count", type=int)
-    bp.add_argument("--resolutions", type=_res_list)
-    bp.add_argument("--L", type=_pfloat)
-    bp.add_argument("--n", type=int)
-
-    tp = sub.add_parser("trilinear", help="three-factor product ratio sweep")
-    sweeping(tp)
-    tp.add_argument("--s", type=_pfloat)
-    tp.add_argument("--p", type=_pfloat)
-    tp.add_argument("--exponents", type=_triples,
-                    help="'p1,p2,p3;p4,p5,p6;p7,p8,p9'")
-    tp.add_argument("--op", choices=[OP_DIRICHLET, OP_NEUMANN])
-    tp.add_argument("--kind", choices=["sobolev", "besov"])
-    tp.add_argument("--q", type=_pfloat)
-    tp.add_argument("--inhomogeneous", action="store_true", default=None)
-    tp.add_argument("--family")
-    tp.add_argument("--count", type=int)
-    tp.add_argument("--resolutions", type=_res_list)
-    tp.add_argument("--L", type=_pfloat)
-    tp.add_argument("--n", type=int)
-
-    cp = sub.add_parser("counterexample",
-                        help="exhibit the breakdown at s = 2 + 1/p")
-    sweeping(cp)
-    cp.add_argument("--p", type=_pfloat)
-    cp.add_argument("--resolutions", type=_res_list)
-    cp.add_argument("--L", type=_pfloat)
-    cp.add_argument("--quick", action="store_true", default=None,
-                    help="ratio sweep only, skip the profile diagnostics")
+        if threads:
+            sp.add_argument("--threads", type=int, default=1)
+        for key, (cast, _) in specs.items():
+            if cast is _bool:
+                sp.add_argument(f"--{key}", action="store_true",
+                                default=None, help=_HELP.get(key))
+            else:
+                sp.add_argument(f"--{key}", type=cast,
+                                choices=_CHOICES.get(key),
+                                help=_HELP.get(key))
 
     st = sub.add_parser("selftest", help="numerical invariants check")
     common(st)
+    st.add_argument("--seed", type=int, default=None, help=_HELP["seed"])
     st.add_argument("--quick", action="store_true", default=False)
 
     return ap

@@ -35,8 +35,8 @@ from . import __version__, norms
 from .errors import ConfigError, NumericalGuardError
 from .extension import odd_extend
 from .families import cutoff_profile, make_family
-from .grid import (GridSpec, HalfField, SampledField, lp_norm, make_grid,
-                   sample_half)
+from .grid import (GridSpec, HalfField, SampledField, _exponent, lp_norm,
+                   make_grid, sample_half)
 from .halfspace_ops import (OP_DIRICHLET, OP_NEUMANN, boundary_trace,
                             frac_power, normal_derivative,
                             tangential_derivative)
@@ -63,8 +63,6 @@ __all__ = [
 
 _HOLDER_TOL = 1e-12
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
 
 @lru_cache(maxsize=32)
 def get_bank(grid: GridSpec, phi0_scale: float = 1.0) -> DyadicBank:
@@ -84,21 +82,10 @@ def _check_holder(p, parts, what):
             f"{what}: 1/p = {lhs!r} but exponents {parts} sum to {rhs!r}")
 
 
-def _exponent(v) -> float:
-    x = float(v)
-    if not (x >= 1):
-        raise ConfigError(f"integrability exponent {v} must be >= 1 or inf")
-    return x
-
-
 def _check_sweep(cfg):
-    """Checks shared by both sweep configs; sorts the resolutions."""
-    if cfg.kind not in ("sobolev", "besov"):
-        raise ConfigError(f"unknown norm kind {cfg.kind!r}")
-    if cfg.kind == "besov" and cfg.q is None:
-        raise ConfigError("besov sweeps need q")
-    if cfg.kind == "sobolev" and cfg.q is not None:
-        raise ConfigError("sobolev sweeps take no q")
+    """Checks shared by both sweep configs; sorts the resolutions.  The
+    space of the target norm checks kind, op, s, p and q."""
+    SpaceSpec(cfg.kind, cfg.s, cfg.p, cfg.q, cfg.homogeneous, cfg.op)
     if cfg.count < 1:
         raise ConfigError("need at least one sample per resolution")
     if len(cfg.resolutions) < 1:
@@ -131,7 +118,8 @@ class BilinearConfig:
 
     def __post_init__(self):
         for name in ("p", "p1", "p2", "p3", "p4"):
-            object.__setattr__(self, name, _exponent(getattr(self, name)))
+            object.__setattr__(self, name,
+                               _exponent(getattr(self, name), name))
         _check_holder(self.p, (self.p1, self.p2), "first bilinear term")
         _check_holder(self.p, (self.p3, self.p4), "second bilinear term")
         _check_sweep(self)
@@ -169,9 +157,10 @@ class TrilinearConfig:
     def __post_init__(self):
         if len(self.exponents) != 3 or any(len(t) != 3 for t in self.exponents):
             raise ConfigError("trilinear exponents are three triples")
-        cleaned = tuple(tuple(_exponent(v) for v in t) for t in self.exponents)
+        cleaned = tuple(tuple(_exponent(v, "exponent") for v in t)
+                        for t in self.exponents)
         object.__setattr__(self, "exponents", cleaned)
-        object.__setattr__(self, "p", _exponent(self.p))
+        object.__setattr__(self, "p", _exponent(self.p, "p"))
         for i, t in enumerate(cleaned):
             _check_holder(self.p, t, f"trilinear term {i + 1}")
         _check_sweep(self)
@@ -612,15 +601,15 @@ def _limit_profile(bank: DyadicBank, p: float) -> dict:
     chunk = 2048
     for i in range(0, x.size, chunk):
         xs = x[i:i + chunk, None]
-        K[i:i + chunk] = _trapz(phi_vals[None, :] * np.cos(xs * eta_grid),
-                                eta_grid, axis=1) / np.pi
+        integrand = phi_vals[None, :] * np.cos(xs * eta_grid)
+        K[i:i + chunk] = np.trapezoid(integrand, eta_grid, axis=1) / np.pi
     W = 2.0 * cumulative_trapezoid(K, x, initial=0.0)
     absW = np.abs(W)
     i_star = int(np.argmax(absW))
     if np.isinf(p):
         norm = float(absW.max())
     else:
-        norm = float((2.0 * _trapz(absW ** p, x)) ** (1.0 / p))
+        norm = float((2.0 * np.trapezoid(absW ** p, x)) ** (1.0 / p))
     return {
         "x": x, "W": W,
         "sup": float(absW.max()),

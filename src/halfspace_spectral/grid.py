@@ -191,14 +191,21 @@ def sample_half(grid: GridSpec, expr, bc: str | None = None) -> HalfField:
     return HalfField(grid, vals, bc)
 
 
+def _exponent(p, what: str) -> float:
+    """The one range check of an integrability exponent: 1 <= p <= inf."""
+    x = float(p)
+    if not x >= 1:
+        raise ConfigError(f"{what}={p} must be >= 1 or inf")
+    return x
+
+
 def lp_norm(field, p: float) -> float:
     """Midpoint-rule L^p norm; ``p = inf`` gives the sup of |values|.
 
     The quadrature weight is the cell volume h^n, so for band-limited
     fields the p = 2 value matches Parseval exactly.
     """
-    if not (p >= 1):
-        raise ConfigError(f"exponent p={p} must be >= 1 (or inf)")
+    _exponent(p, "exponent p")
     v = field.values
     if np.isinf(p):
         return float(np.max(np.abs(v))) if v.size else 0.0

@@ -32,12 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalGuardError
-from .grid import HalfField, lp_norm
+from .grid import HalfField, _exponent, lp_norm
 from .halfspace_ops import (OP_DIRICHLET, OP_NEUMANN, _calculus, _is_odd,
                             extend_for, frac_power)
 from .spectral import DyadicBank, Multiplier, _dyadic_blocks, _half_spectrum
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 __all__ = [
     "SpaceSpec",
@@ -69,11 +67,11 @@ class SpaceSpec:
             raise ConfigError(f"unknown operator {self.op!r}")
         if not np.isfinite(self.s):
             raise ConfigError("regularity s must be finite")
-        if not (self.p >= 1):
-            raise ConfigError(f"integrability p={self.p} must be >= 1 or inf")
+        _exponent(self.p, "integrability p")
         if self.kind == "besov":
-            if self.q is None or not (self.q >= 1):
-                raise ConfigError("besov spaces need a summability q >= 1 or inf")
+            if self.q is None:
+                raise ConfigError("besov spaces need a summability q")
+            _exponent(self.q, "summability q")
         elif self.q is not None:
             raise ConfigError("sobolev spaces take no q")
         if self.kind == "sobolev" and (self.p <= 1 or np.isinf(self.p)):
@@ -225,7 +223,8 @@ def besov_norm_semigroup(hf: HalfField, spec: SpaceSpec, M: int | None = None,
     if np.isinf(spec.q):
         body = float(np.max(vals))
     else:
-        body = float(_trapz(vals ** spec.q, np.log(t_grid)) ** (1.0 / spec.q))
+        body = float(np.trapezoid(vals ** spec.q, np.log(t_grid))
+                     ** (1.0 / spec.q))
     if spec.homogeneous:
         return body
     return lp_norm(work.with_values(inverse(bank.psi(lam) * coef)),

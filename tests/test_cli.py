@@ -1,7 +1,8 @@
 """Command line interface: exit codes, determinism and config plumbing."""
 
-import io
+import argparse
 import contextlib
+import io
 import json
 import struct
 import subprocess
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 from halfspace_spectral import BC_DIRICHLET, make_grid, sample_half, save_field
-from halfspace_spectral.cli import build_parser, main
+from halfspace_spectral.cli import (_CHOICES, _SUBCOMMANDS, _resolve,
+                                    build_parser, main)
 
 
 def run_cli(args):
@@ -228,12 +230,11 @@ def test_counterexample_quick_structure():
 
 
 def test_counterexample_needs_finite_p_above_one():
-    rc, _, _ = run_cli(["counterexample", "--p", "1",
-                        "--resolutions", "512,1024"])
-    assert rc == 2
-    rc, _, _ = run_cli(["counterexample", "--p", "inf",
-                        "--resolutions", "512,1024"])
-    assert rc == 2
+    for p in ("1", "inf", "nan"):
+        rc, _, err = run_cli(["counterexample", "--p", p,
+                              "--resolutions", "512,1024"])
+        assert rc == 2
+        assert "probing" not in err      # refused before any work starts
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +254,55 @@ def test_ini_sections_and_flag_precedence(tmp_path):
 
     rc2, out2, _ = run_cli(["norm", "--config", str(ini), "--N", "2048"])
     assert json.loads(out2)["meta"]["grid"]["N"] == 2048   # flag beats file
+
+
+# one value per table key, each unlike its default; booleans are flags
+_OPTION_VALUES = {
+    "field": "sine:k=3", "kind": "besov", "s": "0.7", "p": "3", "q": "inf",
+    "op": "neumann", "N": "2048", "L": "8", "n": "2", "seed": "5",
+    "p1": "6", "p2": "inf", "p3": "Infinity", "p4": "4",
+    "family": "band_random", "count": "3", "resolutions": "1024,512",
+    "exponents": "3,inf,inf;inf,3,inf;inf,inf,3",
+}
+
+
+def _subparsers():
+    ap = build_parser()
+    action = next(a for a in ap._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+def test_option_tables_own_the_flags(command):
+    specs, _, threads = _SUBCOMMANDS[command]
+    sp = _subparsers()[command]
+    flags = {f for a in sp._actions for f in a.option_strings}
+    flags -= {"-h", "--help"}
+    expected = {f"--{k}" for k in specs} | {"--config", "--out"}
+    assert flags == expected | ({"--threads"} if threads else set())
+    choices = {a.dest: a.choices for a in sp._actions}
+    for key in ("kind", "op"):
+        if key in specs:
+            assert choices[key] == _CHOICES[key]
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+def test_every_ini_key_resolves_like_its_flag(command, tmp_path,
+                                              monkeypatch):
+    monkeypatch.delenv("HALFSPACE_SPECTRAL_SEED", raising=False)
+    specs = _SUBCOMMANDS[command][0]
+    ap = build_parser()
+    for key, (cast, default) in specs.items():
+        is_bool = key not in _OPTION_VALUES
+        raw = "true" if is_bool else _OPTION_VALUES[key]
+        ini = tmp_path / f"{key}.ini"
+        ini.write_text(f"[{command}]\n{key} = {raw}\n")
+        by_flag = _resolve(ap.parse_args(
+            [command, f"--{key}"] + ([] if is_bool else [raw])))[key]
+        by_ini = _resolve(ap.parse_args(
+            [command, "--config", str(ini)]))[key]
+        assert by_flag == by_ini != default, key
 
 
 def test_environment_seed_is_honored(monkeypatch):

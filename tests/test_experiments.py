@@ -94,6 +94,14 @@ def test_sobolev_sweeps_take_no_q():
         _tri(q=2.0)
 
 
+@pytest.mark.parametrize("make", [_cfg, _tri])
+@pytest.mark.parametrize("bad", [{"op": "foo"}, {"s": float("nan")},
+                                 {"s": INF}], ids=["op", "s_nan", "s_inf"])
+def test_sweep_configs_refuse_bad_op_or_s_at_construction(make, bad):
+    with pytest.raises(ConfigError):
+        make(**bad)
+
+
 def test_trilinear_kind_validated():
     with pytest.raises(ConfigError):
         _tri(kind="holder")
