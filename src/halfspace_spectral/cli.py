@@ -91,8 +91,12 @@ def _jsonable(obj):
 def _emit(payload, out_path):
     text = json.dumps(_jsonable(payload), sort_keys=True, indent=2)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path!r}: "
+                              f"{exc.strerror or exc}") from exc
         print(f"wrote {out_path}", file=sys.stderr)
     else:
         sys.stdout.write(text + "\n")
@@ -109,7 +113,11 @@ def _load_ini(path):
     cp = configparser.ConfigParser()
     # keys are case sensitive: N is the resolution, n the dimension
     cp.optionxform = str
-    if not cp.read(path):
+    try:
+        found = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path!r}: {exc}") from exc
+    if not found:
         raise ConfigError(f"cannot read config file {path!r}")
     return cp
 
@@ -226,7 +234,9 @@ def _build_field(spec_text, grid, op, seed):
 
 def cmd_norm(ns):
     o = _resolve(ns)
-    grid = make_grid(o["n"], o["L"], o["N"], True)
+    if o["semigroup"] and o["kind"] != "besov":
+        raise ConfigError("--semigroup needs --kind besov")
+    grid = make_grid(o["n"], o["L"], o["N"])
     hf = _build_field(o["field"], grid, o["op"], o["seed"])
     homogeneous = not o["inhomogeneous"]
     space = SpaceSpec(o["kind"], o["s"], o["p"], o["q"], homogeneous,
@@ -298,9 +308,9 @@ def _config_args(o):
 
 
 def _sweep(ns, cfg):
-    report = ratio_sweep(cfg, threads=ns.threads)
-    _say(f"# sweep finished in {report.wall_time_s:.2f}s "
-         f"(threads={ns.threads}), verdict: {report.verdict}")
+    report = ratio_sweep(cfg)
+    _say(f"# sweep finished in {report.wall_time_s:.2f}s, "
+         f"verdict: {report.verdict}")
     _emit(report.to_json_dict(), ns.out)
     return 0
 
@@ -351,8 +361,7 @@ def cmd_counterexample(ns):
     common = dict(s=s, p=p, op=OP_DIRICHLET, kind="sobolev",
                   family="counterexample", count=1, seed=o["seed"],
                   resolutions=o["resolutions"], L=o["L"], n=1)
-    report = ratio_sweep(BilinearConfig(p1=p, p2=inf, p3=inf, p4=p, **common),
-                         threads=ns.threads)
+    report = ratio_sweep(BilinearConfig(p1=p, p2=inf, p3=inf, p4=p, **common))
     payload = {
         "regularity": s,
         "p": p,
@@ -362,7 +371,7 @@ def cmd_counterexample(ns):
     _say(f"# bilinear sweep verdict: {report.verdict} "
          f"({report.wall_time_s:.2f}s)")
     if not o["quick"]:
-        grid = make_grid(1, o["L"], max(o["resolutions"]), True)
+        grid = make_grid(1, o["L"], max(o["resolutions"]))
         t0 = time.perf_counter()
         payload["block_floor"] = besov_block_floor(p, grid)
         _say(f"# block floor done ({time.perf_counter() - t0:.2f}s)")
@@ -376,7 +385,7 @@ def cmd_counterexample(ns):
         tri = TrilinearConfig(
             exponents=((p, inf, inf), (inf, p, inf), (inf, inf, p)),
             **common)
-        tri_report = ratio_sweep(tri, threads=ns.threads)
+        tri_report = ratio_sweep(tri)
         payload["trilinear_contrast"] = tri_report.to_json_dict()
         _say(f"# trilinear contrast verdict: {tri_report.verdict}")
     _emit(payload, ns.out)
@@ -394,7 +403,7 @@ def _selftest_checks(quick):
         _say(f"  [{'ok' if ok else 'FAIL'}] {name}")
 
     N = 1024 if quick else 4096
-    grid = make_grid(1, 16.0, N, True)
+    grid = make_grid(1, 16.0, N)
 
     hf = sample_half(grid, lambda x: np.sin(np.pi * x / grid.L),
                      bc=BC_DIRICHLET)
@@ -503,13 +512,12 @@ def cmd_selftest(ns):
 
 # ---------------------------------------------------------------------------
 
-# subcommand -> (option table, help, takes --threads)
+# subcommand -> (option table, help)
 _SUBCOMMANDS = {
-    "norm": (_NORM_SPECS, "one norm of one field", False),
-    "bilinear": (_SWEEP_SPECS, "two-factor product ratio sweep", True),
-    "trilinear": (_TRI_SPECS, "three-factor product ratio sweep", True),
-    "counterexample": (_CEX_SPECS, "exhibit the breakdown at s = 2 + 1/p",
-                       True),
+    "norm": (_NORM_SPECS, "one norm of one field"),
+    "bilinear": (_SWEEP_SPECS, "two-factor product ratio sweep"),
+    "trilinear": (_TRI_SPECS, "three-factor product ratio sweep"),
+    "counterexample": (_CEX_SPECS, "exhibit the breakdown at s = 2 + 1/p"),
 }
 
 _CHOICES = {
@@ -518,6 +526,8 @@ _CHOICES = {
 }
 
 _HELP = {
+    "config": "INI file; flags override it",
+    "out": "write JSON here instead of stdout",
     "seed": f"RNG seed (or set {_ENV_SEED})",
     "field": "xphi | sine:k=4 | cosine:k=2 | bump:center=4,width=1 | "
              "random:family=NAME | file:PATH",
@@ -535,15 +545,10 @@ def build_parser():
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", help="INI file; flags override it")
-        sp.add_argument("--out", help="write JSON here instead of stdout")
-
-    for command, (specs, help_text, threads) in _SUBCOMMANDS.items():
+    for command, (specs, help_text) in _SUBCOMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
-        common(sp)
-        if threads:
-            sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--config", help=_HELP["config"])
+        sp.add_argument("--out", help=_HELP["out"])
         for key, (cast, _) in specs.items():
             if cast is _bool:
                 sp.add_argument(f"--{key}", action="store_true",
@@ -554,8 +559,7 @@ def build_parser():
                                 help=_HELP.get(key))
 
     st = sub.add_parser("selftest", help="numerical invariants check")
-    common(st)
-    st.add_argument("--seed", type=int, default=None, help=_HELP["seed"])
+    st.add_argument("--out", help=_HELP["out"])
     st.add_argument("--quick", action="store_true", default=False)
 
     return ap

@@ -65,9 +65,9 @@ _HOLDER_TOL = 1e-12
 
 
 @lru_cache(maxsize=32)
-def get_bank(grid: GridSpec, phi0_scale: float = 1.0) -> DyadicBank:
+def get_bank(grid: GridSpec) -> DyadicBank:
     """One bank per grid; sweeps hit the same grids repeatedly."""
-    return build_bank(grid, phi0_scale=phi0_scale)
+    return build_bank(grid)
 
 
 def _inv(p: float) -> float:
@@ -83,15 +83,18 @@ def _check_holder(p, parts, what):
 
 
 def _check_sweep(cfg):
-    """Checks shared by both sweep configs; sorts the resolutions.  The
-    space of the target norm checks kind, op, s, p and q."""
+    """Checks shared by both sweep configs; sorts the resolutions and
+    refuses a repeated one.  The space of the target norm checks kind,
+    op, s, p and q."""
     SpaceSpec(cfg.kind, cfg.s, cfg.p, cfg.q, cfg.homogeneous, cfg.op)
     if cfg.count < 1:
         raise ConfigError("need at least one sample per resolution")
-    if len(cfg.resolutions) < 1:
+    res = tuple(sorted(int(N) for N in cfg.resolutions))
+    if len(res) < 1:
         raise ConfigError("at least one resolution required")
-    object.__setattr__(cfg, "resolutions",
-                       tuple(sorted(int(N) for N in cfg.resolutions)))
+    if len(set(res)) < len(res):
+        raise ConfigError(f"resolutions {res} repeat a rung")
+    object.__setattr__(cfg, "resolutions", res)
 
 
 @dataclass(frozen=True)
@@ -345,24 +348,18 @@ def _family_tuples(cfg, grid, ref_N):
             for i in range(cfg.count)]
 
 
-def ratio_sweep(cfg, threads: int = 1) -> RatioReport:
+def ratio_sweep(cfg) -> RatioReport:
     """Run the configured family over every resolution and classify."""
     t0 = time.perf_counter()
     ratio = bilinear_ratio if cfg.arity == 2 else trilinear_ratio
     ref_N = min(cfg.resolutions)
     items, excluded, per_res = [], [], []
     for N in cfg.resolutions:
-        grid = make_grid(cfg.n, cfg.L, N, True)
+        grid = make_grid(cfg.n, cfg.L, N)
         bank = get_bank(grid) if cfg.kind == "besov" else None
-        tuples = _family_tuples(cfg, grid, ref_N)
-
-        def one(idx_tuple):
-            idx, tup = idx_tuple
-            return idx, ratio(*tup, cfg, bank)
-
-        results = _map_ordered(one, list(enumerate(tuples)), threads)
         ratios = []
-        for idx, r in results:
+        for idx, tup in enumerate(_family_tuples(cfg, grid, ref_N)):
+            r = ratio(*tup, cfg, bank)
             row = {"pair": idx, "N": N, "lhs": r["lhs"], "rhs": r["rhs"],
                    "ratio": r["ratio"]}
             if r["degenerate"]:
@@ -396,14 +393,6 @@ def ratio_sweep(cfg, threads: int = 1) -> RatioReport:
         wall_time_s=time.perf_counter() - t0,
     )
     return report
-
-
-def _map_ordered(fn, args, threads):
-    if threads <= 1 or len(args) <= 1:
-        return [fn(a) for a in args]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sorted(pool.map(fn, args), key=lambda t: t[0])
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +678,7 @@ def singular_window_growth(p: float, L: float, resolutions,
     resolutions = sorted(int(N) for N in resolutions)
     norms2 = []
     for N in resolutions:
-        grid = make_grid(1, L, N, True)
+        grid = make_grid(1, L, N)
         out = frac_power(_phi_half(grid), OP_DIRICHLET, 1.0 / p).values
         x = grid.half_coords()
         mask = (x > eps_cells * grid.h) & (x < delta)
@@ -724,7 +713,7 @@ def derivative_mapping_sweep(s: float, p: float, family: str, op: str,
     cross_items, same_items = [], []
     cross_max, same_max = [], []
     for N in resolutions:
-        grid = make_grid(n, L, N, True)
+        grid = make_grid(n, L, N)
         fields = make_family(family, grid, op, seed, count, ref_N)
         c_ratios, s_ratios = [], []
         for i, f in enumerate(fields):

@@ -17,19 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BoundaryTagError, ConfigError
+from .errors import BoundaryTagError
 from .grid import BC_DIRICHLET, BC_NEUMANN, HalfField, SampledField
 
 __all__ = ["odd_extend", "even_extend", "restrict", "apply_sign"]
 
 
-def _require_stagger(grid):
-    if not grid.stagger:
-        raise ConfigError("reflection extensions require a staggered grid")
-
-
 def _extend(hf: HalfField, sign: float) -> SampledField:
-    _require_stagger(hf.grid)
     v = hf.values
     mirrored = sign * v[..., ::-1]
     return SampledField(hf.grid, np.concatenate([mirrored, v], axis=-1))
@@ -51,7 +45,6 @@ def even_extend(hf: HalfField) -> SampledField:
 
 def restrict(f: SampledField, bc: str | None = None) -> HalfField:
     """Keep the x_n > 0 samples and tag the result."""
-    _require_stagger(f.grid)
     half = f.grid.N // 2
     return HalfField(f.grid, f.values[..., half:].copy(), bc)
 
@@ -63,7 +56,6 @@ def apply_sign(f: SampledField) -> SampledField:
     extensions are moved back into the odd class: (fg)_odd equals
     sign(x_n) f_odd g_odd.
     """
-    _require_stagger(f.grid)
     half = f.grid.N // 2
     out = f.values.copy()
     out[..., :half] = -out[..., :half]

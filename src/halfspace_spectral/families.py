@@ -72,7 +72,7 @@ def counterexample_expr():
 def _mode_range(grid: GridSpec, ref_N: int):
     """Integer mode numbers inside the resolved band of the reference
     grid, capped low enough that pairwise products stay in band too."""
-    ref = GridSpec(grid.n, grid.L, ref_N, grid.stagger)
+    ref = GridSpec(grid.n, grid.L, ref_N)
     j_min, j_max = _resolved_octaves(ref)
     slop = 1e-9
     m_lo = int(np.ceil(2.0 ** j_min * ref.L / np.pi + slop))

@@ -2,10 +2,10 @@
 
 The computational domain is the periodic box [-L, L)^n standing in for
 R^n.  Axis n (the last array axis) is the distinguished "normal"
-direction; the half-space is {x_n > 0}.  With ``stagger`` enabled every
-axis is sampled at cell midpoints x = -L + (k + 1/2) h, so no sample
-lies on the reflection hyperplane x_n = 0 and the map x -> -x permutes
-the sample set exactly.  That choice is what makes the odd/even
+direction; the half-space is {x_n > 0}.  The grid is always staggered:
+every axis is sampled at cell midpoints x = -L + (k + 1/2) h, so no
+sample lies on the reflection hyperplane x_n = 0 and the map x -> -x
+permutes the sample set exactly.  That choice is what makes the odd/even
 extensions in :mod:`halfspace_spectral.extension` involutions rather
 than approximations.
 
@@ -49,12 +49,12 @@ _BC_FROM_CODE = {v: k for k, v in _BC_CODES.items()}
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Isotropic periodic grid on [-L, L)^n with N points per axis."""
+    """Isotropic periodic grid on [-L, L)^n with N points per axis,
+    always staggered: samples sit at cell midpoints."""
 
     n: int
     L: float
     N: int
-    stagger: bool = True
 
     def __post_init__(self):
         if not 1 <= self.n <= 3:
@@ -72,8 +72,7 @@ class GridSpec:
 
     def axis_coords(self) -> np.ndarray:
         """Sample coordinates along one axis (all axes are identical)."""
-        off = 0.5 if self.stagger else 0.0
-        return -self.L + (np.arange(self.N) + off) * self.h
+        return -self.L + (np.arange(self.N) + 0.5) * self.h
 
     def half_coords(self) -> np.ndarray:
         """Coordinates of the x_n > 0 samples, increasing."""
@@ -149,9 +148,9 @@ class HalfField:
         return HalfField(self.grid, self.values, bc)
 
 
-def make_grid(n: int, L: float, N: int, stagger: bool = True) -> GridSpec:
+def make_grid(n: int, L: float, N: int) -> GridSpec:
     """Validated grid constructor; see :class:`GridSpec`."""
-    return GridSpec(n=n, L=float(L), N=int(N), stagger=bool(stagger))
+    return GridSpec(n=n, L=float(L), N=int(N))
 
 
 def _check_finite(vals: np.ndarray, grid: GridSpec, half: bool) -> None:
@@ -182,8 +181,6 @@ def sample(grid: GridSpec, expr) -> SampledField:
 
 def sample_half(grid: GridSpec, expr, bc: str | None = None) -> HalfField:
     """Evaluate ``expr`` on the half-grid {x_n > 0} and tag the result."""
-    if not grid.stagger:
-        raise ConfigError("half-space sampling requires a staggered grid")
     vals = np.asarray(expr(*grid.coord_mesh(half=True)), dtype=float)
     shape = (grid.N,) * (grid.n - 1) + (grid.N // 2,)
     vals = np.broadcast_to(vals, shape).copy()
@@ -225,7 +222,7 @@ def integrate(field) -> float:
 #   8s  magic  b"HSFIELD1"
 #   B   kind   0 = full grid, 1 = half grid
 #   B   bc     0 = none, 1 = dirichlet, 2 = neumann
-#   B   stagger
+#   B   stagger, always 1: every grid is staggered
 #   B   reserved (0)
 #   Q   n
 #   Q   N
@@ -242,8 +239,8 @@ def save_field(field, path) -> None:
     bc = _BC_CODES[field.bc] if half else 0
     g = field.grid
     vals = np.ascontiguousarray(field.values, dtype="<f8")
-    header = _HEADER.pack(_MAGIC, 1 if half else 0, bc, 1 if g.stagger else 0,
-                          0, g.n, g.N, g.L, vals.size)
+    header = _HEADER.pack(_MAGIC, 1 if half else 0, bc, 1, 0, g.n, g.N, g.L,
+                          vals.size)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(vals.tobytes())
@@ -265,7 +262,9 @@ def load_field(path):
             raise ConfigError(f"{path}: unknown field kind {kind}")
         if bc not in _BC_FROM_CODE:
             raise ConfigError(f"{path}: unknown boundary code {bc}")
-        grid = make_grid(int(n), float(L), int(N), bool(stagger))
+        if stagger != 1:
+            raise ConfigError(f"{path}: stagger byte {stagger}, not 1")
+        grid = make_grid(int(n), float(L), int(N))
         full = kind == 0
         shape = (grid.N,) * (grid.n - 1) + (grid.N if full else grid.N // 2,)
         need = grid.N ** (grid.n - 1) * shape[-1]

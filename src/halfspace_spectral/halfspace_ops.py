@@ -62,12 +62,10 @@ def extend_for(hf: HalfField, op: str):
 def _is_odd(hf: HalfField, bc: str | None) -> bool:
     """Whether ``hf`` goes through the sine modes in the ``bc`` calculus
     (Dirichlet, or none for an untagged tangential derivative) rather
-    than the cosine modes, after the tag and grid checks."""
+    than the cosine modes, after the tag check."""
     if hf.bc is not None and hf.bc != bc:
         raise BoundaryTagError(
             f"{hf.bc}-tagged field in the {bc} calculus")
-    if not hf.grid.stagger:
-        raise ConfigError("half-space transforms require a staggered grid")
     return bc != OP_NEUMANN
 
 

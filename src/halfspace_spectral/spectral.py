@@ -569,8 +569,6 @@ def singular_integral_frac_lap(f: SampledField, s: float) -> SampledField:
         raise ConfigError("real-space quadrature is 1-D only")
     if not 0.0 < s < 1.0:
         raise ConfigError(f"quadrature order s={s} outside (0, 1)")
-    if not f.grid.stagger:
-        raise ConfigError("real-space quadrature expects a staggered grid")
 
     g = f.grid
     h, N = g.h, g.N

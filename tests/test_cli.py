@@ -78,6 +78,14 @@ def test_semigroup_route_flag():
     assert 0.1 < doc["route_ratio"] < 10.0
 
 
+def test_semigroup_route_needs_besov():
+    rc, out, err = run_cli(["norm", "--field", "xphi", "--kind", "sobolev",
+                            "--N", "512", "--semigroup"])
+    assert rc == 2
+    assert out == ""
+    assert "--semigroup" in err
+
+
 def test_field_spec_bump_and_file_roundtrip(tmp_path):
     g = make_grid(1, 16.0, 1024)
     hf = sample_half(g, lambda x: np.sin(np.pi * x / 16.0),
@@ -117,6 +125,14 @@ def test_out_flag_writes_the_payload(tmp_path):
 # ---------------------------------------------------------------------------
 # exit codes
 
+def test_unwritable_out_exits_two(tmp_path):
+    rc, out, err = run_cli(["norm", "--field", "xphi", "--N", "512",
+                            "--out", str(tmp_path / "absent" / "x.json")])
+    assert rc == 2
+    assert out == ""
+    assert "configuration error" in err
+
+
 def test_config_errors_exit_two():
     rc, _, err = run_cli(["norm", "--field", "xphi", "--kind", "sobolev",
                           "--s", "0.5", "--p", "0.5", "--N", "1024",
@@ -143,6 +159,14 @@ def test_bad_ini_value_exits_two(tmp_path):
     assert "[norm] N" in err
 
 
+def test_malformed_ini_file_exits_two(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[norm\nN = 512\n")
+    rc, _, err = run_cli(["norm", "--config", str(ini)])
+    assert rc == 2
+    assert str(ini) in err
+
+
 def test_malformed_field_file_exits_two(tmp_path):
     path = tmp_path / "bad.hsf"
     path.write_bytes(struct.pack("<8sBBBBQQdQ", b"HSFIELD1", 1, 9, 1, 0, 1,
@@ -161,10 +185,15 @@ def test_threads_flag_only_on_sweeping_commands(command):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("command", ["bilinear", "trilinear",
-                                     "counterexample"])
-def test_threads_flag_reaches_the_sweeping_commands(command):
-    assert build_parser().parse_args([command, "--threads", "2"]).threads == 2
+@pytest.mark.parametrize("args", [
+    ["bilinear", "--threads", "2"], ["trilinear", "--threads", "2"],
+    ["counterexample", "--threads", "2"], ["selftest", "--seed", "3"],
+    ["selftest", "--config", "x.ini"]], ids=lambda a: a[0] + a[1])
+def test_removed_flags_exit_two(args):
+    with pytest.raises(SystemExit) as exc:
+        with contextlib.redirect_stderr(io.StringIO()):
+            main(args)
+    assert exc.value.code == 2
 
 
 def test_numerical_guards_exit_three():
@@ -275,12 +304,11 @@ def _subparsers():
 
 @pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
 def test_option_tables_own_the_flags(command):
-    specs, _, threads = _SUBCOMMANDS[command]
+    specs, _ = _SUBCOMMANDS[command]
     sp = _subparsers()[command]
     flags = {f for a in sp._actions for f in a.option_strings}
     flags -= {"-h", "--help"}
-    expected = {f"--{k}" for k in specs} | {"--config", "--out"}
-    assert flags == expected | ({"--threads"} if threads else set())
+    assert flags == {f"--{k}" for k in specs} | {"--config", "--out"}
     choices = {a.dest: a.choices for a in sp._actions}
     for key in ("kind", "op"):
         if key in specs:

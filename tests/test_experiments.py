@@ -102,6 +102,13 @@ def test_sweep_configs_refuse_bad_op_or_s_at_construction(make, bad):
         make(**bad)
 
 
+@pytest.mark.parametrize("make", [_cfg, _tri])
+@pytest.mark.parametrize("res", [(512, 512, 1024), (512, 512)])
+def test_sweep_configs_refuse_a_repeated_rung(make, res):
+    with pytest.raises(ConfigError, match="repeat"):
+        make(resolutions=res)
+
+
 def test_trilinear_kind_validated():
     with pytest.raises(ConfigError):
         _tri(kind="holder")
@@ -271,13 +278,6 @@ def test_sweep_report_shape():
     assert len(rows) == len(rep.items) + 1
     assert rep.verdict in ("bounded", "diverging", "inconclusive")
     assert "max_ratio" in rep.meta
-
-
-def test_sweep_threads_do_not_change_the_answer():
-    cfg = _cfg(count=3, resolutions=(512, 1024))
-    a = ratio_sweep(cfg, threads=1)
-    b = ratio_sweep(cfg, threads=3)
-    assert a.to_json_dict() == b.to_json_dict()
 
 
 def test_wall_time_not_in_the_payload():

@@ -108,15 +108,6 @@ def test_apply_sign_is_an_involution(grid1d):
     assert np.array_equal(apply_sign(apply_sign(ext)).values, ext.values)
 
 
-def test_extensions_require_staggered_grid():
-    g = make_grid(1, 8.0, 64, stagger=False)
-    hf = HalfField(g, np.ones(32))
-    with pytest.raises(ConfigError):
-        odd_extend(hf)
-    with pytest.raises(ConfigError):
-        even_extend(hf)
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(min_value=-100, max_value=100,
                           allow_nan=False, allow_infinity=False),

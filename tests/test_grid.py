@@ -239,10 +239,10 @@ def test_load_rejects_truncated_file(tmp_path, grid1d):
 
 
 def _write_header(path, kind=1, bc=0, n=1, N=64, L=16.0, count=32,
-                  values=32):
+                  values=32, stagger=1):
     """A field container with a hand-made header and ``values`` zeros."""
-    header = struct.pack("<8sBBBBQQdQ", b"HSFIELD1", kind, bc, 1, 0, n, N,
-                         L, count)
+    header = struct.pack("<8sBBBBQQdQ", b"HSFIELD1", kind, bc, stagger, 0,
+                         n, N, L, count)
     path.write_bytes(header + b"\x00" * (8 * values))
     return path
 
@@ -262,6 +262,12 @@ def test_load_rejects_a_count_that_does_not_match_the_grid(tmp_path):
 def test_load_rejects_an_unknown_boundary_code(tmp_path):
     path = _write_header(tmp_path / "f.hsf", bc=7)
     with pytest.raises(ConfigError, match="boundary code"):
+        load_field(path)
+
+
+def test_load_rejects_an_unstaggered_grid(tmp_path):
+    path = _write_header(tmp_path / "f.hsf", stagger=0)
+    with pytest.raises(ConfigError, match="stagger"):
         load_field(path)
 
 

@@ -449,18 +449,6 @@ def test_contradicting_tags_raise_boundary_tag_error(grid1d, tag, op):
         semigroup(hf, op, 0.1)
 
 
-def test_half_space_route_needs_a_staggered_grid():
-    # regression guard: the sine/cosine transform, like the reflection,
-    # relies on no sample sitting on the wall
-    g = make_grid(1, 8.0, 64, stagger=False)
-    hf = HalfField(g, np.ones(32), BC_DIRICHLET)
-    for call in (lambda: frac_power(hf, OP_DIRICHLET, 1.0),
-                 lambda: semigroup(hf, OP_DIRICHLET, 0.1),
-                 lambda: normal_derivative(hf)):
-        with pytest.raises(ConfigError):
-            call()
-
-
 def test_overflowing_symbol_is_a_config_error(grid2d):
     # regression guard: the finiteness check on the half-size symbol
     f = sample_half(grid2d, lambda x, y: bump(x, 0.0, 2.0) * bump(y, 3.0, 1.5),
