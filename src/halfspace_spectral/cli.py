@@ -32,9 +32,9 @@ from .experiments import (BilinearConfig, TrilinearConfig, besov_block_floor,
                           singularity_profile)
 from .extension import odd_extend, restrict
 from .families import counterexample_expr, make_family
-from .grid import (BC_DIRICHLET, BC_NEUMANN, HalfField, load_field, lp_norm,
-                   make_grid, sample, sample_half, save_field)
-from .halfspace_ops import OP_DIRICHLET, OP_NEUMANN, frac_power, semigroup
+from .grid import (BC_DIRICHLET, HalfField, load_field, lp_norm, make_grid,
+                   sample, sample_half, save_field)
+from .halfspace_ops import OP_DIRICHLET, OP_NEUMANN, frac_power
 from .norms import (SpaceSpec, besov_norm_report, besov_norm_semigroup,
                     sobolev_norm)
 from .spectral import build_bank, fractional_laplacian, \
@@ -176,6 +176,16 @@ _NORM_SPECS = {
 }
 
 
+def _field_option(kwargs, name, key, cast, default):
+    """Pop and cast one inline field option; a failed cast names it."""
+    raw = kwargs.pop(key, None)
+    try:
+        return default if raw is None else cast(raw)
+    except ValueError as exc:
+        raise ConfigError(f"field {name}: option {key}={raw!r}: {exc}") \
+            from exc
+
+
 def _build_field(spec_text, grid, op, seed):
     name, _, rest = str(spec_text).partition(":")
     kwargs = {}
@@ -202,7 +212,7 @@ def _build_field(spec_text, grid, op, seed):
     if grid.n != 1:
         raise ConfigError("inline field specs are 1-D; use file:PATH")
     if name in ("sine", "cosine"):
-        k = int(kwargs.pop("k", 1))
+        k = _field_option(kwargs, name, "k", int, 1)
         if kwargs:
             raise ConfigError(f"unknown options {sorted(kwargs)}")
         if k < 1:
@@ -212,9 +222,9 @@ def _build_field(spec_text, grid, op, seed):
         return sample_half(grid, lambda x: fun(kappa * x), bc=op)
     if name == "bump":
         from .families import bump
-        center = float(kwargs.pop("center", grid.L / 4))
-        width = float(kwargs.pop("width", 1.0))
-        amp = float(kwargs.pop("amp", 1.0))
+        center = _field_option(kwargs, name, "center", float, grid.L / 4)
+        width = _field_option(kwargs, name, "width", float, 1.0)
+        amp = _field_option(kwargs, name, "amp", float, 1.0)
         if kwargs:
             raise ConfigError(f"unknown options {sorted(kwargs)}")
         return sample_half(grid, lambda x: amp * bump(x, center, width),

@@ -183,7 +183,8 @@ def _graded_norm(hf: HalfField, cfg, p: float, bank) -> float:
 def _product_ratio(fields, cfg, bank: DyadicBank | None) -> dict:
     """||prod fields|| over the sum of terms; term i puts the regularity
     on factor i and the Lebesgue exponents of ``cfg.exponents[i]`` on
-    the others.  Zero denominators are flagged, not divided."""
+    the others.  Zero denominators are flagged, not divided.  A factor
+    may recur, as in (f, f); each of its norms is taken once."""
     if bank is None and cfg.kind == "besov":
         bank = get_bank(fields[0].grid)
     values = fields[0].values
@@ -191,14 +192,16 @@ def _product_ratio(fields, cfg, bank: DyadicBank | None) -> dict:
         values = values * fld.values
     num = _graded_norm(HalfField(fields[0].grid, values, cfg.op), cfg,
                        cfg.p, bank)
+    factor_norms = {}
     terms = []
     for slot, ps in enumerate(cfg.exponents):
         term = 1.0
         for j, fld in enumerate(fields):
-            if j == slot:
-                term *= _graded_norm(fld, cfg, ps[j], bank)
-            else:
-                term *= lp_norm(fld, ps[j])
+            key = (id(fld), ps[j], j == slot)
+            if key not in factor_norms:
+                factor_norms[key] = (_graded_norm(fld, cfg, ps[j], bank)
+                                     if j == slot else lp_norm(fld, ps[j]))
+            term *= factor_norms[key]
         terms.append(term)
     den = float(sum(terms))
     degenerate = den == 0.0
@@ -574,17 +577,19 @@ def singularity_profile(p: float, grid: GridSpec, delta: float = 0.2,
     }
 
 
-def _limit_profile(bank: DyadicBank, p: float) -> dict:
-    """The rescaled large-j limit of the blocks of Phi_odd.
+@lru_cache(maxsize=4)
+def _limit_kernel(table_hash: str, phi0_scale: float) -> tuple:
+    """(x, W) for the bank profile named by ``table_hash``, read-only.
 
-    With K the kernel of phi_0(|xi|), the blocks approach
+    With K the kernel of phi_0(|xi|), the blocks of Phi_odd approach
     W(x) = int_0^inf (K(x-y) - K(x+y)) dy = 2 int_0^x K, computed here
-    by direct quadrature, nowhere touching the FFT path.
+    by direct quadrature, nowhere touching the FFT path.  It depends on
+    the profile alone, not on p or the grid.
     """
     from scipy.integrate import cumulative_trapezoid
 
     eta_grid = np.linspace(0.5, 2.0, 2049)
-    phi_vals = bank.phi0(eta_grid)
+    phi_vals = DyadicBank(0, 0, table_hash, phi0_scale).phi0(eta_grid)
     x = np.arange(0.0, 64.0, 1.0 / 128.0)
     K = np.empty_like(x)
     chunk = 2048
@@ -593,6 +598,14 @@ def _limit_profile(bank: DyadicBank, p: float) -> dict:
         integrand = phi_vals[None, :] * np.cos(xs * eta_grid)
         K[i:i + chunk] = np.trapezoid(integrand, eta_grid, axis=1) / np.pi
     W = 2.0 * cumulative_trapezoid(K, x, initial=0.0)
+    x.flags.writeable = W.flags.writeable = False
+    return x, W
+
+
+def _limit_profile(bank: DyadicBank, p: float) -> dict:
+    """The rescaled large-j limit W of the blocks of Phi_odd, with its
+    sup, argmax and L^p norm over the whole line."""
+    x, W = _limit_kernel(bank.table_hash, bank.phi0_scale)
     absW = np.abs(W)
     i_star = int(np.argmax(absW))
     if np.isinf(p):

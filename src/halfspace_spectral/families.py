@@ -6,10 +6,20 @@ sweep asks for, so refining the resolution re-samples the *same*
 functions.  Band-limited draws snap their frequencies to exact box
 modes k = pi m / L, which keeps them native to every grid in a sweep.
 
+Those draws are synthesized from their coefficients rather than summed
+pointwise.  Sine mode m is coefficient M - m of the half-length
+transform of :mod:`halfspace_spectral.spectral` (M = N/2), cosine mode m
+is coefficient m, and either takes the value amp M/2.  A tangential
+factor cos(pi m_t x / L + phase) is the pair of DFT entries +-m_t with
+c N/2 and conj(c) N/2, c = exp(i (phase - pi m_t + pi m_t / N)) on the
+staggered grid.  One inverse transform of the sparse array gives the
+field, equal to the pointwise sum to roundoff.
+
 Available names:
 
 ``band_random``
-    random combinations of resolved modes, odd or even in x_n.
+    random combinations of resolved modes, odd or even in x_n, times
+    low tangential cosines.
 ``bump_random``
     smooth compactly supported bumps well inside the half-box;
     admissible for both calculi.
@@ -26,12 +36,14 @@ Available names:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConfigError
 from .grid import BC_DIRICHLET, BC_NEUMANN, GridSpec, HalfField, sample_half
 from .halfspace_ops import OP_DIRICHLET
-from .spectral import _resolved_octaves, smooth_step
+from .spectral import _half_inverse, _resolved_octaves, smooth_step
 
 __all__ = ["cutoff_profile", "bump", "counterexample_expr", "make_family",
            "FAMILY_NAMES"]
@@ -47,7 +59,10 @@ def cutoff_profile(x, scale: float = 1.0):
 
 
 def bump(x, center: float, width: float):
-    """C^inf bump supported on [center - width, center + width], peak 1."""
+    """C^inf bump supported on [center - width, center + width], peak 1;
+    the width must be positive and finite."""
+    if not 0.0 < width < np.inf:
+        raise ConfigError(f"bump width {width} must be positive and finite")
     u = (np.asarray(x, dtype=float) - center) / width
     out = np.zeros_like(u)
     inside = np.abs(u) < 1.0
@@ -85,31 +100,30 @@ def _mode_range(grid: GridSpec, ref_N: int):
 def _band_random(grid: GridSpec, parity: str, rng, ref_N: int) -> HalfField:
     m_lo, m_hi = _mode_range(grid, ref_N)
     n_modes = int(rng.integers(6, 13))
-    # log-uniform spread over the usable modes
+    # log-uniform spread over the usable modes; distinct, so that each
+    # owns one normal coefficient below
     ms = np.unique(np.round(np.exp(
         rng.uniform(np.log(m_lo), np.log(m_hi), n_modes))).astype(int))
     amps = rng.normal(0.0, 1.0, ms.size)
     phases = rng.uniform(0.0, 2.0 * np.pi, (ms.size, max(grid.n - 1, 1)))
-    k = np.pi * ms / grid.L
 
-    def expr(*coords):
-        xn = coords[-1]
-        out = np.zeros(np.broadcast_shapes(*[c.shape for c in coords]))
-        for i in range(ms.size):
-            if parity == BC_DIRICHLET:
-                term = amps[i] * np.sin(k[i] * xn)
-            else:
-                term = amps[i] * np.cos(k[i] * xn)
-            for ax, x in enumerate(coords[:-1]):
-                # tangential factor at a low mode, random phase
-                m_t = 1 + (int(ms[i]) + ax) % 4
-                term = term * np.cos(np.pi * m_t * x / grid.L
-                                     + phases[i, ax])
-            out = out + term
-        return out
-
-    bc = BC_DIRICHLET if parity == BC_DIRICHLET else BC_NEUMANN
-    return sample_half(grid, expr, bc=bc)
+    # the coefficients of the module docstring
+    N, M = grid.N, grid.N // 2
+    odd = parity == BC_DIRICHLET
+    coef = np.zeros((N,) * (grid.n - 1) + (M,), dtype=complex)
+    for i, m in enumerate(ms):
+        factors = []
+        for ax in range(grid.n - 1):
+            # tangential factor at a low mode, random phase
+            m_t = 1 + (int(m) + ax) % 4
+            c = np.exp(1j * (phases[i, ax] - np.pi * m_t + np.pi * m_t / N))
+            t = np.zeros(N, dtype=complex)
+            t[m_t], t[-m_t] = c * N / 2, np.conjugate(c) * N / 2
+            factors.append(t)
+        coef[..., M - m if odd else m] = functools.reduce(
+            np.multiply.outer, factors, amps[i] * M / 2)
+    return HalfField(grid, _half_inverse(coef, odd),
+                     BC_DIRICHLET if odd else BC_NEUMANN)
 
 
 def _bump_random(grid: GridSpec, parity: str, rng) -> HalfField:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -69,10 +69,13 @@ def _is_odd(hf: HalfField, bc: str | None) -> bool:
     return bc != OP_NEUMANN
 
 
-def _calculus(hf: HalfField, op: str, m: Multiplier) -> HalfField:
-    """The multiplier ``m`` in the ``op`` calculus, tagged ``op``."""
+def _calculus(hf: HalfField, op: str, m: Multiplier,
+              key: tuple | None = None) -> HalfField:
+    """The multiplier ``m`` in the ``op`` calculus, tagged ``op``; ``key``
+    names a package multiplier whose checked symbol may be reused."""
     odd = _is_odd(hf, _check_op(op))
-    return HalfField(hf.grid, _half_multiplier(hf.values, hf.grid, m, odd), op)
+    return HalfField(hf.grid,
+                     _half_multiplier(hf.values, hf.grid, m, odd, key), op)
 
 
 def frac_power(hf: HalfField, op: str, s: float) -> HalfField:
@@ -85,7 +88,7 @@ def frac_power(hf: HalfField, op: str, s: float) -> HalfField:
     """
     if s < 0 and not _is_odd(hf, _check_op(op)):
         _require_zero_mean(hf, f"negative-order power s={s}")
-    return _calculus(hf, op, _power_multiplier(s))
+    return _calculus(hf, op, _power_multiplier(s), ("power", float(s)))
 
 
 def semigroup(hf: HalfField, op: str, t: float, s: float = 2.0) -> HalfField:
@@ -96,7 +99,8 @@ def semigroup(hf: HalfField, op: str, t: float, s: float = 2.0) -> HalfField:
     """
     if not 0.0 < s <= 2.0:
         raise ConfigError(f"semigroup order s={s} outside (0, 2]")
-    return _calculus(hf, op, _semigroup_multiplier(t, s))
+    return _calculus(hf, op, _semigroup_multiplier(t, s),
+                     ("semigroup", float(t), float(s)))
 
 
 def normal_derivative(hf: HalfField) -> HalfField:

@@ -22,7 +22,11 @@ call is one in-place ``numpy.fft.fftn`` and one in-place ``ifftn`` of
 N^(n-1) N/2 points on one complex work buffer: the forward transform
 allocates it, and the inverse overwrites it.  A half-space symbol must
 be Hermitian in the tangential frequencies, exactly, as a box symbol
-must be in all of them; one guard, ``_symbol``, checks both.
+must be in all of them; one guard, ``_symbol``, checks both.  The
+symbols the package builds for ``frac_power`` and ``semigroup`` carry a
+key, and the last keyed symbol is kept after its check, so that a sweep
+rung evaluates and checks each one once.  ``families`` synthesizes its
+band-limited draws with the same inverse.
 
 The dyadic bank realizes a standard smooth partition of unity: with
 eta(lambda) equal to 1 on [0, 1], supported in [0, 2] and built from
@@ -402,15 +406,33 @@ def _half_spectrum(values: np.ndarray, grid: GridSpec, odd: bool):
             functools.partial(_half_inverse, odd=odd))
 
 
+#: the last keyed symbol: {(grid, odd, key): checked read-only array}
+_SYMBOL_CACHE: dict = {}
+
+
 def _half_multiplier(values: np.ndarray, grid: GridSpec, m: Multiplier,
-                     odd: bool) -> np.ndarray:
+                     odd: bool, key: tuple | None = None) -> np.ndarray:
     """Apply ``m`` in the sine (``odd``) or cosine calculus.
 
     Only the cosine modes hold the zero mode, and the symbol must be
     Hermitian in the tangential frequencies; in 1-D that makes it real.
+
+    ``key`` names a multiplier the package builds, such as ("power", s),
+    whose symbol is a function of the key alone.  The last keyed symbol
+    is kept, checked and read-only, so that repeated calls on one grid
+    evaluate and check it once.  A miss drops it before the new symbol
+    is built, so that one symbol at most is held.  A multiplier with no
+    key is evaluated and checked on every call.
     """
-    sym = _symbol(m, _half_mesh(grid, odd), values.shape, not odd,
-                  tuple(range(grid.n - 1)))
+    tag = (grid, odd, key)
+    sym = _SYMBOL_CACHE.get(tag)
+    if sym is None:
+        _SYMBOL_CACHE.clear()
+        sym = _symbol(m, _half_mesh(grid, odd), values.shape, not odd,
+                      tuple(range(grid.n - 1)))
+        if key is not None:
+            sym.flags.writeable = False
+            _SYMBOL_CACHE[tag] = sym
     coef = _half_forward(values, odd)
     coef *= sym
     return _half_inverse(coef, odd)

@@ -212,6 +212,18 @@ def test_unknown_field_spec_exits_two():
     assert rc == 2
 
 
+@pytest.mark.parametrize("field, named", [
+    ("sine:k=x", "k='x'"), ("cosine:k=2.5", "k='2.5'"),
+    ("bump:center=y", "center='y'"), ("bump:amp=", "amp=''"),
+    ("bump:width=0", "width"), ("bump:width=-1", "width"),
+    ("bump:width=nan", "width")])
+def test_bad_inline_field_option_exits_two(field, named):
+    rc, out, err = run_cli(["norm", "--field", field, "--N", "512"])
+    assert rc == 2
+    assert out == ""
+    assert "configuration error" in err and named in err
+
+
 def test_bad_holder_exponents_exit_two():
     rc, _, _ = run_cli(["bilinear", "--s", "1.0", "--p", "2",
                         "--p1", "4", "--p2", "inf", "--p3", "inf",

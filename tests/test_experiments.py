@@ -497,3 +497,54 @@ def test_diagnostics_agree_with_the_image_oracle(p):
 
 def test_get_bank_caches(grid1d):
     assert get_bank(grid1d) is get_bank(grid1d)
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_recurring_factor_norms_are_taken_once(arity, monkeypatch):
+    # the counterexample sweeps pass (f, f) or (f, f, f): one frac_power
+    # for the numerator and one for f, whatever the arity
+    from halfspace_spectral import norms
+
+    g = make_grid(1, 16.0, 4096)
+    f = counterexample_fields(g)[0]
+    if arity == 2:
+        cfg = BilinearConfig(s=2.5, p=2.0, p1=2.0, p2=INF, p3=INF, p4=2.0,
+                             resolutions=(g.N,))
+    else:
+        cfg = TrilinearConfig(s=2.5, p=2.0, exponents=((2.0, INF, INF),
+                                                       (INF, 2.0, INF),
+                                                       (INF, INF, 2.0)),
+                              resolutions=(g.N,))
+    expect = (bilinear_ratio(f, f.with_values(f.values.copy()), cfg)
+              if arity == 2 else
+              trilinear_ratio(f, f.with_values(f.values.copy()),
+                              f.with_values(f.values.copy()), cfg))
+    calls = []
+
+    def counting(*args, _orig=norms.frac_power):
+        calls.append(args[2])
+        return _orig(*args)
+
+    monkeypatch.setattr(norms, "frac_power", counting)
+    out = (bilinear_ratio(f, f, cfg) if arity == 2
+           else trilinear_ratio(f, f, f, cfg))
+    assert calls == [2.5, 2.5]
+    assert out == expect
+
+
+def test_limit_kernel_is_cached_per_bank_profile():
+    # the quadrature of W depends on the bank profile alone: a second
+    # call at another p on another grid reuses it
+    from halfspace_spectral.experiments import _limit_kernel, _limit_profile
+
+    a, b = get_bank(make_grid(1, 16.0, 4096)), get_bank(make_grid(1, 8.0, 8192))
+    assert a is not b and a.table_hash == b.table_hash
+    _limit_kernel.cache_clear()
+    first = _limit_profile(a, 2.0)
+    second = _limit_profile(b, 3.0)
+    info = _limit_kernel.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert second["W"] is first["W"] and not first["W"].flags.writeable
+    assert not first["x"].flags.writeable
+    assert second["lp_norm"] != first["lp_norm"]
+    assert second["sup"] == first["sup"]

@@ -178,3 +178,77 @@ def test_bump_support_and_peak():
     assert np.all(v[np.abs(x - 0.5) >= 1.25] == 0.0)
     assert float(bump(np.asarray([0.5]), 0.5, 1.25)[0]) == 1.0
     assert np.all(v <= 1.0)
+
+
+def _band_random_direct(grid, odd, rng, ref_N):
+    """The band-random draw summed pointwise: sum_i a_i sin|cos(k_i x_n)
+    times cos(pi m_t x_t / L + phase) per tangential axis.  It makes the
+    same draws from ``rng`` as the family and returns the expression."""
+    from halfspace_spectral.families import _mode_range
+
+    m_lo, m_hi = _mode_range(grid, ref_N)
+    n_modes = int(rng.integers(6, 13))
+    ms = np.unique(np.round(np.exp(
+        rng.uniform(np.log(m_lo), np.log(m_hi), n_modes))).astype(int))
+    amps = rng.normal(0.0, 1.0, ms.size)
+    phases = rng.uniform(0.0, 2.0 * np.pi, (ms.size, max(grid.n - 1, 1)))
+    wave = np.sin if odd else np.cos
+
+    def expr(*coords):
+        out = 0.0
+        for i, m in enumerate(ms):
+            term = amps[i] * wave(np.pi * m * coords[-1] / grid.L)
+            for ax, x in enumerate(coords[:-1]):
+                m_t = 1 + (int(m) + ax) % 4
+                term = term * np.cos(np.pi * m_t * x / grid.L
+                                     + phases[i, ax])
+            out = out + term
+        return out
+
+    return expr
+
+
+@pytest.mark.parametrize("n, L, N, ref_N, seeds", [
+    (1, 16.0, 4096, 4096, (0, 1, 2)),
+    (1, 16.0, 16384, 8192, (3, 4)),
+    (2, 16.0, 256, 256, (0, 1, 2)),
+    (3, 8.0, 256, 256, (5,)),
+], ids=["1d", "1d-refined", "2d", "3d"])
+@pytest.mark.parametrize("op", [OP_DIRICHLET, OP_NEUMANN])
+def test_band_random_is_one_inverse_transform_of_its_modes(
+        n, L, N, ref_N, seeds, op, monkeypatch):
+    # each field is one half-size inverse transform of its sparse
+    # coefficients, seen on numpy.fft, and equals the pointwise sum of
+    # its modes to roundoff
+    grid = make_grid(n, L, N)
+    half = N ** (n - 1) * N // 2
+    calls = []
+    for name in ("fftn", "ifftn"):
+        def record(a, *args, _name=name, _orig=getattr(np.fft, name), **kw):
+            calls.append((_name, np.size(a)))
+            return _orig(a, *args, **kw)
+        monkeypatch.setattr(np.fft, name, record)
+    # the 3-D check draws one field and sub-samples its tangential rows
+    # to stay small
+    count, rows = (2, np.arange(N)) if n < 3 else (1, np.arange(0, N, 15))
+    for seed in seeds:
+        calls.clear()
+        fields = make_family("band_random", grid, op, seed, count, ref_N)
+        assert calls == [("ifftn", half)] * count
+        rng = np.random.default_rng(seed)
+        for f in fields:
+            expr = _band_random_direct(grid, op == OP_DIRICHLET, rng, ref_N)
+            coords = grid.coord_mesh(half=True)
+            coords = tuple(np.take(x, rows, axis=ax)
+                           for ax, x in enumerate(coords[:-1])) + coords[-1:]
+            direct = expr(*coords)
+            got = f.values[np.ix_(*[rows] * (n - 1), np.arange(N // 2))]
+            err = np.max(np.abs(got - direct)) / np.max(np.abs(direct))
+            assert err <= 1e-12, (seed, err)
+            assert f.bc == op
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf])
+def test_bump_refuses_a_width_that_is_not_positive_and_finite(width):
+    with pytest.raises(ConfigError, match="width"):
+        bump(np.linspace(-1.0, 1.0, 9), 0.0, width)

@@ -11,7 +11,6 @@ from halfspace_spectral import (
     BC_DIRICHLET,
     BC_NEUMANN,
     ConfigError,
-    GridSpec,
     HalfField,
     SampledField,
     bump,

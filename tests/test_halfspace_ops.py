@@ -506,3 +506,75 @@ def test_constant_symbol_doubles_the_field_on_both_routes(n, op):
     assert np.allclose(half, 2.0 * hf.values, rtol=0, atol=1e-14 * scale)
     assert np.allclose(box.values, 2.0 * hf.values, rtol=0,
                        atol=1e-14 * scale)
+
+
+# ---------------------------------------------------------------------------
+# checked symbols are reused within a rung
+
+def _count_symbols(monkeypatch):
+    """Empty the symbol cache and count the evaluations of spectral._symbol."""
+    from halfspace_spectral import spectral
+
+    spectral._SYMBOL_CACHE.clear()
+    built = []
+
+    def counting(*args, _orig=spectral._symbol):
+        built.append(args[0].name)
+        return _orig(*args)
+
+    monkeypatch.setattr(spectral, "_symbol", counting)
+    return built
+
+
+def test_repeated_power_and_flow_evaluate_their_symbol_once(monkeypatch):
+    g = make_grid(2, 8.0, 64)
+    f = make_family("bump_random", g, OP_DIRICHLET, 0, 1)[0]
+    built = _count_symbols(monkeypatch)
+    first = frac_power(f, OP_DIRICHLET, 1.5).values
+    for _ in range(3):
+        assert np.array_equal(frac_power(f, OP_DIRICHLET, 1.5).values, first)
+    assert len(built) == 1
+    for _ in range(3):
+        semigroup(f, OP_DIRICHLET, 0.25, 1.5)
+    assert len(built) == 2
+
+
+def test_new_grid_op_or_order_rebuilds_the_symbol(monkeypatch):
+    # each change of the key misses and gives the bits of a cold call
+    from halfspace_spectral import spectral
+
+    g, h = make_grid(1, 16.0, 1024), make_grid(1, 16.0, 2048)
+    f = make_family("bump_random", g, OP_NEUMANN, 0, 1)[0]
+    fh = make_family("bump_random", h, OP_NEUMANN, 0, 1)[0]
+    calls = [lambda: frac_power(f, OP_NEUMANN, 1.5),
+             lambda: frac_power(fh, OP_NEUMANN, 1.5),
+             lambda: frac_power(f.with_bc(OP_DIRICHLET), OP_DIRICHLET, 1.5),
+             lambda: frac_power(f, OP_NEUMANN, 2.5),
+             lambda: semigroup(f, OP_NEUMANN, 0.5, 1.5),
+             lambda: semigroup(f, OP_NEUMANN, 0.25, 1.5)]
+    cold = []
+    for call in calls:
+        spectral._SYMBOL_CACHE.clear()
+        cold.append(call().values)
+    built = _count_symbols(monkeypatch)
+    for i, call in enumerate(calls):
+        assert np.array_equal(call().values, cold[i]), i
+        assert len(built) == i + 1
+
+
+def test_user_multiplier_is_checked_on_every_call(grid2d, monkeypatch):
+    # a keyed symbol is checked once; a multiplier with no key, here one
+    # without Hermitian symmetry, is evaluated and refused on each call
+    from halfspace_spectral.halfspace_ops import _calculus
+
+    f = make_family("bump_random", grid2d, OP_DIRICHLET, 0, 1)[0]
+    built = _count_symbols(monkeypatch)
+    live = Multiplier(lambda *mesh: 1j * mesh[0], 0.0, "live")
+    for _ in range(2):
+        frac_power(f, OP_DIRICHLET, 1.0)
+        with pytest.raises(NumericalGuardError, match="Hermitian"):
+            _calculus(f, OP_DIRICHLET, live)
+    assert built == ["|xi|^1.0", "live", "|xi|^1.0", "live"]
+    frac_power(f, OP_DIRICHLET, 1.0)
+    frac_power(f, OP_DIRICHLET, 1.0)
+    assert len(built) == 5
