@@ -60,7 +60,7 @@ class GridSpec:
         if not 1 <= self.n <= 3:
             raise ConfigError(f"dimension n={self.n} outside 1..3")
         if not (self.L > 0 and np.isfinite(self.L)):
-            raise ConfigError(f"box half-width L={self.L} must be positive")
+            raise ConfigError(f"box half-width L={self.L} must be positive and finite")
         N = self.N
         if N < 8 or (N & (N - 1)) != 0:
             raise ConfigError(f"N={N} must be a power of two >= 8")

@@ -17,10 +17,12 @@ k = pi m / L, are the Dirichlet and Neumann eigenfunctions.  The
 private pair ``_half_forward``/``_half_inverse`` computes it as a
 tangential DFT times a DCT-II (the DST-II is the DCT-II of the samples
 with alternating signs, in reverse coefficient order), and the DCT-II
-as one complex FFT of permuted samples (Makhoul 1980).  Each operator
-call is one in-place ``numpy.fft.fftn`` and one in-place ``ifftn`` of
-N^(n-1) N/2 points on one complex work buffer: the forward transform
-allocates it, and the inverse overwrites it.  A half-space symbol must
+as the FFT of permuted samples (Makhoul 1980).  Those samples are real,
+so they are packed two to a complex point and transformed at half
+length.  Each operator call is one in-place ``numpy.fft.fftn`` and one
+in-place ``ifftn`` of N^(n-1) N/4 points on one complex work buffer of
+the coefficients' size: the forward transform allocates it, and the
+inverse overwrites it.  A half-space symbol must
 be Hermitian in the tangential frequencies, exactly, as a box symbol
 must be in all of them; one guard, ``_symbol``, checks both.  The
 symbols the package builds for ``frac_power`` and ``semigroup`` carry a
@@ -295,14 +297,24 @@ def _semigroup_multiplier(t: float, s: float) -> Multiplier:
 
 @functools.lru_cache(maxsize=None)
 def _half_twiddles(M: int):
-    """exp(-i pi k / 2M) / 2 and exp(i pi k / 2M), k = 0..M-1, read-only.
+    """The read-only constants of the length-M pair, k < h = M/2.
 
-    The 1/2 of the first belongs to the tangential pairing.
+    With W_k = exp(-i pi k / 2M), w = exp(-2 pi i / M), e = W_h =
+    exp(-i pi / 4), a = W_k (1 - i w^k) / 4 and b = W_k (1 + i w^k) / 4:
+    the forward's a, e b, conj(b) and conj(e a), and the inverse's
+    alpha = 2 conj(a) and beta = 2 conj(e b).  The forward's 1/4 is the
+    1/2 of the even and odd split times the 1/2 of the tangential
+    pairing.
     """
-    fwd = 0.5 * np.exp(-0.5j * np.pi * np.arange(M) / M)
-    inv = 2.0 * np.conjugate(fwd)
-    fwd.flags.writeable = inv.flags.writeable = False
-    return fwd, inv
+    h = M // 2
+    W = np.exp(-0.5j * np.pi * np.arange(M) / M)
+    iw = 1j * np.exp(-2j * np.pi * np.arange(h) / M)
+    a, b, e = 0.25 * W[:h] * (1.0 - iw), 0.25 * W[:h] * (1.0 + iw), W[h]
+    out = (a, e * b, np.conjugate(b), np.conjugate(e * a),
+           2.0 * np.conjugate(a), 2.0 * np.conjugate(e * b))
+    for c in out:
+        c.flags.writeable = False
+    return out
 
 
 def _normal_pairs(a: np.ndarray) -> tuple:
@@ -312,33 +324,62 @@ def _normal_pairs(a: np.ndarray) -> tuple:
     return a[..., 1:M // 2], a[..., :M // 2:-1]
 
 
+def _times_reversed(a: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
+    """out = c a(-k) along the last axis, k taken modulo its length."""
+    np.multiply(a[..., :1], c[:1], out=out[..., :1])
+    np.multiply(a[..., :0:-1], c[1:], out=out[..., 1:])
+
+
 def _half_forward(values: np.ndarray, odd: bool) -> np.ndarray:
     """Tangential DFT times normal DCT-II of real half-grid samples.
 
-    The DCT-II of length M = N/2 is the real part of the twiddled FFT of
-    the even samples followed by the reversed odd ones.  With ``odd``
-    the odd samples are negated too, and since DST-II(x)_(M-1-k) =
-    DCT-II((-1)^j x)_k, coefficient k holds the sine mode M - k instead
-    of the cosine mode k.  The tangential axes stay complex, so the
-    real part pairs (m', k) with (-m', k).
+    The DCT-II of length M = N/2 is the real part of W_k U_k, with U the
+    FFT of the even samples followed by the reversed odd ones.  With
+    ``odd`` the odd samples are negated too, and since DST-II(x)_(M-1-k)
+    = DCT-II((-1)^j x)_k, coefficient k holds the sine mode M - k
+    instead of the cosine mode k.  The tangential axes stay complex, so
+    the real part pairs (m', k) with (-m', k): X = P + conj P(-m', k).
 
-    The samples go into the real part of one zeroed complex buffer; the
-    FFT, the twiddle and the pairing run in place on it, the pairing
-    through one real temporary at a time.
+    The permuted samples u are packed two to a complex point, z_j =
+    u_2j + i u_(2j+1), so that one FFT of length h = M/2 yields Z.  Its
+    even and odd parts (Z + Zc)/2 and (Z - Zc)/2i, with Zc(m) = conj
+    Z(-m) over all axes, give U_k and U_(k+h) by one butterfly with w^k.
+    The pairing supplies the conjugates, so P needs only Z(m', -k):
+    P_k = a Z_k + conj(b) Z_-k and P_(k+h) = e b Z_k + conj(e a) Z_-k,
+    with the constants of ``_half_twiddles``.  In 1-D the pairing is
+    twice the real part, so the coefficients are exactly real.
+
+    The packed samples fill the first half of one complex buffer; the
+    FFT, the mixing and the pairing run in place on it, with one
+    temporary at a time.
     """
     M = values.shape[-1]
-    buf = np.zeros(values.shape, dtype=complex)
-    re, im = buf.real, buf.imag
-    re[..., :M // 2] = values[..., ::2]
+    h = M // 2
+    a, eb, b_conj, ea_conj = _half_twiddles(M)[:4]
+    buf = np.empty(values.shape, dtype=complex)
+    lo, hi = buf[..., :h], buf[..., h:]
+    u = lo.view(float)
+    u[..., :h] = values[..., ::2]
     if odd:
-        np.negative(values[..., ::-2], out=re[..., M // 2:])
+        np.negative(values[..., ::-2], out=u[..., h:])
     else:
-        re[..., M // 2:] = values[..., ::-2]
-    np.fft.fftn(buf, out=buf)
-    buf *= _half_twiddles(M)[0]
+        u[..., h:] = values[..., ::-2]
+    np.fft.fftn(lo, out=lo)
+    tmp = np.multiply(lo, eb)
+    _times_reversed(lo, ea_conj, out=hi)
+    hi += tmp
+    _times_reversed(lo, b_conj, out=tmp)
+    lo *= a
+    lo += tmp
+    del tmp
+    re, im = buf.real, buf.imag
     axes = tuple(range(buf.ndim - 1))
-    re += _mirror(re, axes)
-    im -= _mirror(im, axes)
+    if axes:
+        re += _mirror(re, axes)
+        im -= _mirror(im, axes)
+    else:
+        re *= 2.0
+        im[...] = 0.0
     return buf
 
 
@@ -346,31 +387,40 @@ def _half_inverse(coef: np.ndarray, odd: bool) -> np.ndarray:
     """Inverse of :func:`_half_forward`: the real half-grid samples.
 
     Along the normal, the DCT-III of real coefficients X is the inverse
-    FFT of conj(twiddle) (X_k - i X_(M-k)), with X_M = 0, unpermuted.
+    FFT of U_k = conj(W_k) (X_k - i X_(M-k)), with X_M = 0, unpermuted.
+    Only the spectrum of the packed samples is formed, for k < h:
 
-    ``coef`` is the work buffer and is overwritten: the pairing, the
-    twiddle and the inverse FFT run in place on it.  Callers pass a
+        Z_k = alpha (X_k - i X_(M-k)) + beta (X_(k+h) - i X_(h-k)),
+
+    the even part (U_k + U_(k+h))/2 plus i times the odd part (U_k -
+    U_(k+h))/2w^k.  The interleaved real and imaginary parts of its
+    inverse FFT are the permuted samples.
+
+    ``coef`` is the work buffer and is overwritten: Z is formed in its
+    first half, where the inverse FFT runs in place.  Callers pass a
     temporary, such as the product of a symbol and the coefficients.
-    The pairing's temporary is the memory of the real output, which it
-    fills only once the transform is done.
+    The memory of the real output holds the beta term until the
+    transform is done.
     """
     M = coef.shape[-1]
+    h = M // 2
+    alpha, beta = _half_twiddles(M)[4:]
     out = np.empty(coef.shape)
-    lo, hi = _normal_pairs(coef)
-    tmp = np.multiply(hi, -1j, out=out.view(complex)[..., 1:])
-    # multiplying by -i and back by i is exact
-    lo *= -1j
-    hi += lo
-    lo *= 1j
-    lo += tmp
-    coef[..., M // 2] *= 1 - 1j
-    coef *= _half_twiddles(M)[1]
-    v = np.fft.ifftn(coef, out=coef).real
-    out[..., ::2] = v[..., :M // 2]
+    lo, hi = coef[..., :h], coef[..., h:]
+    r = np.multiply(coef[..., h:0:-1], -1j, out=out.view(complex))
+    r += hi
+    r *= beta
+    # hi is not read again, so -i X_(M-k) is formed in place
+    hi *= -1j
+    lo[..., 1:] += coef[..., :h:-1]
+    lo *= alpha
+    lo += r
+    u = np.fft.ifftn(lo, out=lo).view(float)
+    out[..., ::2] = u[..., :h]
     if odd:
-        np.negative(v[..., :M // 2 - 1:-1], out=out[..., 1::2])
+        np.negative(u[..., :h - 1:-1], out=out[..., 1::2])
     else:
-        out[..., 1::2] = v[..., :M // 2 - 1:-1]
+        out[..., 1::2] = u[..., :h - 1:-1]
     return out
 
 

@@ -454,25 +454,27 @@ def test_diagnostics_refuse_exponents_outside_one_to_inf(diagnostic, p):
         diagnostic(p)
 
 
-def test_diagnostics_transform_only_the_half_grid(monkeypatch):
+def test_diagnostics_make_quarter_size_transforms(monkeypatch):
     # the counterexample is the odd reflection of Phi, so the sine
-    # transform of Phi on N/2 points carries it; the quadrature oracle
-    # runs on scipy and is not counted
+    # transform of Phi on N/2 points, packed into N/4 complex points and
+    # transformed in place, carries it; the quadrature oracle runs on
+    # scipy and is not counted
     sizes = []
     for name in ("fftn", "ifftn"):
         def record(a, *args, _orig=getattr(np.fft, name), **kw):
-            sizes.append(np.size(a))
+            in_place = np.iscomplexobj(a) and kw.get("out") is a
+            sizes.append((np.size(a), in_place))
             return _orig(a, *args, **kw)
         monkeypatch.setattr(np.fft, name, record)
     g = make_grid(1, 16.0, 4096)
-    # box and half sizes of the ladder are disjoint
-    for run, Ns in ((lambda: singular_window_growth(2.0, 16.0, (4096, 16384)),
-                     (4096, 16384)),
+    # box and quarter sizes of the ladder are disjoint
+    for run, Ns in ((lambda: singular_window_growth(2.0, 16.0, (4096, 8192)),
+                     (4096, 8192)),
                     (lambda: besov_block_floor(2.0, g), (4096,)),
                     (lambda: singularity_profile(2.0, g), (4096,))):
         sizes.clear()
         run()
-        assert sizes and set(sizes) <= {N // 2 for N in Ns}
+        assert sizes and set(sizes) <= {(N // 4, True) for N in Ns}
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])

@@ -217,15 +217,16 @@ def _band_random_direct(grid, odd, rng, ref_N):
 @pytest.mark.parametrize("op", [OP_DIRICHLET, OP_NEUMANN])
 def test_band_random_is_one_inverse_transform_of_its_modes(
         n, L, N, ref_N, seeds, op, monkeypatch):
-    # each field is one half-size inverse transform of its sparse
-    # coefficients, seen on numpy.fft, and equals the pointwise sum of
-    # its modes to roundoff
+    # each field is one quarter-size inverse transform of its sparse
+    # coefficients, in place and seen on numpy.fft, and equals the
+    # pointwise sum of its modes to roundoff
     grid = make_grid(n, L, N)
-    half = N ** (n - 1) * N // 2
+    quarter = N ** (n - 1) * N // 4
     calls = []
     for name in ("fftn", "ifftn"):
         def record(a, *args, _name=name, _orig=getattr(np.fft, name), **kw):
-            calls.append((_name, np.size(a)))
+            in_place = np.iscomplexobj(a) and kw.get("out") is a
+            calls.append((_name, np.size(a), in_place))
             return _orig(a, *args, **kw)
         monkeypatch.setattr(np.fft, name, record)
     # the 3-D check draws one field and sub-samples its tangential rows
@@ -234,7 +235,7 @@ def test_band_random_is_one_inverse_transform_of_its_modes(
     for seed in seeds:
         calls.clear()
         fields = make_family("band_random", grid, op, seed, count, ref_N)
-        assert calls == [("ifftn", half)] * count
+        assert calls == [("ifftn", quarter, True)] * count
         rng = np.random.default_rng(seed)
         for f in fields:
             expr = _band_random_direct(grid, op == OP_DIRICHLET, rng, ref_N)

@@ -91,6 +91,13 @@ def test_bad_box_size_rejected(L):
         make_grid(1, L, 64)
 
 
+@pytest.mark.parametrize("L", [float("inf"), float("nan")])
+def test_box_size_must_be_finite(L):
+    # inf is positive, so the message must name finiteness
+    with pytest.raises(ConfigError, match="finite"):
+        make_grid(1, L, 64)
+
+
 # ---------------------------------------------------------------------------
 # sampling and field containers
 

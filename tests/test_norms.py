@@ -414,11 +414,12 @@ def test_besov_passes_agree_with_the_image_oracle(n, op, homogeneous,
 
 
 @pytest.mark.parametrize("op", [OP_DIRICHLET, OP_NEUMANN])
-def test_besov_passes_transform_only_the_half_grid(op, monkeypatch):
+def test_besov_passes_make_quarter_size_transforms(op, monkeypatch):
     # the smallest 2-D grid that builds a bank: one forward transform of
-    # the 256 x 128 half-grid, then one inverse per block or t-node and
-    # per low-pass term, and never a 256 x 256 transform of an extension;
-    # each transform runs in place on a complex array (out= is the input)
+    # the 256 x 128 half-grid, packed into 256 x 64 complex points, then
+    # one inverse per block or t-node and per low-pass term, and never a
+    # 256 x 256 transform of an extension; each transform runs in place
+    # on a complex array (out= is the input)
     g = make_grid(2, 8.0, 256)
     bank = get_bank(g)
     f = make_family("band_random", g, op, 3, 1, g.N)[0]
@@ -430,7 +431,7 @@ def test_besov_passes_transform_only_the_half_grid(op, monkeypatch):
             sizes.append((_name, np.size(a), in_place))
             return _orig(a, *args, **kw)
         monkeypatch.setattr(np.fft, name, record)
-    fwd, inv = ("fftn", 256 * 128, True), ("ifftn", 256 * 128, True)
+    fwd, inv = ("fftn", 256 * 64, True), ("ifftn", 256 * 64, True)
     for homogeneous in (True, False):
         spec = SpaceSpec("besov", 1.0, 2.0, 2.0, homogeneous, op)
         sizes.clear()
