@@ -429,7 +429,8 @@ def paraproduct_split(F: SampledField, G: SampledField,
         xhat = np.fft.fftn(X.values)
         _check_leak(np.abs(xhat) ** 2, lam, bank, low_too=True)
         return [block for _, block in _dyadic_blocks(
-            xhat, lam, bank, js, lambda a: np.fft.ifftn(a).real)]
+            lambda profile, _: np.fft.ifftn(profile(lam) * xhat).real,
+            bank, js)]
 
     bF = blocks_of(F)
     bG = blocks_of(G)
@@ -637,12 +638,11 @@ def besov_block_floor(p: float, grid: GridSpec,
         raise ConfigError(
             f"only {bank.j_max - j0 + 1} octaves above the support scale; "
             "increase N")
-    coef, lam, _, inverse = _half_spectrum(_phi_half(grid).values, grid,
-                                           True)
+    band = _half_spectrum(_phi_half(grid).values, grid, True)[3]
     js = list(range(j0, bank.j_max + 1))
     blocks_arr = np.asarray([
         2.0 ** ((j + 1) / p) * lp_norm(HalfField(grid, block), p)
-        for j, block in _dyadic_blocks(coef, lam, bank, js, inverse)])
+        for j, block in _dyadic_blocks(band, bank, js)])
 
     last4 = blocks_arr[-4:]
     plateau = bool(last4.min() > 0.5 * float(np.median(last4))

@@ -12,8 +12,9 @@ transform of :mod:`halfspace_spectral.spectral` (M = N/2), cosine mode m
 is coefficient m, and either takes the value amp M/2.  A tangential
 factor cos(pi m_t x / L + phase) is the pair of DFT entries +-m_t with
 c N/2 and conj(c) N/2, c = exp(i (phase - pi m_t + pi m_t / N)) on the
-staggered grid.  One inverse transform of the sparse array gives the
-field, equal to the pointwise sum to roundoff.
+staggered grid.  Only the tangential rows |m_t| <= 4 are nonzero, and
+the row-limited inverse transform of those rows gives the field, equal
+to the pointwise sum to roundoff.
 
 Available names:
 
@@ -43,7 +44,7 @@ import numpy as np
 from .errors import ConfigError
 from .grid import BC_DIRICHLET, BC_NEUMANN, GridSpec, HalfField, sample_half
 from .halfspace_ops import OP_DIRICHLET
-from .spectral import _half_inverse, _resolved_octaves, smooth_step
+from .spectral import _half_inverse_rows, _resolved_octaves, smooth_step
 
 __all__ = ["cutoff_profile", "bump", "counterexample_expr", "make_family",
            "FAMILY_NAMES"]
@@ -110,20 +111,27 @@ def _band_random(grid: GridSpec, parity: str, rng, ref_N: int) -> HalfField:
     # the coefficients of the module docstring
     N, M = grid.N, grid.N // 2
     odd = parity == BC_DIRICHLET
-    coef = np.zeros((N,) * (grid.n - 1) + (M,), dtype=complex)
+    # only the tangential rows |m_t| <= 4 are filled; in fft order
+    # along each axis they are the modes 0..4 and -4..-1
+    low = np.abs(np.fft.fftfreq(N, 1.0 / N)) <= 4
+    rows = np.flatnonzero(functools.reduce(np.logical_and.outer,
+                                           [low] * (grid.n - 1), True))
+    K = np.count_nonzero(low)
+    coef = np.zeros((K,) * (grid.n - 1) + (M,), dtype=complex)
     for i, m in enumerate(ms):
         factors = []
         for ax in range(grid.n - 1):
             # tangential factor at a low mode, random phase
             m_t = 1 + (int(m) + ax) % 4
             c = np.exp(1j * (phases[i, ax] - np.pi * m_t + np.pi * m_t / N))
-            t = np.zeros(N, dtype=complex)
+            t = np.zeros(K, dtype=complex)
             t[m_t], t[-m_t] = c * N / 2, np.conjugate(c) * N / 2
             factors.append(t)
         coef[..., M - m if odd else m] = functools.reduce(
             np.multiply.outer, factors, amps[i] * M / 2)
-    return HalfField(grid, _half_inverse(coef, odd),
-                     BC_DIRICHLET if odd else BC_NEUMANN)
+    values = _half_inverse_rows(coef.reshape(-1, M), rows,
+                                (N,) * (grid.n - 1) + (M,), odd)
+    return HalfField(grid, values, BC_DIRICHLET if odd else BC_NEUMANN)
 
 
 def _bump_random(grid: GridSpec, parity: str, rng) -> HalfField:

@@ -207,7 +207,10 @@ def lp_norm(field, p: float) -> float:
     if np.isinf(p):
         return float(np.max(np.abs(v))) if v.size else 0.0
     h = field.grid.h
-    return float((h ** field.grid.n * np.sum(np.abs(v) ** p)) ** (1.0 / p))
+    mass = np.abs(v)
+    if p != 1:
+        mass **= p
+    return float((h ** field.grid.n * np.sum(mass)) ** (1.0 / p))
 
 
 def integrate(field) -> float:

@@ -35,7 +35,8 @@ from .errors import ConfigError, NumericalGuardError
 from .grid import HalfField, _exponent, lp_norm
 from .halfspace_ops import (OP_DIRICHLET, OP_NEUMANN, _calculus, _is_odd,
                             extend_for, frac_power)
-from .spectral import DyadicBank, Multiplier, _dyadic_blocks, _half_spectrum
+from .spectral import (DyadicBank, Multiplier, _dyadic_blocks, _half_inverse,
+                       _half_spectrum, _lowpass_block)
 
 __all__ = [
     "SpaceSpec",
@@ -143,13 +144,12 @@ def _dyadic_pass(hf: HalfField, spec: SpaceSpec, bank: DyadicBank,
     the full box of the blocks' parity extensions (else None).
     """
     work = _checked(hf, spec, "besov", what)
-    coef, lam, power, inverse = _half_spectrum(
+    _, lam, power, band = _half_spectrum(
         work.values, work.grid, _is_odd(work, spec.op))
     leak = _check_leak(power, lam, bank, low_too=spec.homogeneous)
     j_lo = bank.j_min if spec.homogeneous else max(bank.j_min, 1)
     blocks, box_weighted = [], []
-    for j, block in _dyadic_blocks(coef, lam, bank,
-                                   range(j_lo, bank.j_max + 1), inverse):
+    for j, block in _dyadic_blocks(band, bank, range(j_lo, bank.j_max + 1)):
         part = work.with_values(block)
         b = lp_norm(part, spec.p)
         blocks.append({"j": j, "norm": b, "weighted": 2.0 ** (spec.s * j) * b})
@@ -160,7 +160,7 @@ def _dyadic_pass(hf: HalfField, spec: SpaceSpec, bank: DyadicBank,
     value = _lq([b["weighted"] for b in blocks], spec.q)
     full = _lq(box_weighted, spec.q) if box else None
     if not spec.homogeneous:
-        low = work.with_values(inverse(bank.psi(lam) * coef))
+        low = work.with_values(_lowpass_block(band, bank))
         terms["lowpass"] = lp_norm(low, spec.p)
         value = terms["lowpass"] + value
         if box:
@@ -211,13 +211,13 @@ def besov_norm_semigroup(hf: HalfField, spec: SpaceSpec, M: int | None = None,
         if t_grid.size == 0:
             raise ConfigError("inhomogeneous variant integrates over (0, 1]")
 
-    coef, lam, _, inverse = _half_spectrum(work.values, work.grid,
-                                           _is_odd(work, spec.op))
+    odd = _is_odd(work, spec.op)
+    coef, lam, _, band = _half_spectrum(work.values, work.grid, odd)
     lam2 = lam ** 2
     vals = np.empty(t_grid.size)
     for i, t in enumerate(t_grid):
         sym = (t * lam2) ** M * np.exp(-t * lam2)
-        block = work.with_values(inverse(sym * coef))
+        block = work.with_values(_half_inverse(sym * coef, odd))
         vals[i] = t ** (-spec.s / 2.0) * lp_norm(block, spec.p)
 
     if np.isinf(spec.q):
@@ -227,7 +227,7 @@ def besov_norm_semigroup(hf: HalfField, spec: SpaceSpec, M: int | None = None,
                      ** (1.0 / spec.q))
     if spec.homogeneous:
         return body
-    return lp_norm(work.with_values(inverse(bank.psi(lam) * coef)),
+    return lp_norm(work.with_values(_lowpass_block(band, bank)),
                    spec.p) + body
 
 

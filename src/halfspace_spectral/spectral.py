@@ -27,8 +27,13 @@ be Hermitian in the tangential frequencies, exactly, as a box symbol
 must be in all of them; one guard, ``_symbol``, checks both.  The
 symbols the package builds for ``frac_power`` and ``semigroup`` carry a
 key, and the last keyed symbol is kept after its check, so that a sweep
-rung evaluates and checks each one once.  ``families`` synthesizes its
-band-limited draws with the same inverse.
+rung evaluates and checks each one once.
+
+Coefficients that vanish off some tangential rows, the normal lines of
+single tangential frequencies, have a row-limited inverse,
+``_half_inverse_rows``: an in-place ``ifftn`` along the normal on those
+rows alone, then one over the tangential axes on N^(n-1) N/4 points.
+``families`` synthesizes its band-limited draws with it.
 
 The dyadic bank realizes a standard smooth partition of unity: with
 eta(lambda) equal to 1 on [0, 1], supported in [0, 2] and built from
@@ -48,9 +53,13 @@ that they pin the exact profiles they were produced with.
 This module is the single owner of the dyadic split: the radial
 frequency |xi|, the octave range a grid resolves and the loop that
 inverse-transforms one block phi_j(|xi|) fhat at a time, by the box
-DFT or by the half-length pair.  The half-space Besov passes take the
-sine or cosine coefficients, |xi| and the Parseval-weighted power from
-``_half_spectrum``.
+DFT or by the half-length pair.  phi_j vanishes from |xi| = 2^(j+1)
+on, and the low-pass psi from 2 on, so on the half-length pair each
+block touches only the tangential rows |xi_t| its annulus reaches: the
+profile is evaluated, the product formed and the normal-axis inverse
+run on those rows alone.  The half-space Besov passes take the sine or
+cosine coefficients, |xi|, the Parseval-weighted power and that
+row-limited band from ``_half_spectrum``.
 
 A real-space quadrature for the fractional Laplacian at order
 s in (0, 1) lives here too; it is the independent check that the
@@ -383,8 +392,9 @@ def _half_forward(values: np.ndarray, odd: bool) -> np.ndarray:
     return buf
 
 
-def _half_inverse(coef: np.ndarray, odd: bool) -> np.ndarray:
-    """Inverse of :func:`_half_forward`: the real half-grid samples.
+def _packed_spectrum(coef: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The spectrum Z of the packed samples, formed in place in the
+    first half of ``coef`` along the normal and returned as that view.
 
     Along the normal, the DCT-III of real coefficients X is the inverse
     FFT of U_k = conj(W_k) (X_k - i X_(M-k)), with X_M = 0, unpermuted.
@@ -393,21 +403,15 @@ def _half_inverse(coef: np.ndarray, odd: bool) -> np.ndarray:
         Z_k = alpha (X_k - i X_(M-k)) + beta (X_(k+h) - i X_(h-k)),
 
     the even part (U_k + U_(k+h))/2 plus i times the odd part (U_k -
-    U_(k+h))/2w^k.  The interleaved real and imaginary parts of its
-    inverse FFT are the permuted samples.
-
-    ``coef`` is the work buffer and is overwritten: Z is formed in its
-    first half, where the inverse FFT runs in place.  Callers pass a
-    temporary, such as the product of a symbol and the coefficients.
-    The memory of the real output holds the beta term until the
-    transform is done.
+    U_(k+h))/2w^k.  The mixing acts along the normal alone, row by
+    row.  ``scratch``, a complex array of Z's shape, holds the beta
+    term.
     """
     M = coef.shape[-1]
     h = M // 2
     alpha, beta = _half_twiddles(M)[4:]
-    out = np.empty(coef.shape)
     lo, hi = coef[..., :h], coef[..., h:]
-    r = np.multiply(coef[..., h:0:-1], -1j, out=out.view(complex))
+    r = np.multiply(coef[..., h:0:-1], -1j, out=scratch)
     r += hi
     r *= beta
     # hi is not read again, so -i X_(M-k) is formed in place
@@ -415,13 +419,61 @@ def _half_inverse(coef: np.ndarray, odd: bool) -> np.ndarray:
     lo[..., 1:] += coef[..., :h:-1]
     lo *= alpha
     lo += r
-    u = np.fft.ifftn(lo, out=lo).view(float)
+    return lo
+
+
+def _unpacked(z: np.ndarray, odd: bool, out: np.ndarray) -> np.ndarray:
+    """``out`` filled with the samples whose packed values are the
+    inverse FFT ``z``: its interleaved real and imaginary parts are the
+    permuted samples."""
+    u = z.view(float)
+    h = u.shape[-1] // 2
     out[..., ::2] = u[..., :h]
     if odd:
         np.negative(u[..., :h - 1:-1], out=out[..., 1::2])
     else:
         out[..., 1::2] = u[..., :h - 1:-1]
     return out
+
+
+def _half_inverse(coef: np.ndarray, odd: bool) -> np.ndarray:
+    """Inverse of :func:`_half_forward`: the real half-grid samples.
+
+    ``coef`` is the work buffer and is overwritten: the packed spectrum
+    is formed in its first half, where the inverse FFT runs in place.
+    Callers pass a temporary, such as the product of a symbol and the
+    coefficients.  The memory of the real output holds the beta term
+    until the transform is done.
+    """
+    out = np.empty(coef.shape)
+    z = _packed_spectrum(coef, out.view(complex))
+    return _unpacked(np.fft.ifftn(z, out=z), odd, out)
+
+
+def _half_inverse_rows(coef: np.ndarray, rows: np.ndarray, shape: tuple,
+                       odd: bool) -> np.ndarray:
+    """:func:`_half_inverse` of coefficients that vanish off some rows.
+
+    A row is the normal line of one tangential frequency.  ``coef`` has
+    one row for each of the flat indices ``rows``, ascending over the
+    tangential axes of the half-grid ``shape``, and every other row is
+    zero.  The mixing and the normal-axis inverse FFT run on those rows
+    alone, which are then scattered into one zeroed buffer of packed
+    points for the inverse FFT over the tangential axes.  numpy
+    transforms the last axis first, so the split is the same transform.
+    With every row, or in 1-D, it is :func:`_half_inverse`.  ``coef``
+    is overwritten.
+    """
+    if len(coef) == math.prod(shape[:-1]):
+        return _half_inverse(coef.reshape(shape), odd)
+    out = np.empty(shape)
+    h = shape[-1] // 2
+    z = _packed_spectrum(coef, out.view(complex).reshape(-1, h)[:len(coef)])
+    np.fft.ifftn(z, axes=(-1,), out=z)
+    buf = np.zeros(shape[:-1] + (h,), dtype=complex)
+    buf.reshape(-1, h)[rows] = z
+    np.fft.ifftn(buf, axes=tuple(range(len(shape) - 1)), out=buf)
+    return _unpacked(buf, odd, out)
 
 
 def _normal_wavenumbers(xi: np.ndarray, odd: bool) -> np.ndarray:
@@ -441,19 +493,38 @@ def _half_mesh(grid: GridSpec, odd: bool) -> tuple:
 
 
 def _half_spectrum(values: np.ndarray, grid: GridSpec, odd: bool):
-    """(coefficients, |xi|, power, inverse) of a real half-grid array.
+    """(coefficients, |xi|, power, band) of a real half-grid array.
 
     The power weighs |coef|^2 as Parseval weighs the extension's
     spectrum: coefficient 0 holds cosine mode 0 or sine mode M, which
     is unpaired, and every other coefficient stands for +-m on the box.
-    The inverse overwrites its argument, so pass it a product, never
-    the coefficients themselves.
+    ``band(profile, radius)`` is the field of profile(|xi|) coef, for a
+    profile that vanishes from |xi| = radius on (:func:`_half_band`).
     """
     coef = _half_forward(values, odd)
     power = np.abs(coef) ** 2
     power[..., 1:] *= 2.0
-    return (coef, _radial(_half_mesh(grid, odd)), power,
-            functools.partial(_half_inverse, odd=odd))
+    mesh = _half_mesh(grid, odd)
+    lam = _radial(mesh)
+    return coef, lam, power, functools.partial(
+        _half_band, coef, lam, np.ravel(_radial(mesh[:-1])), odd)
+
+
+def _half_band(coef, lam, tangential, odd: bool, profile,
+               radius: float) -> np.ndarray:
+    """The real samples of profile(|xi|) coef, where ``profile``
+    vanishes from |xi| = radius on.
+
+    Since |xi| >= |xi_t|, every row whose tangential |xi_t|, listed
+    flat in ``tangential``, reaches the radius is zero: the profile is
+    evaluated and the product formed on the other rows alone, for
+    :func:`_half_inverse_rows`.
+    """
+    rows = np.flatnonzero(tangential < radius)
+    M = coef.shape[-1]
+    product = coef.reshape(-1, M)[rows]
+    product *= profile(lam.reshape(-1, M)[rows])
+    return _half_inverse_rows(product, rows, coef.shape, odd)
 
 
 #: the last keyed symbol: {(grid, odd, key): checked read-only array}
@@ -563,13 +634,24 @@ def _resolved_octaves(grid: GridSpec) -> tuple[int, int]:
     return j_min, j_max
 
 
-def _dyadic_blocks(fhat, lam, bank: DyadicBank, octaves, inverse):
-    """Yield (j, real block) for each octave, one ``inverse`` transform
-    at a time, so that no more than one block is held in memory.  Each
-    transform gets the product phi_j fhat, a temporary that the
-    half-space inverse overwrites."""
+def _dyadic_blocks(band, bank: DyadicBank, octaves):
+    """Yield (j, real block) for each octave, one transform at a time,
+    so that no more than one block is held in memory.
+
+    ``band(profile, radius)`` transforms profile(|xi|) fhat for a
+    profile that vanishes from |xi| = radius on.  phi_j vanishes from
+    2^(j+1) on, so the half-space band evaluates phi_j and transforms
+    only the tangential rows |xi_t| < 2^(j+1) that its annulus
+    reaches; the box band takes the whole grid.
+    """
     for j in octaves:
-        yield j, inverse(bank.phi(j, lam) * fhat)
+        yield j, band(functools.partial(bank.phi, j), 2.0 ** (j + 1))
+
+
+def _lowpass_block(band, bank: DyadicBank) -> np.ndarray:
+    """The inhomogeneous low-pass term psi(|xi|) fhat; psi vanishes from
+    |xi| = 2 on."""
+    return band(bank.psi, 2.0)
 
 
 def build_bank(grid: GridSpec, phi0_scale: float = 1.0) -> DyadicBank:
@@ -596,9 +678,9 @@ def dyadic_block(f: SampledField, j: int, bank: DyadicBank) -> SampledField:
     if not bank.j_min <= j <= bank.j_max:
         raise ConfigError(
             f"octave j={j} outside resolved range [{bank.j_min}, {bank.j_max}]")
-    _, block = next(_dyadic_blocks(np.fft.fftn(f.values),
-                                   _radial(f.grid.freq_mesh()), bank, (j,),
-                                   lambda a: np.fft.ifftn(a).real))
+    fhat, lam = np.fft.fftn(f.values), _radial(f.grid.freq_mesh())
+    _, block = next(_dyadic_blocks(
+        lambda profile, _: np.fft.ifftn(profile(lam) * fhat).real, bank, (j,)))
     return SampledField(f.grid, block)
 
 

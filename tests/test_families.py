@@ -219,23 +219,30 @@ def test_band_random_is_one_inverse_transform_of_its_modes(
         n, L, N, ref_N, seeds, op, monkeypatch):
     # each field is one quarter-size inverse transform of its sparse
     # coefficients, in place and seen on numpy.fft, and equals the
-    # pointwise sum of its modes to roundoff
+    # pointwise sum of its modes to roundoff.  In 2-D and 3-D it runs
+    # along the normal on the 9^(n-1) tangential rows |m_t| <= 4 that
+    # the draw fills, then over the tangential axes on N^(n-1) N/4 points
     grid = make_grid(n, L, N)
     quarter = N ** (n - 1) * N // 4
     calls = []
     for name in ("fftn", "ifftn"):
         def record(a, *args, _name=name, _orig=getattr(np.fft, name), **kw):
             in_place = np.iscomplexobj(a) and kw.get("out") is a
-            calls.append((_name, np.size(a), in_place))
+            calls.append((_name, np.size(a), kw.get("axes"), in_place))
             return _orig(a, *args, **kw)
         monkeypatch.setattr(np.fft, name, record)
+    if n == 1:
+        synthesis = [("ifftn", quarter, None, True)]
+    else:
+        synthesis = [("ifftn", 9 ** (n - 1) * N // 4, (-1,), True),
+                     ("ifftn", quarter, tuple(range(n - 1)), True)]
     # the 3-D check draws one field and sub-samples its tangential rows
     # to stay small
     count, rows = (2, np.arange(N)) if n < 3 else (1, np.arange(0, N, 15))
     for seed in seeds:
         calls.clear()
         fields = make_family("band_random", grid, op, seed, count, ref_N)
-        assert calls == [("ifftn", quarter, True)] * count
+        assert calls == synthesis * count
         rng = np.random.default_rng(seed)
         for f in fields:
             expr = _band_random_direct(grid, op == OP_DIRICHLET, rng, ref_N)

@@ -39,7 +39,8 @@ from halfspace_spectral import (
     sobolev_norm,
     tangential_derivative,
 )
-from halfspace_spectral.spectral import _half_multiplier
+from halfspace_spectral.spectral import (_half_forward, _half_inverse,
+                                         _half_inverse_rows, _half_multiplier)
 
 
 def _dirichlet_mode(grid, m):
@@ -415,6 +416,35 @@ def test_operator_calls_hold_few_half_fields_at_once():
         finally:
             tracemalloc.stop()
         assert peak <= 5.5 * f.values.nbytes, (label, peak / f.values.nbytes)
+
+
+@pytest.mark.parametrize("shape", [(4,), (8,), (16, 8), (32, 16),
+                                   (16, 16, 8), (32, 32, 16)])
+@pytest.mark.parametrize("odd", [True, False])
+def test_row_limited_inverse_matches_the_zero_padded_inverse(
+        shape, odd, record_property):
+    # the rows |xi_t| < R, from the zero row alone to all of them, against
+    # the full inverse of the coefficients zeroed on every other row; the
+    # split is the same transform, so it is recorded whether every result
+    # was bitwise equal
+    n, M = len(shape), shape[-1]
+    grid = make_grid(n, 4.0, 2 * M)
+    rng = np.random.default_rng(sum(shape) + odd)
+    coef = _half_forward(rng.standard_normal(shape), odd).reshape(-1, M)
+    tangential = np.ravel(np.sqrt(sum(xi ** 2
+                                      for xi in grid.freq_mesh()[:-1])))
+    bitwise = True
+    for radius in np.append(np.unique(tangential)[1:], np.inf):
+        rows = np.flatnonzero(tangential < radius)
+        padded = np.zeros_like(coef)
+        padded[rows] = coef[rows]
+        want = _half_inverse(padded.reshape(shape), odd)
+        got = _half_inverse_rows(coef[rows], rows, shape, odd)
+        assert got.shape == shape
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= 1e-13, (radius, rows.size, err)
+        bitwise &= np.array_equal(got, want)
+    record_property("bitwise", bitwise)
 
 
 # ---------------------------------------------------------------------------

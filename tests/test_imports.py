@@ -1,4 +1,5 @@
-"""Every name the package imports is used: an AST scan of ``src/``."""
+"""AST scans of ``src/``: every name the package imports is used, and
+every transform it makes is one the benchmark's tracer counts."""
 
 import ast
 import pathlib
@@ -41,3 +42,70 @@ def test_package_imports_no_unused_name():
     unused = {str(path.relative_to(SRC)): found for path in files
               if (found := _unused_imports(ast.parse(path.read_text())))}
     assert unused == {}
+
+
+
+#: the numpy.fft names that the benchmark's tracer wraps, or that
+#: compute no transform
+_TRACED_FFT = {"fftn", "ifftn", "fftfreq"}
+
+
+def _dotted(node, aliases: dict):
+    """The dotted name of a Name or Attribute chain, its root resolved
+    through the import ``aliases``; None for any other expression."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(aliases.get(node.id, node.id))
+    return ".".join(reversed(parts))
+
+
+def _untraced_transforms(tree: ast.Module) -> list:
+    """(line, name) of each use of a numpy.fft name outside
+    ``_TRACED_FFT`` and of anything from scipy.fft: transforms that the
+    tracer, which wraps numpy.fft.fftn and ifftn, would not count."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update((alias.asname, alias.name)
+                           for alias in node.names if alias.asname)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            aliases.update((alias.asname or alias.name,
+                            f"{node.module}.{alias.name}")
+                           for alias in node.names)
+    inner = {id(node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inner:
+            continue
+        name = _dotted(node, aliases)
+        parts = name.split(".") if name else []
+        if parts[:2] == ["scipy", "fft"] or (
+                parts[:2] == ["numpy", "fft"] and len(parts) > 2
+                and parts[2] not in _TRACED_FFT):
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_scan_finds_an_untraced_transform():
+    tree = ast.parse(
+        "import numpy as np\nimport scipy.fft\nfrom numpy import fft as nf\n"
+        "from numpy.fft import rfftn, fftn\nfrom scipy.fft import dct\n"
+        "np.fft.fftn(a).real\nnp.fft.ifft(a)\nnf.irfftn(a)\nnf.fftfreq(8)\n"
+        "rfftn(a)\nfftn(a)\nscipy.fft.fft(a)\ndct(a)\n"
+        "np.fft.ifftn(a, axes=(0,))\n")
+    assert _untraced_transforms(tree) == [
+        (7, "numpy.fft.ifft"), (8, "numpy.fft.irfftn"),
+        (10, "numpy.fft.rfftn"), (12, "scipy.fft.fft"), (13, "scipy.fft.dct")]
+
+
+def test_package_transforms_are_all_traced():
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    found = {str(path.relative_to(SRC)): hits for path in files
+             if (hits := _untraced_transforms(ast.parse(path.read_text())))}
+    assert found == {}

@@ -413,13 +413,58 @@ def test_besov_passes_agree_with_the_image_oracle(n, op, homogeneous,
         assert got == pytest.approx(oracle, rel=1e-12), p
 
 
+@pytest.mark.parametrize("homogeneous", [True, False])
+@pytest.mark.parametrize("op", [OP_DIRICHLET, OP_NEUMANN])
+def test_besov_passes_match_a_full_grid_loop(op, homogeneous, grid2d):
+    # every block and low-pass term inverse-transformed over the whole
+    # coefficient array, zero rows included
+    from halfspace_spectral.spectral import (_half_forward, _half_inverse,
+                                             _half_mesh)
+
+    bank = get_bank(grid2d)
+    f = make_family("band_random", grid2d, op, 4, 1, grid2d.N)[0]
+    odd = op == OP_DIRICHLET
+    coef = _half_forward(f.values, odd)
+    lam = np.sqrt(sum(xi ** 2 for xi in _half_mesh(grid2d, odd)))
+    js = range(bank.j_min if homogeneous else max(bank.j_min, 1),
+               bank.j_max + 1)
+    blocks = [f.with_values(_half_inverse(bank.phi(j, lam) * coef, odd))
+              for j in js]
+    low = f.with_values(_half_inverse(bank.psi(lam) * coef, odd))
+    s, q = 1.2, 2.0
+    for p in (1.0, 3.0, np.inf):
+        spec = SpaceSpec("besov", s, p, q, homogeneous, op)
+        half = _lq([2.0 ** (s * j) * lp_norm(b, p)
+                    for j, b in zip(js, blocks)], q)
+        box = _lq([2.0 ** (s * j) * lp_norm(extend_for(b, op), p)
+                   for j, b in zip(js, blocks)], q)
+        if not homogeneous:
+            half += lp_norm(low, p)
+            box += lp_norm(extend_for(low, op), p)
+        rep = besov_norm_report(f, spec, bank)
+        assert [b["j"] for b in rep["blocks"]] == list(js)
+        for b, block in zip(rep["blocks"], blocks):
+            assert b["norm"] == pytest.approx(lp_norm(block, p),
+                                              rel=1e-13), (p, b["j"])
+        if not homogeneous:
+            assert rep["lowpass"] == pytest.approx(lp_norm(low, p),
+                                                   rel=1e-13), p
+        assert rep["value"] == pytest.approx(half, rel=1e-13), p
+        eq = extension_norm_equivalence(f, spec, bank)
+        assert eq["half_norm"] == pytest.approx(half, rel=1e-13), p
+        assert eq["full_norm"] == pytest.approx(box, rel=1e-13), p
+
+
 @pytest.mark.parametrize("op", [OP_DIRICHLET, OP_NEUMANN])
 def test_besov_passes_make_quarter_size_transforms(op, monkeypatch):
     # the smallest 2-D grid that builds a bank: one forward transform of
-    # the 256 x 128 half-grid, packed into 256 x 64 complex points, then
-    # one inverse per block or t-node and per low-pass term, and never a
-    # 256 x 256 transform of an extension; each transform runs in place
-    # on a complex array (out= is the input)
+    # the 256 x 128 half-grid, packed into 256 x 64 complex points.  Each
+    # dyadic block and low-pass term then inverse-transforms along the
+    # normal only the rows |xi_t| below its radius, and then 256 x 64
+    # points along the tangential axis; each t-node makes one inverse of
+    # 256 x 64 points.  There is never a 256 x 256 transform of an
+    # extension, and each transform runs in place on a complex array
+    # (out= is the input)
     g = make_grid(2, 8.0, 256)
     bank = get_bank(g)
     f = make_family("band_random", g, op, 3, 1, g.N)[0]
@@ -428,20 +473,29 @@ def test_besov_passes_make_quarter_size_transforms(op, monkeypatch):
     for name in ("fftn", "ifftn"):
         def record(a, *args, _name=name, _orig=getattr(np.fft, name), **kw):
             in_place = np.iscomplexobj(a) and kw.get("out") is a
-            sizes.append((_name, np.size(a), in_place))
+            sizes.append((_name, np.size(a), kw.get("axes"), in_place))
             return _orig(a, *args, **kw)
         monkeypatch.setattr(np.fft, name, record)
-    fwd, inv = ("fftn", 256 * 64, True), ("ifftn", 256 * 64, True)
+    xi_t = np.abs(g.freq_axis())
+
+    def band(radius):
+        rows = np.count_nonzero(xi_t < radius)
+        assert 0 < rows < g.N
+        return [("ifftn", rows * 64, (-1,), True),
+                ("ifftn", 256 * 64, (0,), True)]
+
+    fwd = ("fftn", 256 * 64, None, True)
+    node = ("ifftn", 256 * 64, None, True)
     for homogeneous in (True, False):
         spec = SpaceSpec("besov", 1.0, 2.0, 2.0, homogeneous, op)
+        low = [] if homogeneous else band(2.0)
         sizes.clear()
         rep = besov_norm_report(f, spec, bank)
-        terms = len(rep["blocks"]) + (not homogeneous)
-        assert sizes == [fwd] + [inv] * terms
+        assert sizes == [fwd] + [call for b in rep["blocks"]
+                                 for call in band(2.0 ** (b["j"] + 1))] + low
         sizes.clear()
         besov_norm_semigroup(f, spec, t_grid=t_grid, bank=bank)
-        terms = t_grid.size + (not homogeneous)
-        assert sizes == [fwd] + [inv] * terms
+        assert sizes == [fwd] + [node] * t_grid.size + low
 
 
 # ---------------------------------------------------------------------------
