@@ -638,7 +638,7 @@ def besov_block_floor(p: float, grid: GridSpec,
         raise ConfigError(
             f"only {bank.j_max - j0 + 1} octaves above the support scale; "
             "increase N")
-    band = _half_spectrum(_phi_half(grid).values, grid, True)[3]
+    band = _half_spectrum(_phi_half(grid).values, grid, True)[2]
     js = list(range(j0, bank.j_max + 1))
     blocks_arr = np.asarray([
         2.0 ** ((j + 1) / p) * lp_norm(HalfField(grid, block), p)

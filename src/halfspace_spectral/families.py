@@ -4,17 +4,9 @@ Families are parameterized by continuum data (frequencies, centers,
 widths) drawn once from the seed, then sampled on whatever grid a
 sweep asks for, so refining the resolution re-samples the *same*
 functions.  Band-limited draws snap their frequencies to exact box
-modes k = pi m / L, which keeps them native to every grid in a sweep.
-
-Those draws are synthesized from their coefficients rather than summed
-pointwise.  Sine mode m is coefficient M - m of the half-length
-transform of :mod:`halfspace_spectral.spectral` (M = N/2), cosine mode m
-is coefficient m, and either takes the value amp M/2.  A tangential
-factor cos(pi m_t x / L + phase) is the pair of DFT entries +-m_t with
-c N/2 and conj(c) N/2, c = exp(i (phase - pi m_t + pi m_t / N)) on the
-staggered grid.  Only the tangential rows |m_t| <= 4 are nonzero, and
-the row-limited inverse transform of those rows gives the field, equal
-to the pointwise sum to roundoff.
+modes k = pi m / L, which keeps them native to every grid in a sweep,
+and :mod:`halfspace_spectral.spectral` synthesizes them from those
+modes rather than summing them pointwise.
 
 Available names:
 
@@ -37,14 +29,12 @@ Available names:
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .errors import ConfigError
 from .grid import BC_DIRICHLET, BC_NEUMANN, GridSpec, HalfField, sample_half
 from .halfspace_ops import OP_DIRICHLET
-from .spectral import _half_inverse_rows, _resolved_octaves, smooth_step
+from .spectral import _half_synthesis, _resolved_octaves, smooth_step
 
 __all__ = ["cutoff_profile", "bump", "counterexample_expr", "make_family",
            "FAMILY_NAMES"]
@@ -101,36 +91,18 @@ def _mode_range(grid: GridSpec, ref_N: int):
 def _band_random(grid: GridSpec, parity: str, rng, ref_N: int) -> HalfField:
     m_lo, m_hi = _mode_range(grid, ref_N)
     n_modes = int(rng.integers(6, 13))
-    # log-uniform spread over the usable modes; distinct, so that each
-    # owns one normal coefficient below
+    # log-uniform spread over the usable modes; distinct, as synthesis asks
     ms = np.unique(np.round(np.exp(
         rng.uniform(np.log(m_lo), np.log(m_hi), n_modes))).astype(int))
     amps = rng.normal(0.0, 1.0, ms.size)
     phases = rng.uniform(0.0, 2.0 * np.pi, (ms.size, max(grid.n - 1, 1)))
 
-    # the coefficients of the module docstring
-    N, M = grid.N, grid.N // 2
     odd = parity == BC_DIRICHLET
-    # only the tangential rows |m_t| <= 4 are filled; in fft order
-    # along each axis they are the modes 0..4 and -4..-1
-    low = np.abs(np.fft.fftfreq(N, 1.0 / N)) <= 4
-    rows = np.flatnonzero(functools.reduce(np.logical_and.outer,
-                                           [low] * (grid.n - 1), True))
-    K = np.count_nonzero(low)
-    coef = np.zeros((K,) * (grid.n - 1) + (M,), dtype=complex)
-    for i, m in enumerate(ms):
-        factors = []
-        for ax in range(grid.n - 1):
-            # tangential factor at a low mode, random phase
-            m_t = 1 + (int(m) + ax) % 4
-            c = np.exp(1j * (phases[i, ax] - np.pi * m_t + np.pi * m_t / N))
-            t = np.zeros(K, dtype=complex)
-            t[m_t], t[-m_t] = c * N / 2, np.conjugate(c) * N / 2
-            factors.append(t)
-        coef[..., M - m if odd else m] = functools.reduce(
-            np.multiply.outer, factors, amps[i] * M / 2)
-    values = _half_inverse_rows(coef.reshape(-1, M), rows,
-                                (N,) * (grid.n - 1) + (M,), odd)
+    # each tangential factor at a low mode, random phase
+    values = _half_synthesis(grid, odd, [
+        (m, amps[i], [(1 + (int(m) + ax) % 4, phases[i, ax])
+                      for ax in range(grid.n - 1)])
+        for i, m in enumerate(ms)])
     return HalfField(grid, values, BC_DIRICHLET if odd else BC_NEUMANN)
 
 

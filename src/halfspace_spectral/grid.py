@@ -206,11 +206,17 @@ def lp_norm(field, p: float) -> float:
     v = field.values
     if np.isinf(p):
         return float(np.max(np.abs(v))) if v.size else 0.0
-    h = field.grid.h
     mass = np.abs(v)
-    if p != 1:
+    if p == int(p) > 2:
+        # binary powering: np.power takes a slow path on zeros
+        base = mass.copy()
+        for bit in bin(int(p))[3:]:
+            mass *= mass
+            if bit == "1":
+                mass *= base
+    elif p != 1:
         mass **= p
-    return float((h ** field.grid.n * np.sum(mass)) ** (1.0 / p))
+    return float((field.grid.h ** field.grid.n * np.sum(mass)) ** (1.0 / p))
 
 
 def integrate(field) -> float:

@@ -4,8 +4,8 @@ Homogeneous Sobolev: ||f||_{H^s_p(A)} = ||A^(s/2) f||_{L^p(half)}.
 Inhomogeneous replaces the symbol by (1 + |xi|^2)^(s/2).
 
 Besov norms run the dyadic bank, and the semigroup characterization
-its heat flows, over the sine (Dirichlet) or cosine (Neumann)
-coefficients of the field, the spectrum of its parity extension; each
+its heat flows, as profiles of |xi| that ``spectral`` applies to the
+sine (Dirichlet) or cosine (Neumann) coefficients of the field; each
 block's half-space norm is weighted by 2^(sj) and the l^q sum taken
 over the resolved octaves.  Truncating the j-sum to the resolved band
 is only honest when the field actually lives there, so the spectral
@@ -26,6 +26,7 @@ is evaluated on a log-uniform t-quadrature; M must exceed s/2.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -35,8 +36,8 @@ from .errors import ConfigError, NumericalGuardError
 from .grid import HalfField, _exponent, lp_norm
 from .halfspace_ops import (OP_DIRICHLET, OP_NEUMANN, _calculus, _is_odd,
                             extend_for, frac_power)
-from .spectral import (DyadicBank, Multiplier, _dyadic_blocks, _half_inverse,
-                       _half_spectrum, _lowpass_block)
+from .spectral import (DyadicBank, Multiplier, _dyadic_blocks, _half_spectrum,
+                       _lowpass_block)
 
 __all__ = [
     "SpaceSpec",
@@ -144,7 +145,7 @@ def _dyadic_pass(hf: HalfField, spec: SpaceSpec, bank: DyadicBank,
     the full box of the blocks' parity extensions (else None).
     """
     work = _checked(hf, spec, "besov", what)
-    _, lam, power, band = _half_spectrum(
+    lam, power, band = _half_spectrum(
         work.values, work.grid, _is_odd(work, spec.op))
     leak = _check_leak(power, lam, bank, low_too=spec.homogeneous)
     j_lo = bank.j_min if spec.homogeneous else max(bank.j_min, 1)
@@ -176,6 +177,12 @@ def besov_norm_report(hf: HalfField, spec: SpaceSpec, bank: DyadicBank) -> dict:
 
 def besov_norm(hf: HalfField, spec: SpaceSpec, bank: DyadicBank) -> float:
     return besov_norm_report(hf, spec, bank)["value"]
+
+
+def _heat_moment(t, M: int, lam):
+    """(t lam^2)^M exp(-t lam^2), the profile of (tA)^M e^(-tA)."""
+    tlam2 = t * lam ** 2
+    return tlam2 ** M * np.exp(-tlam2)
 
 
 def besov_norm_semigroup(hf: HalfField, spec: SpaceSpec, M: int | None = None,
@@ -211,13 +218,11 @@ def besov_norm_semigroup(hf: HalfField, spec: SpaceSpec, M: int | None = None,
         if t_grid.size == 0:
             raise ConfigError("inhomogeneous variant integrates over (0, 1]")
 
-    odd = _is_odd(work, spec.op)
-    coef, lam, _, band = _half_spectrum(work.values, work.grid, odd)
-    lam2 = lam ** 2
+    band = _half_spectrum(work.values, work.grid, _is_odd(work, spec.op))[2]
     vals = np.empty(t_grid.size)
     for i, t in enumerate(t_grid):
-        sym = (t * lam2) ** M * np.exp(-t * lam2)
-        block = work.with_values(_half_inverse(sym * coef, odd))
+        block = work.with_values(band(functools.partial(_heat_moment, t, M),
+                                      np.inf))
         vals[i] = t ** (-spec.s / 2.0) * lp_norm(block, spec.p)
 
     if np.isinf(spec.q):

@@ -14,26 +14,20 @@ the half-grid: the odd or even extension followed by a full DFT is
 exactly a DST-II or DCT-II of length N/2 along the normal axis on the
 staggered grid (Martucci 1994), whose modes sin(k x_n) and cos(k x_n),
 k = pi m / L, are the Dirichlet and Neumann eigenfunctions.  The
-private pair ``_half_forward``/``_half_inverse`` computes it as a
-tangential DFT times a DCT-II (the DST-II is the DCT-II of the samples
-with alternating signs, in reverse coefficient order), and the DCT-II
-as the FFT of permuted samples (Makhoul 1980).  Those samples are real,
-so they are packed two to a complex point and transformed at half
-length.  Each operator call is one in-place ``numpy.fft.fftn`` and one
-in-place ``ifftn`` of N^(n-1) N/4 points on one complex work buffer of
-the coefficients' size: the forward transform allocates it, and the
-inverse overwrites it.  A half-space symbol must
-be Hermitian in the tangential frequencies, exactly, as a box symbol
-must be in all of them; one guard, ``_symbol``, checks both.  The
-symbols the package builds for ``frac_power`` and ``semigroup`` carry a
-key, and the last keyed symbol is kept after its check, so that a sweep
-rung evaluates and checks each one once.
+private pair ``_half_forward``/``_half_inverse`` computes it, times a
+tangential DFT, by one in-place ``numpy.fft.fftn`` or ``ifftn`` of
+N^(n-1) N/4 points: the DCT-II is the FFT of permuted samples (Makhoul
+1980), packed two real samples to a complex point.  A half-space
+symbol must be Hermitian in the tangential frequencies, exactly, as a
+box symbol must be in all of them; one guard, ``_symbol``, checks both.
 
-Coefficients that vanish off some tangential rows, the normal lines of
-single tangential frequencies, have a row-limited inverse,
-``_half_inverse_rows``: an in-place ``ifftn`` along the normal on those
-rows alone, then one over the tangential axes on N^(n-1) N/4 points.
-``families`` synthesizes its band-limited draws with it.
+This module alone reads and writes the half-space coefficients, their
+modes, packing and rows (the normal lines of single tangential
+frequencies).  Other modules pass samples, modes or profiles of |xi|:
+``_half_multiplier`` and ``_half_normal_derivative`` apply operators,
+``_half_synthesis`` samples separable modes, and the ``band`` of
+``_half_spectrum`` filters by a profile of |xi| for every Besov pass:
+dyadic, low-pass or heat flow.
 
 The dyadic bank realizes a standard smooth partition of unity: with
 eta(lambda) equal to 1 on [0, 1], supported in [0, 2] and built from
@@ -55,11 +49,7 @@ frequency |xi|, the octave range a grid resolves and the loop that
 inverse-transforms one block phi_j(|xi|) fhat at a time, by the box
 DFT or by the half-length pair.  phi_j vanishes from |xi| = 2^(j+1)
 on, and the low-pass psi from 2 on, so on the half-length pair each
-block touches only the tangential rows |xi_t| its annulus reaches: the
-profile is evaluated, the product formed and the normal-axis inverse
-run on those rows alone.  The half-space Besov passes take the sine or
-cosine coefficients, |xi|, the Parseval-weighted power and that
-row-limited band from ``_half_spectrum``.
+block touches only the tangential rows |xi_t| its annulus reaches.
 
 A real-space quadrature for the fractional Laplacian at order
 s in (0, 1) lives here too; it is the independent check that the
@@ -326,13 +316,6 @@ def _half_twiddles(M: int):
     return out
 
 
-def _normal_pairs(a: np.ndarray) -> tuple:
-    """Views of the entries k = 1..M/2-1 along the last axis and, in the
-    same order, of their partners M - k; k = 0 and M/2 are unpaired."""
-    M = a.shape[-1]
-    return a[..., 1:M // 2], a[..., :M // 2:-1]
-
-
 def _times_reversed(a: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
     """out = c a(-k) along the last axis, k taken modulo its length."""
     np.multiply(a[..., :1], c[:1], out=out[..., :1])
@@ -476,6 +459,40 @@ def _half_inverse_rows(coef: np.ndarray, rows: np.ndarray, shape: tuple,
     return _unpacked(buf, odd, out)
 
 
+def _half_synthesis(grid: GridSpec, odd: bool, modes) -> np.ndarray:
+    """The real half-grid samples of a sum of separable modes.
+
+    A mode (m, amp, tangential) is amp sin|cos(pi m x_n / L), sine when
+    ``odd``, times cos(pi m_t x / L + phase) for each (m_t, phase) of
+    ``tangential``, one per tangential axis, 0 < m_t < N/2; no two modes
+    share m.  Sine mode m is coefficient M - m (M = N/2), cosine mode m
+    is coefficient m, of value amp M/2; a tangential factor is the DFT
+    pair +-m_t of c N/2 and conj(c) N/2, c = exp(i (phase - pi m_t +
+    pi m_t / N)) on the staggered grid.
+    """
+    N, M = grid.N, grid.N // 2
+    top = max((m_t for *_, tangential in modes for m_t, _ in tangential),
+              default=0)
+    # only the rows |m_t| <= top are filled and transformed; in fft order
+    # along each axis they are the modes 0..top and -top..-1
+    low = np.abs(np.fft.fftfreq(N, 1.0 / N)) <= top
+    rows = np.flatnonzero(functools.reduce(np.logical_and.outer,
+                                           [low] * (grid.n - 1), True))
+    K = np.count_nonzero(low)
+    coef = np.zeros((K,) * (grid.n - 1) + (M,), dtype=complex)
+    for m, amp, tangential in modes:
+        factors = []
+        for m_t, phase in tangential:
+            c = np.exp(1j * (phase - np.pi * m_t + np.pi * m_t / N))
+            t = np.zeros(K, dtype=complex)
+            t[m_t], t[-m_t] = c * N / 2, np.conjugate(c) * N / 2
+            factors.append(t)
+        coef[..., M - m if odd else m] = functools.reduce(
+            np.multiply.outer, factors, amp * M / 2)
+    return _half_inverse_rows(coef.reshape(-1, M), rows,
+                              (N,) * (grid.n - 1) + (M,), odd)
+
+
 def _normal_wavenumbers(xi: np.ndarray, odd: bool) -> np.ndarray:
     """pi m / L in coefficient order along the last axis of the box
     frequencies ``xi``: m = M - k for sine modes, k for cosine ones;
@@ -493,7 +510,7 @@ def _half_mesh(grid: GridSpec, odd: bool) -> tuple:
 
 
 def _half_spectrum(values: np.ndarray, grid: GridSpec, odd: bool):
-    """(coefficients, |xi|, power, band) of a real half-grid array.
+    """(|xi|, power, band) of the coefficients of a real half-grid array.
 
     The power weighs |coef|^2 as Parseval weighs the extension's
     spectrum: coefficient 0 holds cosine mode 0 or sine mode M, which
@@ -506,7 +523,7 @@ def _half_spectrum(values: np.ndarray, grid: GridSpec, odd: bool):
     power[..., 1:] *= 2.0
     mesh = _half_mesh(grid, odd)
     lam = _radial(mesh)
-    return coef, lam, power, functools.partial(
+    return lam, power, functools.partial(
         _half_band, coef, lam, np.ravel(_radial(mesh[:-1])), odd)
 
 
@@ -518,9 +535,11 @@ def _half_band(coef, lam, tangential, odd: bool, profile,
     Since |xi| >= |xi_t|, every row whose tangential |xi_t|, listed
     flat in ``tangential``, reaches the radius is zero: the profile is
     evaluated and the product formed on the other rows alone, for
-    :func:`_half_inverse_rows`.
+    :func:`_half_inverse_rows`; with no such row, nothing is gathered.
     """
     rows = np.flatnonzero(tangential < radius)
+    if rows.size == tangential.size:
+        return _half_inverse(profile(lam) * coef, odd)
     M = coef.shape[-1]
     product = coef.reshape(-1, M)[rows]
     product *= profile(lam.reshape(-1, M)[rows])
@@ -567,15 +586,15 @@ def _half_normal_derivative(values: np.ndarray, grid: GridSpec,
     map is the index reversal k -> M - k times +-pi m / L.  The sine
     mode M has no cosine partner on the grid and is dropped, as the
     unpaired Nyquist plane is on the box.  The reversal swaps the
-    pairs k, M - k in place.
+    pairs k = 1..M/2-1 and M - k in place; k = 0 and M/2 are unpaired.
     """
     coef = _half_forward(values, odd)
     M = coef.shape[-1]
     k = _normal_wavenumbers(grid.freq_axis(), not odd)
     if not odd:
         k = -k
-    (lo, hi), (k_lo, k_hi) = _normal_pairs(coef), _normal_pairs(k)
-    lo[...], hi[...] = hi * k_lo, lo * k_hi
+    lo, hi = coef[..., 1:M // 2], coef[..., :M // 2:-1]
+    lo[...], hi[...] = hi * k[1:M // 2], lo * k[:M // 2:-1]
     coef[..., M // 2] *= k[M // 2]
     coef[..., 0] = 0.0
     return _half_inverse(coef, not odd)
@@ -639,10 +658,8 @@ def _dyadic_blocks(band, bank: DyadicBank, octaves):
     so that no more than one block is held in memory.
 
     ``band(profile, radius)`` transforms profile(|xi|) fhat for a
-    profile that vanishes from |xi| = radius on.  phi_j vanishes from
-    2^(j+1) on, so the half-space band evaluates phi_j and transforms
-    only the tangential rows |xi_t| < 2^(j+1) that its annulus
-    reaches; the box band takes the whole grid.
+    profile that vanishes from |xi| = radius on, as phi_j does from
+    2^(j+1) on; the half-space band then skips the rows beyond it.
     """
     for j in octaves:
         yield j, band(functools.partial(bank.phi, j), 2.0 ** (j + 1))

@@ -1,5 +1,7 @@
 """Deterministic field families used by the sweeps."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -180,10 +182,9 @@ def test_bump_support_and_peak():
     assert np.all(v <= 1.0)
 
 
-def _band_random_direct(grid, odd, rng, ref_N):
-    """The band-random draw summed pointwise: sum_i a_i sin|cos(k_i x_n)
-    times cos(pi m_t x_t / L + phase) per tangential axis.  It makes the
-    same draws from ``rng`` as the family and returns the expression."""
+def _band_random_draws(grid, rng, ref_N):
+    """(mode numbers, amplitudes, phases): the draws the family makes
+    from ``rng`` for one band-random field."""
     from halfspace_spectral.families import _mode_range
 
     m_lo, m_hi = _mode_range(grid, ref_N)
@@ -192,6 +193,14 @@ def _band_random_direct(grid, odd, rng, ref_N):
         rng.uniform(np.log(m_lo), np.log(m_hi), n_modes))).astype(int))
     amps = rng.normal(0.0, 1.0, ms.size)
     phases = rng.uniform(0.0, 2.0 * np.pi, (ms.size, max(grid.n - 1, 1)))
+    return ms, amps, phases
+
+
+def _band_random_direct(grid, odd, rng, ref_N):
+    """The band-random draw summed pointwise: sum_i a_i sin|cos(k_i x_n)
+    times cos(pi m_t x_t / L + phase) per tangential axis.  It makes the
+    same draws from ``rng`` as the family and returns the expression."""
+    ms, amps, phases = _band_random_draws(grid, rng, ref_N)
     wave = np.sin if odd else np.cos
 
     def expr(*coords):
@@ -254,6 +263,60 @@ def test_band_random_is_one_inverse_transform_of_its_modes(
             err = np.max(np.abs(got - direct)) / np.max(np.abs(direct))
             assert err <= 1e-12, (seed, err)
             assert f.bc == op
+
+
+def _band_random_coefficients(grid, odd, ms, amps, phases):
+    """A reference construction of a draw's sparse coefficients, with
+    their flat row indices: the tangential rows |m_t| <= 4 in fft order,
+    whichever modes the draw reaches."""
+    N, M = grid.N, grid.N // 2
+    low = np.abs(np.fft.fftfreq(N, 1.0 / N)) <= 4
+    rows = np.flatnonzero(functools.reduce(np.logical_and.outer,
+                                           [low] * (grid.n - 1), True))
+    K = np.count_nonzero(low)
+    coef = np.zeros((K,) * (grid.n - 1) + (M,), dtype=complex)
+    for i, m in enumerate(ms):
+        factors = []
+        for ax in range(grid.n - 1):
+            m_t = 1 + (int(m) + ax) % 4
+            c = np.exp(1j * (phases[i, ax] - np.pi * m_t + np.pi * m_t / N))
+            t = np.zeros(K, dtype=complex)
+            t[m_t], t[-m_t] = c * N / 2, np.conjugate(c) * N / 2
+            factors.append(t)
+        coef[..., M - m if odd else m] = functools.reduce(
+            np.multiply.outer, factors, amps[i] * M / 2)
+    return coef.reshape(-1, M), rows
+
+
+@pytest.mark.parametrize("n, L, N, ref_N, seed", [
+    (1, 16.0, 4096, 4096, 0),
+    (1, 16.0, 16384, 8192, 3),
+    (2, 16.0, 256, 256, 1),
+    # this draw reaches only the rows |m_t| <= 2
+    (2, 16.0, 512, 256, 57),
+    (3, 8.0, 256, 256, 5),
+], ids=["1d", "1d-refined", "2d", "2d-refined", "3d"])
+@pytest.mark.parametrize("op", [OP_DIRICHLET, OP_NEUMANN])
+def test_band_random_synthesis_is_bitwise_its_coefficients(n, L, N, ref_N,
+                                                          seed, op):
+    # the synthesis entry fills only the rows its modes reach; the zero
+    # rows it leaves out change no bit of the field
+    from halfspace_spectral.spectral import (_half_inverse_rows,
+                                             _half_synthesis)
+
+    grid = make_grid(n, L, N)
+    odd = op == OP_DIRICHLET
+    ms, amps, phases = _band_random_draws(grid, np.random.default_rng(seed),
+                                          ref_N)
+    coef, rows = _band_random_coefficients(grid, odd, ms, amps, phases)
+    want = _half_inverse_rows(coef, rows, (N,) * (n - 1) + (N // 2,),
+                              odd).tobytes()
+    modes = [(m, amps[i], [(1 + (int(m) + ax) % 4, phases[i, ax])
+                           for ax in range(n - 1)])
+             for i, m in enumerate(ms)]
+    assert _half_synthesis(grid, odd, modes).tobytes() == want
+    field = make_family("band_random", grid, op, seed, 1, ref_N)[0]
+    assert field.values.tobytes() == want
 
 
 @pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf])

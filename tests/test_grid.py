@@ -171,6 +171,20 @@ def test_lp_norm_homogeneity(grid1d):
             2.5 * lp_norm(hf, p), rel=1e-13)
 
 
+@pytest.mark.parametrize("p", [3.0, 4.0, 7.0])
+@pytest.mark.parametrize("n, N", [(1, 4096), (2, 128)])
+def test_integer_exponent_norm_matches_numpy_power(n, N, p):
+    # an integer p is powered by multiplication, a few ulp per element
+    # from np.power; a bump with its zeros and a random field
+    grid = make_grid(n, 8.0, N)
+    rng = np.random.default_rng(17)
+    bumped = sample_half(grid, lambda *x: bump(x[-1], 2.0, 1.0))
+    for hf in (bumped, bumped.with_values(
+            rng.standard_normal(bumped.values.shape))):
+        want = (grid.h ** n * np.sum(np.abs(hf.values) ** p)) ** (1.0 / p)
+        assert lp_norm(hf, p) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_integrate_bump_matches_quadrature(grid1d):
     from scipy.integrate import quad
 

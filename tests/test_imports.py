@@ -1,5 +1,6 @@
-"""AST scans of ``src/``: every name the package imports is used, and
-every transform it makes is one the benchmark's tracer counts."""
+"""AST scans of ``src/``: every name the package imports is used, every
+transform it makes is one the benchmark's tracer counts, and only
+``spectral.py`` touches the half-space coefficient layout."""
 
 import ast
 import pathlib
@@ -108,4 +109,43 @@ def test_package_transforms_are_all_traced():
     assert files
     found = {str(path.relative_to(SRC)): hits for path in files
              if (hits := _untraced_transforms(ast.parse(path.read_text())))}
+    assert found == {}
+
+
+#: the spectral internals that read or write half-space coefficients
+_COEFFICIENT_INTERNALS = {"_half_forward", "_half_inverse",
+                          "_half_inverse_rows", "_packed_spectrum",
+                          "_unpacked"}
+
+
+def _coefficient_internals(tree: ast.Module) -> list:
+    """(line, name) of each import of a name in ``_COEFFICIENT_INTERNALS``
+    and of each attribute access to one, such as spectral._unpacked."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in _COEFFICIENT_INTERNALS]
+        elif (isinstance(node, ast.Attribute)
+              and node.attr in _COEFFICIENT_INTERNALS):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_scan_finds_a_coefficient_internal():
+    tree = ast.parse(
+        "from .spectral import _half_inverse, _half_band\n"
+        "from halfspace_spectral.spectral import _unpacked as u\n"
+        "from . import spectral\nspectral._half_forward(a)\n"
+        "_packed_spectrum = spectral._half_spectrum\n")
+    assert _coefficient_internals(tree) == [
+        (1, "_half_inverse"), (2, "_unpacked"), (4, "_half_forward")]
+
+
+def test_only_spectral_touches_half_space_coefficients():
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    found = {str(path.relative_to(SRC)): hits for path in files
+             if path.name != "spectral.py"
+             and (hits := _coefficient_internals(ast.parse(path.read_text())))}
     assert found == {}

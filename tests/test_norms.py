@@ -455,6 +455,41 @@ def test_besov_passes_match_a_full_grid_loop(op, homogeneous, grid2d):
         assert eq["full_norm"] == pytest.approx(box, rel=1e-13), p
 
 
+@pytest.mark.parametrize("homogeneous", [True, False])
+@pytest.mark.parametrize("op", [OP_DIRICHLET, OP_NEUMANN])
+@pytest.mark.parametrize("n, L, N", [(1, 16.0, 4096), (2, 8.0, 256)],
+                         ids=["1d", "2d"])
+def test_semigroup_is_bitwise_a_loop_over_its_nodes(n, L, N, op,
+                                                    homogeneous):
+    # each node is (t lam^2)^M exp(-t lam^2) times the coefficients,
+    # inverse-transformed over the whole array
+    from halfspace_spectral.spectral import (_half_forward, _half_inverse,
+                                             _half_mesh)
+
+    grid = make_grid(n, L, N)
+    bank = get_bank(grid)
+    f = make_family("band_random", grid, op, 4, 1, N)[0]
+    odd = op == OP_DIRICHLET
+    coef = _half_forward(f.values, odd)
+    lam = np.sqrt(sum(xi ** 2 for xi in _half_mesh(grid, odd)))
+    lam2 = lam ** 2
+    s, q, M = 1.2, 2.0, 2
+    t_grid = np.geomspace(2.0 ** (-2 * bank.j_max), 4.0, 60)
+    ts = t_grid if homogeneous else t_grid[t_grid <= 1.0]
+    nodes = [f.with_values(_half_inverse(
+        (t * lam2) ** M * np.exp(-t * lam2) * coef, odd)) for t in ts]
+    low = f.with_values(_half_inverse(bank.psi(lam) * coef, odd))
+    for p in (1.0, 2.0, np.inf):
+        vals = np.asarray([t ** (-s / 2.0) * lp_norm(node, p)
+                           for t, node in zip(ts, nodes)])
+        want = float(np.trapezoid(vals ** q, np.log(ts)) ** (1.0 / q))
+        if not homogeneous:
+            want = lp_norm(low, p) + want
+        spec = SpaceSpec("besov", s, p, q, homogeneous, op)
+        got = besov_norm_semigroup(f, spec, M=M, t_grid=t_grid, bank=bank)
+        assert got == want, p
+
+
 @pytest.mark.parametrize("op", [OP_DIRICHLET, OP_NEUMANN])
 def test_besov_passes_make_quarter_size_transforms(op, monkeypatch):
     # the smallest 2-D grid that builds a bank: one forward transform of
