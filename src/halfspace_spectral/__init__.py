@@ -9,13 +9,12 @@ __version__ = "0.1.0"
 
 from .errors import BoundaryTagError, ConfigError, NumericalGuardError
 from .grid import (BC_DIRICHLET, BC_NEUMANN, GridSpec, HalfField,
-                   SampledField, export_csv, integrate, load_field, lp_norm,
-                   make_grid, sample, sample_half, save_field)
-from .extension import apply_sign, even_extend, odd_extend, restrict
+                   SampledField, integrate, load_field, lp_norm, make_grid,
+                   sample, sample_half, save_field)
+from .extension import even_extend, odd_extend, restrict
 from .spectral import (DyadicBank, Multiplier, apply_multiplier, build_bank,
-                       derivative_multiplier, directional_multiplier,
-                       dyadic_block, eta_profile, frac_lap_constant,
-                       fractional_laplacian, riesz_transform,
+                       derivative_multiplier, dyadic_block, eta_profile,
+                       frac_lap_constant, fractional_laplacian,
                        semigroup_symbol, singular_integral_frac_lap,
                        smooth_step)
 from .halfspace_ops import (OP_DIRICHLET, OP_NEUMANN, boundary_trace,
@@ -39,10 +38,10 @@ __all__ = [
     "ConfigError", "BoundaryTagError", "NumericalGuardError",
     "BC_DIRICHLET", "BC_NEUMANN", "GridSpec", "SampledField", "HalfField",
     "make_grid", "sample", "sample_half", "lp_norm", "integrate",
-    "save_field", "load_field", "export_csv",
-    "odd_extend", "even_extend", "restrict", "apply_sign",
+    "save_field", "load_field",
+    "odd_extend", "even_extend", "restrict",
     "Multiplier", "apply_multiplier", "fractional_laplacian",
-    "directional_multiplier", "derivative_multiplier", "riesz_transform",
+    "derivative_multiplier",
     "semigroup_symbol", "smooth_step", "eta_profile", "DyadicBank",
     "build_bank", "dyadic_block", "frac_lap_constant",
     "singular_integral_frac_lap",

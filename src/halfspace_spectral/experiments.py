@@ -41,8 +41,8 @@ from .halfspace_ops import (OP_DIRICHLET, OP_NEUMANN, boundary_trace,
                             frac_power, normal_derivative,
                             tangential_derivative)
 from .norms import SpaceSpec, _check_leak, besov_norm, sobolev_norm
-from .spectral import (DyadicBank, _dyadic_blocks, _half_spectrum, _radial,
-                       build_bank, singular_integral_frac_lap)
+from .spectral import (DyadicBank, _box_spectrum, _dyadic_blocks,
+                       _half_spectrum, build_bank, singular_integral_frac_lap)
 
 __all__ = [
     "BilinearConfig",
@@ -52,6 +52,8 @@ __all__ = [
     "bilinear_ratio",
     "trilinear_ratio",
     "ratio_sweep",
+    "fit_line",
+    "classify_growth",
     "paraproduct_split",
     "leibniz_decomposition",
     "counterexample_fields",
@@ -310,14 +312,6 @@ class RatioReport:
             "meta": self.meta,
         }
 
-    def csv_rows(self):
-        head = ["pair", "N", "lhs", "rhs", "ratio"]
-        rows = [head]
-        for it in self.items:
-            rows.append([it["pair"], it["N"], it["lhs"], it["rhs"],
-                         it["ratio"]])
-        return rows
-
 
 def _fmt_exponent(p: float):
     return "inf" if np.isinf(p) else p
@@ -423,14 +417,11 @@ def paraproduct_split(F: SampledField, G: SampledField,
                 "ignores the zero mode")
 
     js = list(bank.octaves)
-    lam = _radial(F.grid.freq_mesh())
 
     def blocks_of(X):
-        xhat = np.fft.fftn(X.values)
-        _check_leak(np.abs(xhat) ** 2, lam, bank, low_too=True)
-        return [block for _, block in _dyadic_blocks(
-            lambda profile, _: np.fft.ifftn(profile(lam) * xhat).real,
-            bank, js)]
+        lam, power, band = _box_spectrum(X.values, X.grid)
+        _check_leak(power, lam, bank, low_too=True)
+        return [block for _, block in _dyadic_blocks(band, bank, js)]
 
     bF = blocks_of(F)
     bG = blocks_of(G)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import BoundaryTagError
 from .grid import BC_DIRICHLET, BC_NEUMANN, HalfField, SampledField
 
-__all__ = ["odd_extend", "even_extend", "restrict", "apply_sign"]
+__all__ = ["odd_extend", "even_extend", "restrict"]
 
 
 def _extend(hf: HalfField, sign: float) -> SampledField:
@@ -48,15 +48,3 @@ def restrict(f: SampledField, bc: str | None = None) -> HalfField:
     half = f.grid.N // 2
     return HalfField(f.grid, f.values[..., half:].copy(), bc)
 
-
-def apply_sign(f: SampledField) -> SampledField:
-    """Multiply by sign(x_n); exact on a staggered grid.
-
-    Swaps the parity class of a field, which is how products of odd
-    extensions are moved back into the odd class: (fg)_odd equals
-    sign(x_n) f_odd g_odd.
-    """
-    half = f.grid.N // 2
-    out = f.values.copy()
-    out[..., :half] = -out[..., :half]
-    return SampledField(f.grid, out)

@@ -165,6 +165,8 @@ def make_family(name: str, grid: GridSpec, op: str, seed: int, count: int,
         raise ConfigError(f"unknown family {name!r} (have {FAMILY_NAMES})")
     if count < 1:
         raise ConfigError("family count must be >= 1")
+    if seed < 0:
+        raise ConfigError(f"seed {seed} must be >= 0")
     ref_N = grid.N if ref_N is None else min(ref_N, grid.N)
     rng = np.random.default_rng(seed)
     out = []

@@ -27,6 +27,8 @@ import numpy as np
 from .errors import ConfigError
 
 __all__ = [
+    "BC_DIRICHLET",
+    "BC_NEUMANN",
     "GridSpec",
     "SampledField",
     "HalfField",
@@ -37,7 +39,6 @@ __all__ = [
     "integrate",
     "save_field",
     "load_field",
-    "export_csv",
 ]
 
 #: boundary-condition tags carried by half-space fields
@@ -225,7 +226,7 @@ def integrate(field) -> float:
 
 
 # ---------------------------------------------------------------------------
-# serialization: small binary container plus CSV export
+# serialization: small binary container
 #
 # layout (little-endian):
 #   8s  magic  b"HSFIELD1"
@@ -289,14 +290,3 @@ def load_field(path):
         return SampledField(grid, data)
     return HalfField(grid, data, _BC_FROM_CODE[bc])
 
-
-def export_csv(field, path) -> None:
-    """Write ``x_1, ..., x_n, value`` rows for plotting."""
-    g = field.grid
-    half = isinstance(field, HalfField)
-    mesh = g.coord_mesh(half=half)
-    cols = [np.broadcast_to(m, field.values.shape).ravel() for m in mesh]
-    cols.append(field.values.ravel())
-    header = ",".join([f"x{i + 1}" for i in range(g.n)] + ["value"])
-    np.savetxt(path, np.column_stack(cols), delimiter=",", header=header,
-               comments="")

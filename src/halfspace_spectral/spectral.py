@@ -45,11 +45,13 @@ together with ``phi0_scale``, and is echoed into experiment reports so
 that they pin the exact profiles they were produced with.
 
 This module is the single owner of the dyadic split: the radial
-frequency |xi|, the octave range a grid resolves and the loop that
-inverse-transforms one block phi_j(|xi|) fhat at a time, by the box
-DFT or by the half-length pair.  phi_j vanishes from |xi| = 2^(j+1)
-on, and the low-pass psi from 2 on, so on the half-length pair each
-block touches only the tangential rows |xi_t| its annulus reaches.
+frequency |xi|, the octave range a grid resolves, the two bands that
+filter a field by a profile of |xi|, ``_box_spectrum`` on the box DFT
+and ``_half_spectrum`` on the half-length pair, and the loop that
+inverse-transforms one block phi_j(|xi|) fhat at a time.  phi_j
+vanishes from |xi| = 2^(j+1) on, and the low-pass psi from 2 on, so on
+the half-length pair each block touches only the tangential rows
+|xi_t| its annulus reaches.
 
 A real-space quadrature for the fractional Laplacian at order
 s in (0, 1) lives here too; it is the independent check that the
@@ -73,18 +75,18 @@ __all__ = [
     "Multiplier",
     "apply_multiplier",
     "fractional_laplacian",
-    "directional_multiplier",
-    "riesz_transform",
+    "derivative_multiplier",
     "semigroup_symbol",
     "DyadicBank",
     "build_bank",
     "dyadic_block",
     "singular_integral_frac_lap",
     "smooth_step",
+    "eta_profile",
     "frac_lap_constant",
 ]
 
-#: zero-mean requirement for negative-order and Riesz symbols
+#: zero-mean requirement for negative-order symbols
 _MEAN_TOL = 1e-12
 
 
@@ -195,6 +197,16 @@ def _radial(mesh):
     return np.sqrt(sum(xi ** 2 for xi in mesh))
 
 
+def _box_spectrum(values: np.ndarray, grid: GridSpec):
+    """(|xi|, |fhat|^2, band) of the DFT fhat of a real full-grid array,
+    as :func:`_half_spectrum` is for the half-grid; the box ``band``
+    transforms every row, so it ignores the radius."""
+    fhat = np.fft.fftn(values)
+    lam = _radial(grid.freq_mesh())
+    return (lam, np.abs(fhat) ** 2,
+            lambda profile, _: np.fft.ifftn(profile(lam) * fhat).real)
+
+
 def _require_zero_mean(f: SampledField, what: str) -> None:
     """Raise ConfigError unless |mean| <= 1e-12 * sup|f|."""
     mean = abs(float(np.mean(f.values)))
@@ -220,63 +232,21 @@ def _power_multiplier(s: float) -> Multiplier:
     return Multiplier(lambda *mesh: _radial(mesh) ** s, 0.0, f"|xi|^{s}")
 
 
-def directional_multiplier(f: SampledField, s: float, axis: int) -> SampledField:
-    """|xi_axis|^s with zero assigned on the plane xi_axis = 0.
+def derivative_multiplier(grid: GridSpec, axis: int) -> Multiplier:
+    """Spectral d/dx_axis (1-based axis).
 
-    ``axis`` is 1-based; axis n is the normal direction.
+    The m = -N/2 mode has no +N/2 partner, so the odd symbol i xi_axis
+    vanishes on that plane to stay a real-kernel operator; band-resolved
+    fields carry no energy there.
     """
-    n = f.grid.n
-    if not 1 <= axis <= n:
-        raise ConfigError(f"axis {axis} outside 1..{n}")
-
-    def sym(*mesh):
-        xi = mesh[axis - 1]
-        mag = np.abs(xi)
-        safe = np.where(mag > 0, mag, 1.0)
-        out = np.where(mag > 0, safe ** s, 0.0)
-        return np.broadcast_to(out, np.broadcast_shapes(*[m.shape for m in mesh]))
-
-    return apply_multiplier(f, Multiplier(sym, 0.0, f"|xi_{axis}|^{s}"))
-
-
-def _nyquist_safe_axis(grid: GridSpec, axis: int):
-    """Frequency factor i*xi_axis with the unpaired Nyquist plane zeroed.
-
-    The m = -N/2 mode has no +N/2 partner, so any odd symbol must
-    vanish there to stay a real-kernel operator.  Band-resolved fields
-    carry no energy on that plane and never notice.
-    """
+    if not 1 <= axis <= grid.n:
+        raise ConfigError(f"axis {axis} outside 1..{grid.n}")
     xi = grid.freq_axis().copy()
     xi[grid.N // 2] = 0.0
     shape = [1] * grid.n
     shape[axis - 1] = grid.N
-    return xi.reshape(shape)
-
-
-def derivative_multiplier(grid: GridSpec, axis: int) -> Multiplier:
-    """Spectral d/dx_axis (1-based axis)."""
-    if not 1 <= axis <= grid.n:
-        raise ConfigError(f"axis {axis} outside 1..{grid.n}")
-    ixi = 1j * _nyquist_safe_axis(grid, axis)
+    ixi = 1j * xi.reshape(shape)
     return Multiplier(lambda *mesh: ixi, 0.0, f"i xi_{axis}")
-
-
-def riesz_transform(f: SampledField, k: int) -> SampledField:
-    """k-th Riesz transform, symbol i xi_k / |xi|.
-
-    Sign convention: with this symbol, R[cos(k x)] = -sin(k x).  The
-    composition sum_k R_k^2 is minus the identity on zero-mean fields.
-    """
-    n = f.grid.n
-    if not 1 <= k <= n:
-        raise ConfigError(f"axis {k} outside 1..{n}")
-    _require_zero_mean(f, "riesz transform")
-    ixi = 1j * _nyquist_safe_axis(f.grid, k)
-
-    def sym(*mesh):
-        return ixi / _radial(mesh)
-
-    return apply_multiplier(f, Multiplier(sym, 0.0, f"i xi_{k}/|xi|"))
 
 
 def semigroup_symbol(f: SampledField, t: float, s: float) -> SampledField:
@@ -695,9 +665,8 @@ def dyadic_block(f: SampledField, j: int, bank: DyadicBank) -> SampledField:
     if not bank.j_min <= j <= bank.j_max:
         raise ConfigError(
             f"octave j={j} outside resolved range [{bank.j_min}, {bank.j_max}]")
-    fhat, lam = np.fft.fftn(f.values), _radial(f.grid.freq_mesh())
-    _, block = next(_dyadic_blocks(
-        lambda profile, _: np.fft.ifftn(profile(lam) * fhat).real, bank, (j,)))
+    _, _, band = _box_spectrum(f.values, f.grid)
+    _, block = next(_dyadic_blocks(band, bank, (j,)))
     return SampledField(f.grid, block)
 
 

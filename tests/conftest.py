@@ -25,11 +25,6 @@ def grid1d():
 
 
 @pytest.fixture(scope="session")
-def grid1d_small():
-    return make_grid(1, 16.0, 512)
-
-
-@pytest.fixture(scope="session")
 def grid2d():
     return make_grid(2, 8.0, 256)
 

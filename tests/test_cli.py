@@ -4,6 +4,8 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import pathlib
 import struct
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+import halfspace_spectral
 from halfspace_spectral import BC_DIRICHLET, make_grid, sample_half, save_field
 from halfspace_spectral.cli import (_CHOICES, _SUBCOMMANDS, _resolve,
                                     build_parser, main)
@@ -366,6 +369,24 @@ def test_flag_seed_beats_environment(monkeypatch):
     assert json.loads(out)["meta"]["seed"] == 3
 
 
+@pytest.mark.parametrize("args", [
+    ["norm", "--field", "random", "--N", "512", "--seed", "-1"],
+    ["counterexample", "--quick", "--seed", "-2"]], ids=lambda a: a[0])
+def test_negative_seed_exits_two(args):
+    rc, out, err = run_cli(args)
+    assert rc == 2
+    assert out == ""
+    assert "configuration error: seed -" in err
+
+
+def test_negative_environment_seed_exits_two(monkeypatch):
+    monkeypatch.setenv("HALFSPACE_SPECTRAL_SEED", "-4")
+    rc, out, err = run_cli(["norm", "--field", "random", "--N", "512"])
+    assert rc == 2
+    assert out == ""
+    assert "configuration error: seed -4" in err
+
+
 # ---------------------------------------------------------------------------
 # selftest and the module entry point
 
@@ -383,9 +404,13 @@ def test_quick_selftest_passes():
 
 
 def test_module_is_executable():
+    # the child finds the package where this process imported it from
+    path = [str(pathlib.Path(halfspace_spectral.__file__).parents[1]),
+            os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run(
         [sys.executable, "-m", "halfspace_spectral.cli", "--version"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
 
 

@@ -11,7 +11,6 @@ from halfspace_spectral import (
     BoundaryTagError,
     ConfigError,
     HalfField,
-    apply_sign,
     even_extend,
     extend_for,
     make_grid,
@@ -85,27 +84,6 @@ def test_extend_for_routes_by_operator(grid1d):
                           even_extend(hf).values)
     with pytest.raises(ConfigError):
         extend_for(hf, "robin")
-
-
-def test_apply_sign_flips_lower_half_only(grid1d):
-    hf = _some_field(grid1d)
-    ext = even_extend(hf)
-    flipped = apply_sign(ext)
-    half = grid1d.N // 2
-    assert np.array_equal(flipped.values[half:], ext.values[half:])
-    assert np.array_equal(flipped.values[:half], -ext.values[:half])
-
-
-def test_apply_sign_swaps_parity_class(grid1d):
-    hf = _some_field(grid1d)
-    odd = odd_extend(hf)
-    # sign(x) * odd extension is the even extension of the same samples
-    assert np.array_equal(apply_sign(odd).values, even_extend(hf).values)
-
-
-def test_apply_sign_is_an_involution(grid1d):
-    ext = odd_extend(_some_field(grid1d))
-    assert np.array_equal(apply_sign(apply_sign(ext)).values, ext.values)
 
 
 @settings(max_examples=30, deadline=None)

@@ -103,6 +103,11 @@ def test_bump_random_needs_room():
         make_family("bump_random", tiny, OP_DIRICHLET, 1, 1)
 
 
+def test_negative_seed_is_a_config_error(grid1d):
+    with pytest.raises(ConfigError, match="seed -1"):
+        make_family("bump_random", grid1d, OP_DIRICHLET, -1, 1)
+
+
 def test_adversarial_family_is_dirichlet_only(grid1d):
     flds = make_family("boundary_adversarial", grid1d, OP_DIRICHLET, 2, 2)
     assert all(f.bc == BC_DIRICHLET for f in flds)

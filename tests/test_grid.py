@@ -14,7 +14,6 @@ from halfspace_spectral import (
     HalfField,
     SampledField,
     bump,
-    export_csv,
     integrate,
     load_field,
     lp_norm,
@@ -301,26 +300,6 @@ def test_load_rejects_an_unknown_field_kind(tmp_path):
     path = _write_header(tmp_path / "f.hsf", kind=2)
     with pytest.raises(ConfigError, match="kind"):
         load_field(path)
-
-
-def test_csv_export_1d(tmp_path, grid1d_small):
-    hf = sample_half(grid1d_small, lambda x: x ** 2)
-    path = tmp_path / "f.csv"
-    export_csv(hf, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == grid1d_small.N // 2 + 1
-    first = lines[1].split(",")
-    assert float(first[0]) == pytest.approx(grid1d_small.h / 2.0)
-    assert float(first[1]) == pytest.approx((grid1d_small.h / 2.0) ** 2)
-
-
-def test_csv_export_2d(tmp_path, grid2d):
-    f = sample_half(grid2d, lambda x, y: x + y)
-    path = tmp_path / "f.csv"
-    export_csv(f, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == grid2d.N * (grid2d.N // 2) + 1
-    assert lines[0].count(",") == 2    # x1, x2, value
 
 
 # ---------------------------------------------------------------------------

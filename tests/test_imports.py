@@ -1,11 +1,23 @@
 """AST scans of ``src/``: every name the package imports is used, every
-transform it makes is one the benchmark's tracer counts, and only
-``spectral.py`` touches the half-space coefficient layout."""
+name it re-exports is listed by its module, every transform it makes is
+one the benchmark's tracer counts, and only ``spectral.py`` calls a
+transform or touches the half-space coefficient layout."""
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "halfspace_spectral"
+
+
+def _dunder_all(tree: ast.Module):
+    """The names of the module's ``__all__``; None when it has none."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return ast.literal_eval(node.value)
+    return None
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -23,11 +35,7 @@ def _unused_imports(tree: ast.Module) -> list:
                 name = alias.asname or alias.name.split(".")[0]
                 bound.append((node.lineno, name))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
+    used.update(_dunder_all(tree) or ())
     return [(line, name) for line, name in bound if name not in used]
 
 
@@ -44,6 +52,25 @@ def test_package_imports_no_unused_name():
               if (found := _unused_imports(ast.parse(path.read_text())))}
     assert unused == {}
 
+
+def test_package_exports_are_listed_by_their_modules():
+    """Each name of the package ``__all__`` imported from a module that
+    has an ``__all__`` is in that list too, so that the module's own
+    star-import gives what the package re-exports.  A module without
+    one exports every public name."""
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = set(_dunder_all(init))
+    missing = []
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            listed = _dunder_all(
+                ast.parse((PACKAGE / f"{node.module}.py").read_text()))
+            if listed is not None:
+                missing += [f"{node.module}.{alias.name}"
+                            for alias in node.names
+                            if alias.name in exported
+                            and alias.name not in listed]
+    assert missing == []
 
 
 #: the numpy.fft names that the benchmark's tracer wraps, or that
@@ -64,10 +91,9 @@ def _dotted(node, aliases: dict):
     return ".".join(reversed(parts))
 
 
-def _untraced_transforms(tree: ast.Module) -> list:
-    """(line, name) of each use of a numpy.fft name outside
-    ``_TRACED_FFT`` and of anything from scipy.fft: transforms that the
-    tracer, which wraps numpy.fft.fftn and ifftn, would not count."""
+def _import_aliases(tree: ast.Module) -> dict:
+    """{bound name: dotted name it stands for} of the module's imports
+    that bind a name other than the one imported."""
     aliases = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -77,6 +103,14 @@ def _untraced_transforms(tree: ast.Module) -> list:
             aliases.update((alias.asname or alias.name,
                             f"{node.module}.{alias.name}")
                            for alias in node.names)
+    return aliases
+
+
+def _untraced_transforms(tree: ast.Module) -> list:
+    """(line, name) of each use of a numpy.fft name outside
+    ``_TRACED_FFT`` and of anything from scipy.fft: transforms that the
+    tracer, which wraps numpy.fft.fftn and ifftn, would not count."""
+    aliases = _import_aliases(tree)
     inner = {id(node.value) for node in ast.walk(tree)
              if isinstance(node, ast.Attribute)}
     found = []
@@ -109,6 +143,48 @@ def test_package_transforms_are_all_traced():
     assert files
     found = {str(path.relative_to(SRC)): hits for path in files
              if (hits := _untraced_transforms(ast.parse(path.read_text())))}
+    assert found == {}
+
+
+#: the numpy.fft names that the package calls and that compute no
+#: transform
+_NOT_TRANSFORMS = {"fftfreq"}
+
+
+def _numpy_transform_calls(tree: ast.Module) -> list:
+    """(line, name) of each call of a numpy.fft function outside
+    ``_NOT_TRANSFORMS``, however the module imported it."""
+    aliases = _import_aliases(tree)
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _dotted(node.func, aliases)
+        parts = name.split(".") if name else []
+        if (parts[:2] == ["numpy", "fft"] and len(parts) > 2
+                and parts[2] not in _NOT_TRANSFORMS):
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_scan_finds_a_numpy_transform_call():
+    tree = ast.parse(
+        "import numpy as np\nfrom numpy import fft as nf\n"
+        "from numpy.fft import ifftn as inverse\n"
+        "np.fft.fftn(a).real\nnf.fftfreq(8)\ninverse(a, axes=(0,))\n"
+        "np.fft.fftfreq(8, 1.0)\nnp.sqrt(np.fft.ifftn(a))\n"
+        "forward = np.fft.fftn\n")
+    assert _numpy_transform_calls(tree) == [
+        (4, "numpy.fft.fftn"), (6, "numpy.fft.ifftn"),
+        (8, "numpy.fft.ifftn")]
+
+
+def test_only_spectral_calls_a_transform():
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    found = {str(path.relative_to(SRC)): hits for path in files
+             if path.name != "spectral.py"
+             and (hits := _numpy_transform_calls(ast.parse(path.read_text())))}
     assert found == {}
 
 

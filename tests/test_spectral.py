@@ -24,13 +24,11 @@ from halfspace_spectral import (
     build_bank,
     bump,
     derivative_multiplier,
-    directional_multiplier,
     dyadic_block,
     eta_profile,
     frac_lap_constant,
     fractional_laplacian,
     make_grid,
-    riesz_transform,
     sample,
     semigroup_symbol,
     singular_integral_frac_lap,
@@ -128,7 +126,7 @@ def test_legitimate_high_order_passes_the_residue_guard(grid1d):
 
 
 # ---------------------------------------------------------------------------
-# derivatives and Riesz transforms
+# derivatives
 
 def test_derivative_of_cosine_mode(grid1d):
     f, k = _mode(grid1d, 5, "cos")
@@ -150,38 +148,6 @@ def test_derivative_axis_is_one_based(grid1d):
         derivative_multiplier(grid1d, 0)
     with pytest.raises(ConfigError):
         derivative_multiplier(grid1d, 2)
-
-
-def test_riesz_sign_convention(grid1d):
-    f, k = _mode(grid1d, 4, "cos")
-    out = riesz_transform(f, 1)
-    ref = sample(grid1d, lambda x: -np.sin(k * x))
-    assert np.max(np.abs(out.values - ref.values)) < 1e-13
-
-
-def test_riesz_squares_to_minus_identity_on_zero_mean(grid1d):
-    raw = sample(grid1d, lambda x: np.sin(np.pi * x / 8.0) + bump(x, 2.0, 1.0))
-    f = SampledField(grid1d, raw.values - np.mean(raw.values))
-    twice = riesz_transform(riesz_transform(f, 1), 1)
-    assert np.max(np.abs(twice.values + f.values)) < 1e-11
-
-
-def test_riesz_transforms_resolve_the_identity_2d(grid2d):
-    f = sample(grid2d, lambda x, y: np.sin(np.pi * x / 4.0)
-               * np.cos(np.pi * y / 2.0))
-    total = np.zeros_like(f.values)
-    for k in (1, 2):
-        total += riesz_transform(riesz_transform(f, k), k).values
-    ref = -(f.values - np.mean(f.values))
-    assert np.max(np.abs(total - ref)) < 1e-11
-
-
-def test_directional_multiplier_single_axis(grid2d):
-    kx = np.pi * 3 / grid2d.L
-    f = sample(grid2d, lambda x, y: np.sin(kx * x) * np.cos(2.0 * np.pi
-                                                            * y / grid2d.L))
-    out = directional_multiplier(f, 1.4, 1)
-    assert np.max(np.abs(out.values - kx ** 1.4 * f.values)) < 1e-11
 
 
 # ---------------------------------------------------------------------------
