@@ -146,15 +146,21 @@ def _resolve(ns):
 
 
 def _seed_of(ns, opts):
-    if ns.seed is not None:
-        return ns.seed
+    """The seed from the flag, else the environment, else the config
+    file or the default; refused when negative, whether or not the
+    field draws from it."""
+    seed = ns.seed
     env = os.environ.get(_ENV_SEED)
-    if env is not None:
+    if seed is None and env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ConfigError(f"{_ENV_SEED}={env!r} is not an integer")
-    return opts["seed"]
+    if seed is None:
+        seed = opts["seed"]
+    if seed < 0:
+        raise ConfigError(f"seed {seed} must be >= 0")
+    return seed
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,10 @@ from .grid import (GridSpec, HalfField, SampledField, _exponent, lp_norm,
 from .halfspace_ops import (OP_DIRICHLET, OP_NEUMANN, boundary_trace,
                             frac_power, normal_derivative,
                             tangential_derivative)
-from .norms import SpaceSpec, _check_leak, besov_norm, sobolev_norm
-from .spectral import (DyadicBank, _box_spectrum, _dyadic_blocks,
-                       _half_spectrum, build_bank, singular_integral_frac_lap)
+from .norms import (SpaceSpec, _band_norms, _check_leak, besov_norm,
+                    sobolev_norm)
+from .spectral import (DyadicBank, _BoxSpectrum, _dyadic_blocks,
+                       _HalfSpectrum, build_bank, singular_integral_frac_lap)
 
 __all__ = [
     "BilinearConfig",
@@ -419,9 +420,9 @@ def paraproduct_split(F: SampledField, G: SampledField,
     js = list(bank.octaves)
 
     def blocks_of(X):
-        lam, power, band = _box_spectrum(X.values, X.grid)
-        _check_leak(power, lam, bank, low_too=True)
-        return [block for _, block in _dyadic_blocks(band, bank, js)]
+        spectrum = _BoxSpectrum(X.values, X.grid)
+        _check_leak(spectrum.power, spectrum.lam, bank, low_too=True)
+        return [block for _, block in _dyadic_blocks(spectrum.band, bank, js)]
 
     bF = blocks_of(F)
     bG = blocks_of(G)
@@ -629,11 +630,12 @@ def besov_block_floor(p: float, grid: GridSpec,
         raise ConfigError(
             f"only {bank.j_max - j0 + 1} octaves above the support scale; "
             "increase N")
-    band = _half_spectrum(_phi_half(grid).values, grid, True)[2]
+    phi = _phi_half(grid)
+    norms = _band_norms(phi, _HalfSpectrum(phi.values, grid, True), p)
     js = list(range(j0, bank.j_max + 1))
     blocks_arr = np.asarray([
-        2.0 ** ((j + 1) / p) * lp_norm(HalfField(grid, block), p)
-        for j, block in _dyadic_blocks(band, bank, js)])
+        2.0 ** ((j + 1) / p) * norm for j, (norm, _)
+        in _dyadic_blocks(norms, bank, js)])
 
     last4 = blocks_arr[-4:]
     plateau = bool(last4.min() > 0.5 * float(np.median(last4))

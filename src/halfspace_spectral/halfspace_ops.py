@@ -29,9 +29,10 @@ import numpy as np
 from .errors import BoundaryTagError, ConfigError
 from .extension import even_extend, odd_extend
 from .grid import BC_DIRICHLET, BC_NEUMANN, HalfField
-from .spectral import (Multiplier, _half_multiplier, _half_normal_derivative,
-                       _power_multiplier, _require_zero_mean,
-                       _semigroup_multiplier, derivative_multiplier)
+from .spectral import (Multiplier, _half_multiplier, _half_multiplier_energy,
+                       _half_normal_derivative, _power_multiplier,
+                       _require_zero_mean, _semigroup_multiplier,
+                       derivative_multiplier)
 
 __all__ = [
     "OP_DIRICHLET",
@@ -78,6 +79,22 @@ def _calculus(hf: HalfField, op: str, m: Multiplier,
                      _half_multiplier(hf.values, hf.grid, m, odd, key), op)
 
 
+def _calculus_energy(hf: HalfField, op: str, m: Multiplier,
+                     key: tuple | None = None) -> float:
+    """The squared half-space L^2 norm of ``_calculus(hf, op, m, key)``,
+    by Parseval on its coefficients, with no inverse transform."""
+    odd = _is_odd(hf, _check_op(op))
+    return _half_multiplier_energy(hf.values, hf.grid, m, odd, key)
+
+
+def _power_symbol(hf: HalfField, op: str, s: float) -> tuple:
+    """The multiplier and symbol key of :func:`frac_power`, after its
+    zero-mean guard."""
+    if s < 0 and not _is_odd(hf, _check_op(op)):
+        _require_zero_mean(hf, f"negative-order power s={s}")
+    return _power_multiplier(s), ("power", float(s))
+
+
 def frac_power(hf: HalfField, op: str, s: float) -> HalfField:
     """A^(s/2) f for A the Dirichlet or Neumann Laplacian.
 
@@ -86,9 +103,7 @@ def frac_power(hf: HalfField, op: str, s: float) -> HalfField:
     field, the mean of its even extension; the sine modes of Dirichlet
     have no zero mode.
     """
-    if s < 0 and not _is_odd(hf, _check_op(op)):
-        _require_zero_mean(hf, f"negative-order power s={s}")
-    return _calculus(hf, op, _power_multiplier(s), ("power", float(s)))
+    return _calculus(hf, op, *_power_symbol(hf, op, s))
 
 
 def semigroup(hf: HalfField, op: str, t: float, s: float = 2.0) -> HalfField:

@@ -17,6 +17,11 @@ high-frequency leak is checked.
 Homogeneous norms quotient out constants: the DC mode of the extension
 is invisible to every phi_j and is excluded from the leak bookkeeping.
 
+At p = 2 every norm is taken from the coefficients by Parseval: the
+Sobolev norm, each block, low-pass term and heat node, with no inverse
+transform (``_image_norms`` chooses the route).  Every other p forms
+the samples and takes their midpoint-rule norm.
+
 The semigroup characterization
 
     ( int_0^inf ( t^(-s/2) || (tA)^M e^(-tA) f ||_p )^q  dt/t )^(1/q)
@@ -27,6 +32,7 @@ is evaluated on a log-uniform t-quadrature; M must exceed s/2.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -34,9 +40,10 @@ import numpy as np
 
 from .errors import ConfigError, NumericalGuardError
 from .grid import HalfField, _exponent, lp_norm
-from .halfspace_ops import (OP_DIRICHLET, OP_NEUMANN, _calculus, _is_odd,
+from .halfspace_ops import (OP_DIRICHLET, OP_NEUMANN, _calculus,
+                            _calculus_energy, _is_odd, _power_symbol,
                             extend_for, frac_power)
-from .spectral import (DyadicBank, Multiplier, _dyadic_blocks, _half_spectrum,
+from .spectral import (DyadicBank, Multiplier, _dyadic_blocks, _HalfSpectrum,
                        _lowpass_block)
 
 __all__ = [
@@ -49,6 +56,10 @@ __all__ = [
 ]
 
 _LEAK_TOL = 1e-8
+
+#: exp(-x) is exactly 0.0 in doubles from x = 745.13 on, so a heat node
+#: (t lam^2)^M exp(-t lam^2) vanishes wherever t lam^2 >= 746
+_HEAT_ZERO = 746.0
 
 
 @dataclass(frozen=True)
@@ -92,15 +103,37 @@ def _checked(hf: HalfField, spec: SpaceSpec, kind: str, what: str):
     return hf if hf.bc is not None else hf.with_bc(spec.op)
 
 
+def _image_norms(p: float, image, energy, box_op: str | None = None):
+    """(half, box) L^p norms of an operator's image: over the half-space
+    and, for ``box_op``, over the box of its parity extension (else
+    None).  The one place that chooses the route.
+
+    At p = 2 both come from ``energy()``, the image's squared half-space
+    L^2 norm by Parseval on its coefficients: a parity extension doubles
+    the L^2 mass, so the box norm is sqrt(2) times the half norm.  At
+    any other p, ``image()`` transforms the image to its samples.
+    """
+    if p == 2:
+        half = math.sqrt(energy())
+        return half, (math.sqrt(2.0) * half if box_op else None)
+    part = image()
+    return (lp_norm(part, p),
+            lp_norm(extend_for(part, box_op), p) if box_op else None)
+
+
 def sobolev_norm(hf: HalfField, spec: SpaceSpec) -> float:
     work = _checked(hf, spec, "sobolev", "sobolev_norm")
     if spec.homogeneous:
-        return lp_norm(frac_power(work, spec.op, spec.s), spec.p)
+        return _image_norms(
+            spec.p, lambda: frac_power(work, spec.op, spec.s),
+            lambda: _calculus_energy(
+                work, spec.op, *_power_symbol(work, spec.op, spec.s)))[0]
     s = spec.s
     bessel = Multiplier(
         lambda *mesh: (1.0 + sum(xi ** 2 for xi in mesh)) ** (s / 2.0),
         1.0, f"(1+|xi|^2)^{s / 2}")
-    return lp_norm(_calculus(work, spec.op, bessel), spec.p)
+    return _image_norms(spec.p, lambda: _calculus(work, spec.op, bessel),
+                        lambda: _calculus_energy(work, spec.op, bessel))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +169,17 @@ def _lq(values, q: float) -> float:
     return float(np.sum(arr ** q) ** (1.0 / q))
 
 
+def _band_norms(work: HalfField, spectrum: _HalfSpectrum, p: float,
+                box_op: str | None = None):
+    """The :func:`_image_norms` of a band of ``work``, as a function of
+    (profile, radius) like the spectrum's ``band``."""
+    def norms(profile, radius):
+        return _image_norms(
+            p, lambda: work.with_values(spectrum.band(profile, radius)),
+            lambda: spectrum.energy(profile, radius), box_op)
+    return norms
+
+
 def _dyadic_pass(hf: HalfField, spec: SpaceSpec, bank: DyadicBank,
                  what: str, box: bool = False):
     """One leak-checked pass of the bank over the sine or cosine
@@ -145,27 +189,25 @@ def _dyadic_pass(hf: HalfField, spec: SpaceSpec, bank: DyadicBank,
     the full box of the blocks' parity extensions (else None).
     """
     work = _checked(hf, spec, "besov", what)
-    lam, power, band = _half_spectrum(
-        work.values, work.grid, _is_odd(work, spec.op))
-    leak = _check_leak(power, lam, bank, low_too=spec.homogeneous)
+    spectrum = _HalfSpectrum(work.values, work.grid, _is_odd(work, spec.op))
+    leak = _check_leak(spectrum.power, spectrum.lam, bank,
+                       low_too=spec.homogeneous)
+    norms = _band_norms(work, spectrum, spec.p, spec.op if box else None)
     j_lo = bank.j_min if spec.homogeneous else max(bank.j_min, 1)
     blocks, box_weighted = [], []
-    for j, block in _dyadic_blocks(band, bank, range(j_lo, bank.j_max + 1)):
-        part = work.with_values(block)
-        b = lp_norm(part, spec.p)
+    for j, (b, b_box) in _dyadic_blocks(norms, bank,
+                                        range(j_lo, bank.j_max + 1)):
         blocks.append({"j": j, "norm": b, "weighted": 2.0 ** (spec.s * j) * b})
         if box:
-            box_weighted.append(2.0 ** (spec.s * j)
-                                * lp_norm(extend_for(part, spec.op), spec.p))
+            box_weighted.append(2.0 ** (spec.s * j) * b_box)
     terms = {"blocks": blocks, "leak": leak}
     value = _lq([b["weighted"] for b in blocks], spec.q)
     full = _lq(box_weighted, spec.q) if box else None
     if not spec.homogeneous:
-        low = work.with_values(_lowpass_block(band, bank))
-        terms["lowpass"] = lp_norm(low, spec.p)
+        terms["lowpass"], low_box = _lowpass_block(norms, bank)
         value = terms["lowpass"] + value
         if box:
-            full += lp_norm(extend_for(low, spec.op), spec.p)
+            full += low_box
     terms["value"] = value
     return terms, full
 
@@ -218,12 +260,14 @@ def besov_norm_semigroup(hf: HalfField, spec: SpaceSpec, M: int | None = None,
         if t_grid.size == 0:
             raise ConfigError("inhomogeneous variant integrates over (0, 1]")
 
-    band = _half_spectrum(work.values, work.grid, _is_odd(work, spec.op))[2]
+    norms = _band_norms(
+        work, _HalfSpectrum(work.values, work.grid, _is_odd(work, spec.op)),
+        spec.p)
     vals = np.empty(t_grid.size)
     for i, t in enumerate(t_grid):
-        block = work.with_values(band(functools.partial(_heat_moment, t, M),
-                                      np.inf))
-        vals[i] = t ** (-spec.s / 2.0) * lp_norm(block, spec.p)
+        node = norms(functools.partial(_heat_moment, t, M),
+                     math.sqrt(_HEAT_ZERO / t))[0]
+        vals[i] = t ** (-spec.s / 2.0) * node
 
     if np.isinf(spec.q):
         body = float(np.max(vals))
@@ -232,8 +276,7 @@ def besov_norm_semigroup(hf: HalfField, spec: SpaceSpec, M: int | None = None,
                      ** (1.0 / spec.q))
     if spec.homogeneous:
         return body
-    return lp_norm(work.with_values(_lowpass_block(band, bank)),
-                   spec.p) + body
+    return _lowpass_block(norms, bank)[0] + body
 
 
 def extension_norm_equivalence(hf: HalfField, spec: SpaceSpec,
@@ -244,7 +287,7 @@ def extension_norm_equivalence(hf: HalfField, spec: SpaceSpec,
     parity extension has definite parity, so restriction halves its
     p-th power mass); the report keeps both values and flags the
     degenerate zero-field case instead of dividing by it.  Both norms
-    come from one pass over the blocks.
+    come from one pass over the blocks; at p = 2 from their energies.
     """
     terms, full = _dyadic_pass(hf, spec, bank, "extension equivalence",
                                box=True)

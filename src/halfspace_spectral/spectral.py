@@ -26,8 +26,15 @@ modes, packing and rows (the normal lines of single tangential
 frequencies).  Other modules pass samples, modes or profiles of |xi|:
 ``_half_multiplier`` and ``_half_normal_derivative`` apply operators,
 ``_half_synthesis`` samples separable modes, and the ``band`` of
-``_half_spectrum`` filters by a profile of |xi| for every Besov pass:
+``_HalfSpectrum`` filters by a profile of |xi| for every Besov pass:
 dyadic, low-pass or heat flow.
+
+At p = 2 no norm needs the samples.  By Parseval, the squared
+half-space L^2 norm of an image is a weighted sum of its squared
+coefficients, and this module alone knows the weights:
+``_HalfSpectrum.energy`` gives it for a band and
+``_half_multiplier_energy`` for a multiplier, with no inverse
+transform.
 
 The dyadic bank realizes a standard smooth partition of unity: with
 eta(lambda) equal to 1 on [0, 1], supported in [0, 2] and built from
@@ -46,9 +53,9 @@ that they pin the exact profiles they were produced with.
 
 This module is the single owner of the dyadic split: the radial
 frequency |xi|, the octave range a grid resolves, the two bands that
-filter a field by a profile of |xi|, ``_box_spectrum`` on the box DFT
-and ``_half_spectrum`` on the half-length pair, and the loop that
-inverse-transforms one block phi_j(|xi|) fhat at a time.  phi_j
+filter a field by a profile of |xi|, ``_BoxSpectrum`` on the box DFT
+and ``_HalfSpectrum`` on the half-length pair, and the loop that takes
+one block phi_j(|xi|) fhat, or its energy, at a time.  phi_j
 vanishes from |xi| = 2^(j+1) on, and the low-pass psi from 2 on, so on
 the half-length pair each block touches only the tangential rows
 |xi_t| its annulus reaches.
@@ -197,14 +204,22 @@ def _radial(mesh):
     return np.sqrt(sum(xi ** 2 for xi in mesh))
 
 
-def _box_spectrum(values: np.ndarray, grid: GridSpec):
-    """(|xi|, |fhat|^2, band) of the DFT fhat of a real full-grid array,
-    as :func:`_half_spectrum` is for the half-grid; the box ``band``
-    transforms every row, so it ignores the radius."""
-    fhat = np.fft.fftn(values)
-    lam = _radial(grid.freq_mesh())
-    return (lam, np.abs(fhat) ** 2,
-            lambda profile, _: np.fft.ifftn(profile(lam) * fhat).real)
+class _BoxSpectrum:
+    """The DFT fhat of a real full-grid array, as :class:`_HalfSpectrum`
+    is for the half-grid: |xi| as ``lam``, |fhat|^2 as ``power``, formed
+    on first use, and ``band``, which transforms every row, so it
+    ignores the radius."""
+
+    def __init__(self, values: np.ndarray, grid: GridSpec):
+        self.fhat = np.fft.fftn(values)
+        self.lam = _radial(grid.freq_mesh())
+
+    @functools.cached_property
+    def power(self) -> np.ndarray:
+        return np.abs(self.fhat) ** 2
+
+    def band(self, profile, _radius) -> np.ndarray:
+        return np.fft.ifftn(profile(self.lam) * self.fhat).real
 
 
 def _require_zero_mean(f: SampledField, what: str) -> None:
@@ -479,45 +494,92 @@ def _half_mesh(grid: GridSpec, odd: bool) -> tuple:
     return mesh[:-1] + (_normal_wavenumbers(mesh[-1], odd),)
 
 
-def _half_spectrum(values: np.ndarray, grid: GridSpec, odd: bool):
-    """(|xi|, power, band) of the coefficients of a real half-grid array.
+def _parseval_scale(grid: GridSpec) -> float:
+    """The weight that turns the Parseval sum of half-space coefficients
+    into a squared half-space L^2 norm: the cell volume h^n over the
+    N^(n-1) N/2 points of the unnormalized transform."""
+    return grid.h ** grid.n / (grid.N ** (grid.n - 1) * (grid.N // 2))
 
-    The power weighs |coef|^2 as Parseval weighs the extension's
-    spectrum: coefficient 0 holds cosine mode 0 or sine mode M, which
-    is unpaired, and every other coefficient stands for +-m on the box.
-    ``band(profile, radius)`` is the field of profile(|xi|) coef, for a
-    profile that vanishes from |xi| = radius on (:func:`_half_band`).
+
+class _HalfSpectrum:
+    """The sine (``odd``) or cosine coefficients of a real half-grid
+    array, for the Besov passes.
+
+    ``lam`` is |xi| on the coefficients.  ``power``, formed on first
+    use, weighs |coef|^2 as Parseval weighs the extension's spectrum:
+    coefficient 0 holds cosine mode 0 or sine mode M, which is
+    unpaired, and every other coefficient stands for +-m on the box.
+    For a profile that vanishes from |xi| = radius on, ``band(profile,
+    radius)`` is the field of profile(|xi|) coef, and ``energy(profile,
+    radius)`` its squared half-space L^2 norm by Parseval, with no
+    inverse transform.
+
+    Since |xi| >= |xi_t|, every row whose tangential |xi_t| reaches the
+    radius is zero: both evaluate the profile on the other rows alone,
+    and ``band`` transforms only those by :func:`_half_inverse_rows`.
     """
-    coef = _half_forward(values, odd)
-    power = np.abs(coef) ** 2
-    power[..., 1:] *= 2.0
-    mesh = _half_mesh(grid, odd)
-    lam = _radial(mesh)
-    return lam, power, functools.partial(
-        _half_band, coef, lam, np.ravel(_radial(mesh[:-1])), odd)
 
+    def __init__(self, values: np.ndarray, grid: GridSpec, odd: bool):
+        self.coef = _half_forward(values, odd)
+        mesh = _half_mesh(grid, odd)
+        self.lam = _radial(mesh)
+        self.tangential = np.ravel(_radial(mesh[:-1]))
+        self.odd = odd
+        self.scale = _parseval_scale(grid)
 
-def _half_band(coef, lam, tangential, odd: bool, profile,
-               radius: float) -> np.ndarray:
-    """The real samples of profile(|xi|) coef, where ``profile``
-    vanishes from |xi| = radius on.
+    @functools.cached_property
+    def power(self) -> np.ndarray:
+        power = np.abs(self.coef) ** 2
+        power[..., 1:] *= 2.0
+        return power
 
-    Since |xi| >= |xi_t|, every row whose tangential |xi_t|, listed
-    flat in ``tangential``, reaches the radius is zero: the profile is
-    evaluated and the product formed on the other rows alone, for
-    :func:`_half_inverse_rows`; with no such row, nothing is gathered.
-    """
-    rows = np.flatnonzero(tangential < radius)
-    if rows.size == tangential.size:
-        return _half_inverse(profile(lam) * coef, odd)
-    M = coef.shape[-1]
-    product = coef.reshape(-1, M)[rows]
-    product *= profile(lam.reshape(-1, M)[rows])
-    return _half_inverse_rows(product, rows, coef.shape, odd)
+    def _rows(self, radius: float):
+        """The flat indices of the rows below ``radius``, or None for
+        every row; with None, nothing is gathered."""
+        rows = np.flatnonzero(self.tangential < radius)
+        return None if rows.size == self.tangential.size else rows
+
+    def band(self, profile, radius: float) -> np.ndarray:
+        rows = self._rows(radius)
+        if rows is None:
+            return _half_inverse(profile(self.lam) * self.coef, self.odd)
+        M = self.coef.shape[-1]
+        product = self.coef.reshape(-1, M)[rows]
+        product *= profile(self.lam.reshape(-1, M)[rows])
+        return _half_inverse_rows(product, rows, self.coef.shape, self.odd)
+
+    def energy(self, profile, radius: float) -> float:
+        rows = self._rows(radius)
+        M = self.coef.shape[-1]
+        lam, power = self.lam.reshape(-1, M), self.power.reshape(-1, M)
+        if rows is not None:
+            lam, power = lam[rows], power[rows]
+        weight = profile(lam)
+        weight *= weight
+        return self.scale * float(np.vdot(weight, power))
+
 
 
 #: the last keyed symbol: {(grid, odd, key): checked read-only array}
 _SYMBOL_CACHE: dict = {}
+
+
+def _half_image(values: np.ndarray, grid: GridSpec, m: Multiplier,
+                odd: bool, key: tuple | None) -> np.ndarray:
+    """The coefficients of ``m`` applied in the sine (``odd``) or cosine
+    calculus, as :func:`_half_multiplier` describes."""
+    tag = (grid, odd, key)
+    sym = _SYMBOL_CACHE.get(tag)
+    if sym is None:
+        _SYMBOL_CACHE.clear()
+        sym = _symbol(m, _half_mesh(grid, odd), values.shape, not odd,
+                      tuple(range(grid.n - 1)))
+        if key is not None:
+            sym.flags.writeable = False
+            _SYMBOL_CACHE[tag] = sym
+    coef = _half_forward(values, odd)
+    coef *= sym
+    return coef
 
 
 def _half_multiplier(values: np.ndarray, grid: GridSpec, m: Multiplier,
@@ -534,18 +596,23 @@ def _half_multiplier(values: np.ndarray, grid: GridSpec, m: Multiplier,
     is built, so that one symbol at most is held.  A multiplier with no
     key is evaluated and checked on every call.
     """
-    tag = (grid, odd, key)
-    sym = _SYMBOL_CACHE.get(tag)
-    if sym is None:
-        _SYMBOL_CACHE.clear()
-        sym = _symbol(m, _half_mesh(grid, odd), values.shape, not odd,
-                      tuple(range(grid.n - 1)))
-        if key is not None:
-            sym.flags.writeable = False
-            _SYMBOL_CACHE[tag] = sym
-    coef = _half_forward(values, odd)
-    coef *= sym
-    return _half_inverse(coef, odd)
+    return _half_inverse(_half_image(values, grid, m, odd, key), odd)
+
+
+def _half_multiplier_energy(values: np.ndarray, grid: GridSpec,
+                            m: Multiplier, odd: bool,
+                            key: tuple | None = None) -> float:
+    """The squared half-space L^2 norm of what :func:`_half_multiplier`
+    returns, by Parseval on its coefficients, with no inverse transform.
+
+    The weights are those of ``_HalfSpectrum.power``: coefficient 0 is
+    unpaired and every other counts twice, so the sum is twice the
+    whole |coef|^2 less coefficient 0's, with no full-size temporary.
+    """
+    coef = _half_image(values, grid, m, odd, key)
+    unpaired = coef[..., 0]
+    total = 2.0 * np.vdot(coef, coef).real - np.vdot(unpaired, unpaired).real
+    return _parseval_scale(grid) * float(total)
 
 
 def _half_normal_derivative(values: np.ndarray, grid: GridSpec,
@@ -624,20 +691,22 @@ def _resolved_octaves(grid: GridSpec) -> tuple[int, int]:
 
 
 def _dyadic_blocks(band, bank: DyadicBank, octaves):
-    """Yield (j, real block) for each octave, one transform at a time,
+    """Yield (j, band(phi_j, 2^(j+1))) for each octave, one at a time,
     so that no more than one block is held in memory.
 
-    ``band(profile, radius)`` transforms profile(|xi|) fhat for a
+    ``band(profile, radius)`` is a function of profile(|xi|) fhat for a
     profile that vanishes from |xi| = radius on, as phi_j does from
-    2^(j+1) on; the half-space band then skips the rows beyond it.
+    2^(j+1) on: the real block, as a spectrum's ``band`` transforms it,
+    or a norm of it; the half-space spectrum skips the rows beyond the
+    radius.
     """
     for j in octaves:
         yield j, band(functools.partial(bank.phi, j), 2.0 ** (j + 1))
 
 
-def _lowpass_block(band, bank: DyadicBank) -> np.ndarray:
-    """The inhomogeneous low-pass term psi(|xi|) fhat; psi vanishes from
-    |xi| = 2 on."""
+def _lowpass_block(band, bank: DyadicBank):
+    """``band`` of the inhomogeneous low-pass term psi(|xi|) fhat; psi
+    vanishes from |xi| = 2 on."""
     return band(bank.psi, 2.0)
 
 
@@ -665,8 +734,8 @@ def dyadic_block(f: SampledField, j: int, bank: DyadicBank) -> SampledField:
     if not bank.j_min <= j <= bank.j_max:
         raise ConfigError(
             f"octave j={j} outside resolved range [{bank.j_min}, {bank.j_max}]")
-    _, _, band = _box_spectrum(f.values, f.grid)
-    _, block = next(_dyadic_blocks(band, bank, (j,)))
+    _, block = next(_dyadic_blocks(_BoxSpectrum(f.values, f.grid).band,
+                                   bank, (j,)))
     return SampledField(f.grid, block)
 
 

@@ -379,6 +379,28 @@ def test_negative_seed_exits_two(args):
     assert "configuration error: seed -" in err
 
 
+@pytest.mark.parametrize("source", ["flag", "environment", "config"])
+def test_negative_seed_exits_two_for_a_deterministic_field(
+        source, tmp_path, monkeypatch):
+    # the seed is refused by the command line, whether or not the field
+    # draws from it
+    monkeypatch.delenv("HALFSPACE_SPECTRAL_SEED", raising=False)
+    args = ["norm", "--field", "xphi", "--N", "512"]
+    if source == "flag":
+        args, seed = args + ["--seed", "-1"], -1
+    elif source == "environment":
+        monkeypatch.setenv("HALFSPACE_SPECTRAL_SEED", "-3")
+        seed = -3
+    else:
+        ini = tmp_path / "seed.ini"
+        ini.write_text("[norm]\nseed = -2\n")
+        args, seed = args + ["--config", str(ini)], -2
+    rc, out, err = run_cli(args)
+    assert rc == 2
+    assert out == ""
+    assert f"configuration error: seed {seed} must be >= 0" in err
+
+
 def test_negative_environment_seed_exits_two(monkeypatch):
     monkeypatch.setenv("HALFSPACE_SPECTRAL_SEED", "-4")
     rc, out, err = run_cli(["norm", "--field", "random", "--N", "512"])

@@ -500,9 +500,11 @@ def test_get_bank_caches(grid1d):
 
 @pytest.mark.parametrize("arity", [2, 3])
 def test_recurring_factor_norms_are_taken_once(arity, monkeypatch):
-    # the counterexample sweeps pass (f, f) or (f, f, f): one frac_power
-    # for the numerator and one for f, whatever the arity
-    from halfspace_spectral import norms
+    # the counterexample sweeps pass (f, f) or (f, f, f): one order-s
+    # symbol applied for the numerator and one for f, whatever the arity.
+    # At p = 2 both norms are taken from the coefficients, so the count
+    # is made where either route applies the symbol
+    from halfspace_spectral import spectral
 
     g = make_grid(1, 16.0, 4096)
     f = counterexample_fields(g)[0]
@@ -520,14 +522,14 @@ def test_recurring_factor_norms_are_taken_once(arity, monkeypatch):
                               f.with_values(f.values.copy()), cfg))
     calls = []
 
-    def counting(*args, _orig=norms.frac_power):
-        calls.append(args[2])
+    def counting(*args, _orig=spectral._half_image):
+        calls.append(args[-1])
         return _orig(*args)
 
-    monkeypatch.setattr(norms, "frac_power", counting)
+    monkeypatch.setattr(spectral, "_half_image", counting)
     out = (bilinear_ratio(f, f, cfg) if arity == 2
            else trilinear_ratio(f, f, f, cfg))
-    assert calls == [2.5, 2.5]
+    assert calls == [("power", 2.5), ("power", 2.5)]
     assert out == expect
 
 

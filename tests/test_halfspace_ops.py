@@ -383,7 +383,9 @@ def test_each_operator_call_is_one_quarter_size_transform_pair(monkeypatch):
     # one forward and one inverse FFT of N^(n-1) * N/4 points per call,
     # the half-grid samples packed two to a complex point, each on a
     # complex array that it overwrites (out= is the input); the
-    # transforms are looked up on numpy.fft at call time
+    # transforms are looked up on numpy.fft at call time.  The p = 2
+    # Sobolev norm is taken from the coefficients, so it makes the
+    # forward alone, and at p = 3 it makes the pair
     g = make_grid(3, 8.0, 32)
     f = make_family("bump_random", g, OP_DIRICHLET, 0, 1)[0]
     sizes = []
@@ -394,11 +396,13 @@ def test_each_operator_call_is_one_quarter_size_transform_pair(monkeypatch):
             return _orig(a, *args, **kw)
         monkeypatch.setattr(np.fft, name, record)
     quarter = 32 * 32 * 8
-    for label, call in _operator_calls(f).items():
+    pair = [("fftn", quarter, True), ("ifftn", quarter, True)]
+    calls = {**_operator_calls(f), "sobolev_norm p=3": lambda: sobolev_norm(
+        f, SpaceSpec("sobolev", 1.0, 3.0, None, False, OP_DIRICHLET))}
+    for label, call in calls.items():
         sizes.clear()
         call()
-        assert sizes == [("fftn", quarter, True),
-                         ("ifftn", quarter, True)], label
+        assert sizes == (pair[:1] if label == "sobolev_norm" else pair), label
 
 
 def test_operator_calls_hold_few_half_fields_at_once():

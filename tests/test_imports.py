@@ -191,7 +191,7 @@ def test_only_spectral_calls_a_transform():
 #: the spectral internals that read or write half-space coefficients
 _COEFFICIENT_INTERNALS = {"_half_forward", "_half_inverse",
                           "_half_inverse_rows", "_packed_spectrum",
-                          "_unpacked"}
+                          "_unpacked", "_half_image"}
 
 
 def _coefficient_internals(tree: ast.Module) -> list:

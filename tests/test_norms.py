@@ -17,18 +17,22 @@ from halfspace_spectral import (
     OP_NEUMANN,
     SpaceSpec,
     apply_multiplier,
+    besov_block_floor,
     besov_norm,
     besov_norm_report,
     besov_norm_semigroup,
     bump,
+    dyadic_block,
     extend_for,
     extension_norm_equivalence,
+    frac_power,
     get_bank,
     lp_norm,
     make_family,
     make_grid,
     norms,
     restrict,
+    sample,
     sample_half,
     sobolev_norm,
 )
@@ -462,7 +466,9 @@ def test_besov_passes_match_a_full_grid_loop(op, homogeneous, grid2d):
 def test_semigroup_is_bitwise_a_loop_over_its_nodes(n, L, N, op,
                                                     homogeneous):
     # each node is (t lam^2)^M exp(-t lam^2) times the coefficients,
-    # inverse-transformed over the whole array
+    # inverse-transformed over the whole array: bitwise at p = 1 and inf,
+    # where the rows the semigroup skips are exact zeros, and to roundoff
+    # at p = 2, where Parseval sums the same squares in another order
     from halfspace_spectral.spectral import (_half_forward, _half_inverse,
                                              _half_mesh)
 
@@ -487,19 +493,24 @@ def test_semigroup_is_bitwise_a_loop_over_its_nodes(n, L, N, op,
             want = lp_norm(low, p) + want
         spec = SpaceSpec("besov", s, p, q, homogeneous, op)
         got = besov_norm_semigroup(f, spec, M=M, t_grid=t_grid, bank=bank)
-        assert got == want, p
+        if p == 2:
+            assert got == pytest.approx(want, rel=1e-13, abs=0)
+        else:
+            assert got == want, p
 
 
 @pytest.mark.parametrize("op", [OP_DIRICHLET, OP_NEUMANN])
 def test_besov_passes_make_quarter_size_transforms(op, monkeypatch):
     # the smallest 2-D grid that builds a bank: one forward transform of
-    # the 256 x 128 half-grid, packed into 256 x 64 complex points.  Each
-    # dyadic block and low-pass term then inverse-transforms along the
-    # normal only the rows |xi_t| below its radius, and then 256 x 64
-    # points along the tangential axis; each t-node makes one inverse of
-    # 256 x 64 points.  There is never a 256 x 256 transform of an
-    # extension, and each transform runs in place on a complex array
-    # (out= is the input)
+    # the 256 x 128 half-grid, packed into 256 x 64 complex points.  At
+    # p = 1 each dyadic block, low-pass term and t-node then
+    # inverse-transforms along the normal only the rows |xi_t| below its
+    # radius, and then 256 x 64 points along the tangential axis; a
+    # t-node whose radius sqrt(746 / t) lies beyond every row makes one
+    # inverse of 256 x 64 points.  At p = 2 every norm comes from the
+    # coefficients, and the forward transform is the only one.  There is
+    # never a 256 x 256 transform of an extension, and each transform
+    # runs in place on a complex array (out= is the input)
     g = make_grid(2, 8.0, 256)
     bank = get_bank(g)
     f = make_family("band_random", g, op, 3, 1, g.N)[0]
@@ -515,14 +526,17 @@ def test_besov_passes_make_quarter_size_transforms(op, monkeypatch):
 
     def band(radius):
         rows = np.count_nonzero(xi_t < radius)
-        assert 0 < rows < g.N
+        assert rows > 0
+        if rows == g.N:
+            return [("ifftn", 256 * 64, None, True)]
         return [("ifftn", rows * 64, (-1,), True),
                 ("ifftn", 256 * 64, (0,), True)]
 
     fwd = ("fftn", 256 * 64, None, True)
-    node = ("ifftn", 256 * 64, None, True)
+    nodes = [call for t in t_grid for call in band(np.sqrt(746.0 / t))]
+    assert nodes[0] == band(np.inf)[0] and len(nodes) == t_grid.size + 1
     for homogeneous in (True, False):
-        spec = SpaceSpec("besov", 1.0, 2.0, 2.0, homogeneous, op)
+        spec = SpaceSpec("besov", 1.0, 1.0, 2.0, homogeneous, op)
         low = [] if homogeneous else band(2.0)
         sizes.clear()
         rep = besov_norm_report(f, spec, bank)
@@ -530,7 +544,91 @@ def test_besov_passes_make_quarter_size_transforms(op, monkeypatch):
                                  for call in band(2.0 ** (b["j"] + 1))] + low
         sizes.clear()
         besov_norm_semigroup(f, spec, t_grid=t_grid, bank=bank)
-        assert sizes == [fwd] + [node] * t_grid.size + low
+        assert sizes == [fwd] + nodes + low
+        spec = SpaceSpec("besov", 1.0, 2.0, 2.0, homogeneous, op)
+        for call in (lambda: besov_norm_report(f, spec, bank),
+                     lambda: besov_norm_semigroup(f, spec, t_grid=t_grid,
+                                                  bank=bank),
+                     lambda: extension_norm_equivalence(f, spec, bank)):
+            sizes.clear()
+            call()
+            assert sizes == [fwd]
+
+
+@pytest.mark.parametrize("op", [OP_DIRICHLET, OP_NEUMANN])
+@pytest.mark.parametrize("n, L, N", [(1, 16.0, 1024), (2, 8.0, 256)],
+                         ids=["1d", "2d"])
+def test_p2_norms_come_from_the_coefficients(n, L, N, op, monkeypatch):
+    # at p = 2 Parseval gives every norm with no inverse transform:
+    # Sobolev norms equal the L^2 norm of the operator's samples, and the
+    # box norm of the extension is sqrt(2) times the half norm.  The
+    # guards still fire: the leak guard on an alias probe, and the
+    # zero-mean guard on a Neumann field of non-zero mean at s < 0
+    grid = make_grid(n, L, N)
+    bank = get_bank(grid)
+    f = make_family("band_random", grid, op, 5, 1, grid.N)[0]
+    oracles = []
+    for s in (-1.2, 0.5, 2.5):
+        bessel = Multiplier(
+            lambda *mesh, s=s: (1.0 + sum(xi ** 2 for xi in mesh)) ** (s / 2),
+            1.0)
+        image = restrict(apply_multiplier(extend_for(f, op), bessel), op)
+        oracles += [(SpaceSpec("sobolev", s, 2.0, None, True, op),
+                     lp_norm(frac_power(f, op, s), 2.0)),
+                    (SpaceSpec("sobolev", s, 2.0, None, False, op),
+                     lp_norm(image, 2.0))]
+    alias = sample_half(grid, lambda *c: np.sin(np.pi * (N - 2) / 2 * c[-1]
+                                                / L), bc=BC_DIRICHLET)
+    inverses = []
+
+    def counting(*args, _orig=np.fft.ifftn, **kw):
+        inverses.append(np.size(args[0]))
+        return _orig(*args, **kw)
+
+    monkeypatch.setattr(np.fft, "ifftn", counting)
+    for spec, want in oracles:
+        got = sobolev_norm(f, spec)
+        assert got == pytest.approx(want, rel=1e-13, abs=0), spec
+    for homogeneous in (True, False):
+        spec = SpaceSpec("besov", 0.7, 2.0, 2.0, homogeneous, op)
+        eq = extension_norm_equivalence(f, spec, bank)
+        assert eq["ratio"] == pytest.approx(2.0 ** -0.5, rel=1e-14, abs=0)
+        assert besov_norm_semigroup(f, spec, bank=bank) > 0.0
+    assert inverses == []
+    probe = SpaceSpec("besov", 0.5, 2.0, 2.0, True, OP_DIRICHLET)
+    for route in (besov_norm_report, extension_norm_equivalence):
+        with pytest.raises(NumericalGuardError, match="outside the resolved"):
+            route(alias, probe, bank)
+    if op == OP_NEUMANN:
+        lifted = f.with_values(f.values + 1.0)
+        with pytest.raises(ConfigError, match="zero-mean"):
+            sobolev_norm(lifted, SpaceSpec("sobolev", -1.2, 2.0, None, True,
+                                           op))
+
+
+def test_power_is_formed_only_where_it_is_read(grid1d, grid2d, monkeypatch):
+    # |coef|^2 serves the leak guard and the p = 2 energies alone: the
+    # semigroup and the block floor at p != 2, and dyadic_block, never
+    # form it
+    from halfspace_spectral import spectral
+
+    def refuse(self):
+        raise AssertionError("power formed")
+
+    monkeypatch.setattr(spectral._HalfSpectrum, "power", property(refuse))
+    monkeypatch.setattr(spectral._BoxSpectrum, "power", property(refuse))
+    bank = get_bank(grid2d)
+    f = make_family("band_random", grid2d, OP_NEUMANN, 3, 1, grid2d.N)[0]
+    for p in (1.0, 3.0, np.inf):
+        spec = SpaceSpec("besov", 1.0, p, 2.0, False, OP_NEUMANN)
+        assert besov_norm_semigroup(f, spec, bank=bank) > 0.0
+    assert besov_block_floor(3.0, grid1d)["plateau"] in (True, False)
+    box = sample(grid1d, lambda x: np.sin(np.pi * 4 * x / grid1d.L))
+    assert np.any(dyadic_block(box, -1, get_bank(grid1d)).values)
+    for route in (besov_norm_report, besov_norm_semigroup):
+        with pytest.raises(AssertionError, match="power formed"):
+            route(f, SpaceSpec("besov", 1.0, 2.0, 2.0, False, OP_NEUMANN),
+                  bank=bank)
 
 
 # ---------------------------------------------------------------------------

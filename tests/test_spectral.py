@@ -280,6 +280,44 @@ def test_block_outside_resolved_range_rejected(grid1d, bank1d):
 
 
 # ---------------------------------------------------------------------------
+# Parseval on the half-space coefficients
+
+@pytest.mark.parametrize("odd", [True, False], ids=["sine", "cosine"])
+@pytest.mark.parametrize("n, L, N", [(1, 16.0, 512), (2, 8.0, 64),
+                                     (3, 4.0, 16)], ids=["1d", "2d", "3d"])
+def test_band_energy_is_the_squared_norm_of_the_band(n, L, N, odd, bank1d):
+    # the energy of a band, summed over the coefficients, against the
+    # midpoint-rule L^2 norm of its samples: octaves at their row radius
+    # (some keep every row, some only the low ones), the low-pass psi,
+    # and heat nodes at small and large t at the radius sqrt(746 / t)
+    from halfspace_spectral.grid import HalfField, lp_norm
+    from halfspace_spectral.spectral import _HalfSpectrum
+
+    grid = make_grid(n, L, N)
+    rng = np.random.default_rng(n + 10 * odd)
+    f = HalfField(grid, rng.standard_normal((N,) * (n - 1) + (N // 2,)))
+    spectrum = _HalfSpectrum(f.values, grid, odd)
+    xi_t = np.abs(grid.freq_axis())
+
+    def heat(t):
+        return lambda lam: (t * lam ** 2) ** 2 * np.exp(-t * lam ** 2)
+
+    top = np.max(spectrum.lam)
+    cases = [(lambda lam, j=j: bank1d.phi(j, lam), 2.0 ** (j + 1))
+             for j in range(-1, 6) if 2.0 ** (j - 1) < top]
+    cases += [(bank1d.psi, 2.0)]
+    cases += [(heat(t), np.sqrt(746.0 / t)) for t in (1e-3, 0.05, 2.0, 20.0)]
+    partial = 0
+    for profile, radius in cases:
+        partial += n > 1 and np.count_nonzero(xi_t < radius) < N
+        want = lp_norm(f.with_values(spectrum.band(profile, radius)), 2) ** 2
+        got = spectrum.energy(profile, radius)
+        assert want > 0.0
+        assert got == pytest.approx(want, rel=1e-13, abs=0), radius
+    assert partial >= (3 if n > 1 else 0)
+
+
+# ---------------------------------------------------------------------------
 # the real-space route
 
 def test_kernel_constant_known_value():
