@@ -216,7 +216,8 @@ def lp_norm(field, p: float) -> float:
             if bit == "1":
                 mass *= base
     elif p != 1:
-        mass **= p
+        # only the nonzero entries, for the same reason
+        np.power(mass, p, out=mass, where=mass > 0)
     return float((field.grid.h ** field.grid.n * np.sum(mass)) ** (1.0 / p))
 
 

@@ -19,7 +19,11 @@ hold to roundoff, not asymptotically.
 
 The normal derivative anticommutes with the reflection and therefore
 swaps the two calculi; its output is tagged with the opposite boundary
-condition.  Tangential derivatives commute and keep the tag.
+condition.  Tangential derivatives commute and keep the tag.  Each
+derivative acts on one axis, so it transforms that axis alone: the
+normal derivative is a sine/cosine pair along each normal line, and a
+tangential derivative a DFT along its own axis with the symbol of
+``derivative_multiplier``; neither makes the full n-D transform.
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ from .errors import BoundaryTagError, ConfigError
 from .extension import even_extend, odd_extend
 from .grid import BC_DIRICHLET, BC_NEUMANN, HalfField
 from .spectral import (Multiplier, _half_multiplier, _half_multiplier_energy,
-                       _half_normal_derivative, _power_multiplier,
-                       _require_zero_mean, _semigroup_multiplier,
-                       derivative_multiplier)
+                       _half_normal_derivative, _half_tangential_derivative,
+                       _power_multiplier, _require_zero_mean,
+                       _semigroup_multiplier)
 
 __all__ = [
     "OP_DIRICHLET",
@@ -60,10 +64,9 @@ def extend_for(hf: HalfField, op: str):
     return odd_extend(hf) if _check_op(op) == OP_DIRICHLET else even_extend(hf)
 
 
-def _is_odd(hf: HalfField, bc: str | None) -> bool:
+def _is_odd(hf: HalfField, bc: str) -> bool:
     """Whether ``hf`` goes through the sine modes in the ``bc`` calculus
-    (Dirichlet, or none for an untagged tangential derivative) rather
-    than the cosine modes, after the tag check."""
+    (Dirichlet) rather than the cosine modes, after the tag check."""
     if hf.bc is not None and hf.bc != bc:
         raise BoundaryTagError(
             f"{hf.bc}-tagged field in the {bc} calculus")
@@ -140,17 +143,17 @@ def tangential_derivative(hf: HalfField, k: int) -> HalfField:
 
     k = n is routed to :func:`normal_derivative`.  Tangential axes do
     not interact with the normal modes, so both calculi give the
-    identical result and untagged fields are fine.
+    identical result and untagged fields are fine: the derivative is a
+    DFT along axis k alone.
     """
     n = hf.grid.n
     if not 1 <= k <= n:
         raise ConfigError(f"axis {k} outside 1..{n}")
     if k == n:
         return normal_derivative(hf)
-    values = _half_multiplier(hf.values, hf.grid,
-                              derivative_multiplier(hf.grid, k),
-                              _is_odd(hf, hf.bc))
-    return HalfField(hf.grid, values, hf.bc)
+    return HalfField(hf.grid,
+                     _half_tangential_derivative(hf.values, hf.grid, k),
+                     hf.bc)
 
 
 def boundary_trace(hf: HalfField) -> np.ndarray:

@@ -147,11 +147,11 @@ def _check_leak(power, lam, bank: DyadicBank, low_too: bool) -> float:
     see) and raises when it exceeds ``_LEAK_TOL``.
     """
     nonzero = lam > 0
-    total = float(np.sum(power[nonzero]))
+    total = float(np.sum(power, where=nonzero))
     out = lam > 2.0 ** bank.j_max
     if low_too:
         out |= nonzero & (lam < 2.0 ** bank.j_min)
-    leak = float(np.sum(power[out])) / total if total else 0.0
+    leak = float(np.sum(power, where=out)) / total if total else 0.0
     if leak > _LEAK_TOL:
         raise NumericalGuardError(
             f"{leak:.3e} of the spectral energy lies outside the resolved "

@@ -17,14 +17,25 @@ k = pi m / L, are the Dirichlet and Neumann eigenfunctions.  The
 private pair ``_half_forward``/``_half_inverse`` computes it, times a
 tangential DFT, by one in-place ``numpy.fft.fftn`` or ``ifftn`` of
 N^(n-1) N/4 points: the DCT-II is the FFT of permuted samples (Makhoul
-1980), packed two real samples to a complex point.  A half-space
-symbol must be Hermitian in the tangential frequencies, exactly, as a
-box symbol must be in all of them; one guard, ``_symbol``, checks both.
+1980), packed two real samples to a complex point.  The coefficients
+are two contiguous halves along the normal, shape (2, *T, M/2) for
+M = N/2, so the packed FFT, the mixing and the tangential pairing all
+run on contiguous blocks.  A half-space symbol must be Hermitian in the
+tangential frequencies, exactly, as a box symbol must be in all of
+them; one guard, ``_symbol``, checks both, on slices of the symbol and
+their reversed views, with no mirrored copy.
+
+The derivatives act on one axis each, and transform that axis alone:
+``_half_normal_derivative`` runs the sine/cosine pair along the normal
+on each normal line, and ``_half_tangential_derivative`` a DFT along
+its tangential axis, two normal samples packed to a complex point,
+with the symbol of ``derivative_multiplier``.  Each makes as many
+transform points as the full pair.
 
 This module alone reads and writes the half-space coefficients, their
-modes, packing and rows (the normal lines of single tangential
+modes, packing, halves and rows (the normal lines of single tangential
 frequencies).  Other modules pass samples, modes or profiles of |xi|:
-``_half_multiplier`` and ``_half_normal_derivative`` apply operators,
+``_half_multiplier`` and the two derivatives apply operators,
 ``_half_synthesis`` samples separable modes, and the ``band`` of
 ``_HalfSpectrum`` filters by a profile of |xi| for every Besov pass:
 dyadic, low-pass or heat flow.
@@ -69,6 +80,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -145,10 +157,38 @@ class Multiplier:
     name: str = ""
 
 
-def _mirror(a: np.ndarray, axes: tuple) -> np.ndarray:
-    """A copy of ``a`` with frequency m moved to -m along ``axes``:
-    reversing an fft-ordered axis and rolling it by one does that."""
-    return np.roll(np.flip(a, axes), 1, axes) if axes else a.copy()
+def _pair_with_mirror(a: np.ndarray, axes: tuple) -> None:
+    """a(m) += conj(a(-m)) along ``axes``, in place.  A copy of ``a``
+    with frequency m moved to -m is the fft-ordered axes reversed and
+    rolled by one; it is the one temporary, freed on return."""
+    mirror = np.roll(np.flip(a, axes), 1, axes)
+    a += np.conjugate(mirror, out=mirror)
+
+
+def _is_hermitian(sym: np.ndarray, axes: tuple) -> bool:
+    """Whether sym(-m) == conj(sym(m)) along ``axes``, exactly.
+
+    Along an fft-ordered axis, m = 0 is its own mirror and m = 1.. N-1
+    is the reversed m = N-1.. 1, so the array splits into 2^len(axes)
+    blocks, each compared with its reversed view: no mirrored copy is
+    made.  A real symbol skips the conjugate, and its block of m = 0 on
+    every axis, its own mirror, is not compared at all.  An axis of
+    length one, over which the symbol is constant, is its own mirror.
+    """
+    real = not np.iscomplexobj(sym)
+    for tails in itertools.product((False, True), repeat=len(axes)):
+        if real and not any(tails):
+            continue
+        here, there = [slice(None)] * sym.ndim, [slice(None)] * sym.ndim
+        for ax, tail in zip(axes, tails):
+            here[ax] = slice(1, None) if tail else slice(0, 1)
+            there[ax] = slice(None, 0, -1) if tail else slice(0, 1)
+        a, b = sym[tuple(here)], sym[tuple(there)]
+        if not (np.array_equal(a, b) if real else
+                np.array_equal(a.real, b.real)
+                and np.array_equal(a.imag, np.negative(b.imag))):
+            return False
+    return True
 
 
 def _symbol(m: Multiplier, mesh: tuple, shape: tuple, zero_mode: bool,
@@ -176,8 +216,7 @@ def _symbol(m: Multiplier, mesh: tuple, shape: tuple, zero_mode: bool,
     if not np.all(np.isfinite(sym)):
         raise ConfigError(f"multiplier {name} not finite "
                           "on the resolved frequency grid")
-    mirror = _mirror(sym, axes)
-    if not np.array_equal(np.conjugate(mirror, out=mirror), sym):
+    if not _is_hermitian(sym, axes):
         raise NumericalGuardError(
             f"multiplier {name} lacks Hermitian symmetry: sym(-m) != "
             f"conj(sym(m)) along axes {axes} (an odd symbol must vanish "
@@ -252,16 +291,19 @@ def derivative_multiplier(grid: GridSpec, axis: int) -> Multiplier:
 
     The m = -N/2 mode has no +N/2 partner, so the odd symbol i xi_axis
     vanishes on that plane to stay a real-kernel operator; band-resolved
-    fields carry no energy there.
+    fields carry no energy there.  The symbol is built from the mesh it
+    is given, so it serves any layout whose mesh holds xi_axis at
+    position axis - 1.
     """
     if not 1 <= axis <= grid.n:
         raise ConfigError(f"axis {axis} outside 1..{grid.n}")
-    xi = grid.freq_axis().copy()
-    xi[grid.N // 2] = 0.0
-    shape = [1] * grid.n
-    shape[axis - 1] = grid.N
-    ixi = 1j * xi.reshape(shape)
-    return Multiplier(lambda *mesh: ixi, 0.0, f"i xi_{axis}")
+    nyquist = grid.freq_axis()[grid.N // 2]
+
+    def symbol(*mesh):
+        xi = mesh[axis - 1]
+        return np.where(xi == nyquist, 0.0, 1j * xi)
+
+    return Multiplier(symbol, 0.0, f"i xi_{axis}")
 
 
 def semigroup_symbol(f: SampledField, t: float, s: float) -> SampledField:
@@ -307,7 +349,8 @@ def _times_reversed(a: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
     np.multiply(a[..., :0:-1], c[1:], out=out[..., 1:])
 
 
-def _half_forward(values: np.ndarray, odd: bool) -> np.ndarray:
+def _half_forward(values: np.ndarray, odd: bool,
+                  tangential: bool = True) -> np.ndarray:
     """Tangential DFT times normal DCT-II of real half-grid samples.
 
     The DCT-II of length M = N/2 is the real part of W_k U_k, with U the
@@ -326,22 +369,26 @@ def _half_forward(values: np.ndarray, odd: bool) -> np.ndarray:
     with the constants of ``_half_twiddles``.  In 1-D the pairing is
     twice the real part, so the coefficients are exactly real.
 
-    The packed samples fill the first half of one complex buffer; the
-    FFT, the mixing and the pairing run in place on it, with one
-    temporary at a time.
+    The coefficients are returned as two contiguous halves, shape
+    (2, *T, h): coefficient k < h in the first, k >= h in the second at
+    k - h.  The packed samples fill the first half; the FFT, the mixing
+    into both halves and the pairing each run in place on contiguous
+    blocks, with one temporary at a time.  Without ``tangential`` the
+    tangential axes are a batch of normal lines, transformed and paired
+    as in 1-D: the coefficients of the normal transform alone, real.
     """
     M = values.shape[-1]
     h = M // 2
     a, eb, b_conj, ea_conj = _half_twiddles(M)[:4]
-    buf = np.empty(values.shape, dtype=complex)
-    lo, hi = buf[..., :h], buf[..., h:]
+    coef = np.empty((2,) + values.shape[:-1] + (h,), dtype=complex)
+    lo, hi = coef
     u = lo.view(float)
     u[..., :h] = values[..., ::2]
     if odd:
         np.negative(values[..., ::-2], out=u[..., h:])
     else:
         u[..., h:] = values[..., ::-2]
-    np.fft.fftn(lo, out=lo)
+    np.fft.fftn(lo, axes=None if tangential else (-1,), out=lo)
     tmp = np.multiply(lo, eb)
     _times_reversed(lo, ea_conj, out=hi)
     hi += tmp
@@ -349,20 +396,18 @@ def _half_forward(values: np.ndarray, odd: bool) -> np.ndarray:
     lo *= a
     lo += tmp
     del tmp
-    re, im = buf.real, buf.imag
-    axes = tuple(range(buf.ndim - 1))
-    if axes:
-        re += _mirror(re, axes)
-        im -= _mirror(im, axes)
+    if tangential and coef.ndim > 2:
+        for half in coef:
+            _pair_with_mirror(half, tuple(range(half.ndim - 1)))
     else:
-        re *= 2.0
-        im[...] = 0.0
-    return buf
+        coef.real *= 2.0
+        coef.imag = 0.0
+    return coef
 
 
 def _packed_spectrum(coef: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """The spectrum Z of the packed samples, formed in place in the
-    first half of ``coef`` along the normal and returned as that view.
+    first half of ``coef`` and returned as that view.
 
     Along the normal, the DCT-III of real coefficients X is the inverse
     FFT of U_k = conj(W_k) (X_k - i X_(M-k)), with X_M = 0, unpermuted.
@@ -371,20 +416,21 @@ def _packed_spectrum(coef: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         Z_k = alpha (X_k - i X_(M-k)) + beta (X_(k+h) - i X_(h-k)),
 
     the even part (U_k + U_(k+h))/2 plus i times the odd part (U_k -
-    U_(k+h))/2w^k.  The mixing acts along the normal alone, row by
-    row.  ``scratch``, a complex array of Z's shape, holds the beta
-    term.
+    U_(k+h))/2w^k.  With the halves lo and hi of ``coef``, X_(k+h) is
+    hi_k, X_(M-k) is hi_(h-k), and X_(h-k) is hi_0 at k = 0 and lo_(h-k)
+    beyond.  The mixing acts along the normal alone, row by row.
+    ``scratch``, a complex array of Z's shape, holds the beta term.
     """
-    M = coef.shape[-1]
-    h = M // 2
-    alpha, beta = _half_twiddles(M)[4:]
-    lo, hi = coef[..., :h], coef[..., h:]
-    r = np.multiply(coef[..., h:0:-1], -1j, out=scratch)
+    lo, hi = coef
+    alpha, beta = _half_twiddles(2 * lo.shape[-1])[4:]
+    r = scratch
+    np.multiply(hi[..., :1], -1j, out=r[..., :1])
+    np.multiply(lo[..., :0:-1], -1j, out=r[..., 1:])
     r += hi
     r *= beta
     # hi is not read again, so -i X_(M-k) is formed in place
     hi *= -1j
-    lo[..., 1:] += coef[..., :h:-1]
+    lo[..., 1:] += hi[..., :0:-1]
     lo *= alpha
     lo += r
     return lo
@@ -404,7 +450,8 @@ def _unpacked(z: np.ndarray, odd: bool, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _half_inverse(coef: np.ndarray, odd: bool) -> np.ndarray:
+def _half_inverse(coef: np.ndarray, odd: bool,
+                  tangential: bool = True) -> np.ndarray:
     """Inverse of :func:`_half_forward`: the real half-grid samples.
 
     ``coef`` is the work buffer and is overwritten: the packed spectrum
@@ -413,16 +460,18 @@ def _half_inverse(coef: np.ndarray, odd: bool) -> np.ndarray:
     coefficients.  The memory of the real output holds the beta term
     until the transform is done.
     """
-    out = np.empty(coef.shape)
+    out = np.empty(coef.shape[1:-1] + (2 * coef.shape[-1],))
     z = _packed_spectrum(coef, out.view(complex))
-    return _unpacked(np.fft.ifftn(z, out=z), odd, out)
+    np.fft.ifftn(z, axes=None if tangential else (-1,), out=z)
+    return _unpacked(z, odd, out)
 
 
 def _half_inverse_rows(coef: np.ndarray, rows: np.ndarray, shape: tuple,
                        odd: bool) -> np.ndarray:
     """:func:`_half_inverse` of coefficients that vanish off some rows.
 
-    A row is the normal line of one tangential frequency.  ``coef`` has
+    A row is the normal line of one tangential frequency, two contiguous
+    pieces, one in each half.  ``coef``, shape (2, len(rows), h), has
     one row for each of the flat indices ``rows``, ascending over the
     tangential axes of the half-grid ``shape``, and every other row is
     zero.  The mixing and the normal-axis inverse FFT run on those rows
@@ -432,16 +481,23 @@ def _half_inverse_rows(coef: np.ndarray, rows: np.ndarray, shape: tuple,
     With every row, or in 1-D, it is :func:`_half_inverse`.  ``coef``
     is overwritten.
     """
-    if len(coef) == math.prod(shape[:-1]):
-        return _half_inverse(coef.reshape(shape), odd)
-    out = np.empty(shape)
     h = shape[-1] // 2
-    z = _packed_spectrum(coef, out.view(complex).reshape(-1, h)[:len(coef)])
+    if coef.shape[1] == math.prod(shape[:-1]):
+        return _half_inverse(coef.reshape((2,) + shape[:-1] + (h,)), odd)
+    out = np.empty(shape)
+    z = _packed_spectrum(coef,
+                         out.view(complex).reshape(-1, h)[:coef.shape[1]])
     np.fft.ifftn(z, axes=(-1,), out=z)
     buf = np.zeros(shape[:-1] + (h,), dtype=complex)
     buf.reshape(-1, h)[rows] = z
     np.fft.ifftn(buf, axes=tuple(range(len(shape) - 1)), out=buf)
     return _unpacked(buf, odd, out)
+
+
+def _by_rows(a: np.ndarray) -> np.ndarray:
+    """``a``, shaped as the coefficients (2, *T, M/2), viewed as
+    (2, rows, M/2): row r is a[:, r], one contiguous piece per half."""
+    return a.reshape(2, -1, a.shape[-1])
 
 
 def _half_synthesis(grid: GridSpec, odd: bool, modes) -> np.ndarray:
@@ -456,6 +512,7 @@ def _half_synthesis(grid: GridSpec, odd: bool, modes) -> np.ndarray:
     pi m_t / N)) on the staggered grid.
     """
     N, M = grid.N, grid.N // 2
+    h = M // 2
     top = max((m_t for *_, tangential in modes for m_t, _ in tangential),
               default=0)
     # only the rows |m_t| <= top are filled and transformed; in fft order
@@ -464,7 +521,7 @@ def _half_synthesis(grid: GridSpec, odd: bool, modes) -> np.ndarray:
     rows = np.flatnonzero(functools.reduce(np.logical_and.outer,
                                            [low] * (grid.n - 1), True))
     K = np.count_nonzero(low)
-    coef = np.zeros((K,) * (grid.n - 1) + (M,), dtype=complex)
+    coef = np.zeros((2,) + (K,) * (grid.n - 1) + (h,), dtype=complex)
     for m, amp, tangential in modes:
         factors = []
         for m_t, phase in tangential:
@@ -472,9 +529,10 @@ def _half_synthesis(grid: GridSpec, odd: bool, modes) -> np.ndarray:
             t = np.zeros(K, dtype=complex)
             t[m_t], t[-m_t] = c * N / 2, np.conjugate(c) * N / 2
             factors.append(t)
-        coef[..., M - m if odd else m] = functools.reduce(
-            np.multiply.outer, factors, amp * M / 2)
-    return _half_inverse_rows(coef.reshape(-1, M), rows,
+        half, k = divmod(M - m if odd else m, h)
+        coef[half, ..., k] = functools.reduce(np.multiply.outer, factors,
+                                              amp * M / 2)
+    return _half_inverse_rows(_by_rows(coef), rows,
                               (N,) * (grid.n - 1) + (M,), odd)
 
 
@@ -489,9 +547,11 @@ def _normal_wavenumbers(xi: np.ndarray, odd: bool) -> np.ndarray:
 
 def _half_mesh(grid: GridSpec, odd: bool) -> tuple:
     """The tangential frequency mesh with the normal wavenumbers of the
-    sine (``odd``) or cosine modes on the last axis."""
+    sine (``odd``) or cosine modes, in the two halves of the
+    coefficients: shape (2, 1, ..., 1, M/2)."""
     mesh = grid.freq_mesh()
-    return mesh[:-1] + (_normal_wavenumbers(mesh[-1], odd),)
+    k = _normal_wavenumbers(mesh[-1], odd)
+    return mesh[:-1] + (k.reshape((2,) + k.shape[:-1] + (k.shape[-1] // 2,)),)
 
 
 def _parseval_scale(grid: GridSpec) -> float:
@@ -524,13 +584,15 @@ class _HalfSpectrum:
         mesh = _half_mesh(grid, odd)
         self.lam = _radial(mesh)
         self.tangential = np.ravel(_radial(mesh[:-1]))
+        self.shape = values.shape
         self.odd = odd
         self.scale = _parseval_scale(grid)
 
     @functools.cached_property
     def power(self) -> np.ndarray:
         power = np.abs(self.coef) ** 2
-        power[..., 1:] *= 2.0
+        power[1] *= 2.0
+        power[0, ..., 1:] *= 2.0
         return power
 
     def _rows(self, radius: float):
@@ -543,17 +605,15 @@ class _HalfSpectrum:
         rows = self._rows(radius)
         if rows is None:
             return _half_inverse(profile(self.lam) * self.coef, self.odd)
-        M = self.coef.shape[-1]
-        product = self.coef.reshape(-1, M)[rows]
-        product *= profile(self.lam.reshape(-1, M)[rows])
-        return _half_inverse_rows(product, rows, self.coef.shape, self.odd)
+        product = _by_rows(self.coef)[:, rows]
+        product *= profile(_by_rows(self.lam)[:, rows])
+        return _half_inverse_rows(product, rows, self.shape, self.odd)
 
     def energy(self, profile, radius: float) -> float:
         rows = self._rows(radius)
-        M = self.coef.shape[-1]
-        lam, power = self.lam.reshape(-1, M), self.power.reshape(-1, M)
+        lam, power = _by_rows(self.lam), _by_rows(self.power)
         if rows is not None:
-            lam, power = lam[rows], power[rows]
+            lam, power = lam[:, rows], power[:, rows]
         weight = profile(lam)
         weight *= weight
         return self.scale * float(np.vdot(weight, power))
@@ -572,8 +632,10 @@ def _half_image(values: np.ndarray, grid: GridSpec, m: Multiplier,
     sym = _SYMBOL_CACHE.get(tag)
     if sym is None:
         _SYMBOL_CACHE.clear()
-        sym = _symbol(m, _half_mesh(grid, odd), values.shape, not odd,
-                      tuple(range(grid.n - 1)))
+        h = values.shape[-1] // 2
+        sym = _symbol(m, _half_mesh(grid, odd),
+                      (2,) + values.shape[:-1] + (h,), not odd,
+                      tuple(range(1, grid.n)))
         if key is not None:
             sym.flags.writeable = False
             _SYMBOL_CACHE[tag] = sym
@@ -610,7 +672,7 @@ def _half_multiplier_energy(values: np.ndarray, grid: GridSpec,
     whole |coef|^2 less coefficient 0's, with no full-size temporary.
     """
     coef = _half_image(values, grid, m, odd, key)
-    unpaired = coef[..., 0]
+    unpaired = coef[0, ..., 0]
     total = 2.0 * np.vdot(coef, coef).real - np.vdot(unpaired, unpaired).real
     return _parseval_scale(grid) * float(total)
 
@@ -619,22 +681,52 @@ def _half_normal_derivative(values: np.ndarray, grid: GridSpec,
                             odd: bool) -> np.ndarray:
     """d/dx_n: sin(k x_n) -> k cos(k x_n) and cos(k x_n) -> -k sin(k x_n).
 
-    Mode m is cosine coefficient m and sine coefficient M - m, so the
-    map is the index reversal k -> M - k times +-pi m / L.  The sine
-    mode M has no cosine partner on the grid and is dropped, as the
-    unpaired Nyquist plane is on the box.  The reversal swaps the
-    pairs k = 1..M/2-1 and M - k in place; k = 0 and M/2 are unpaired.
+    The derivative acts along the normal alone, so it runs on each
+    normal line by itself: the normal transform of a batch of lines,
+    with no tangential FFT or pairing.  Mode m is cosine coefficient m
+    and sine coefficient M - m, so the map is the index reversal
+    k -> M - k times +-pi m / L.  The sine mode M has no cosine partner
+    on the grid and is dropped, as the unpaired Nyquist plane is on the
+    box.  The reversal swaps the pairs k = 1..h-1 and M - k, which lie
+    in the first and the second half, in place; k = 0 and h are
+    unpaired.
     """
-    coef = _half_forward(values, odd)
-    M = coef.shape[-1]
+    coef = _half_forward(values, odd, tangential=False)
+    lo, hi = coef
+    h = lo.shape[-1]
     k = _normal_wavenumbers(grid.freq_axis(), not odd)
     if not odd:
         k = -k
-    lo, hi = coef[..., 1:M // 2], coef[..., :M // 2:-1]
-    lo[...], hi[...] = hi * k[1:M // 2], lo * k[:M // 2:-1]
-    coef[..., M // 2] *= k[M // 2]
-    coef[..., 0] = 0.0
-    return _half_inverse(coef, not odd)
+    pair = hi[..., :0:-1]
+    swapped = lo[..., 1:] * k[:h:-1]
+    np.multiply(pair, k[1:h], out=lo[..., 1:])
+    pair[...] = swapped
+    del swapped
+    hi[..., 0] *= k[h]
+    lo[..., 0] = 0.0
+    return _half_inverse(coef, not odd, tangential=False)
+
+
+def _half_tangential_derivative(values: np.ndarray, grid: GridSpec,
+                                axis: int) -> np.ndarray:
+    """d/dx_axis along a tangential axis (1-based), in either calculus.
+
+    The derivative acts along that axis alone, so it is a DFT of every
+    line along it, times the symbol of :func:`derivative_multiplier`
+    after its guard, and the inverse DFT.  The samples v are packed two
+    normal neighbours to a complex point, z_j = v_2j + i v_(2j+1), so
+    the pair runs on N^(n-1) N/4 points; the real kernel maps each part
+    to its own derivative, and the transformed buffer, read as reals,
+    is the output.
+    """
+    out = np.array(values, dtype=float, order="C")
+    z = out.view(complex)
+    axes = (axis - 1,)
+    np.fft.fftn(z, axes=axes, out=z)
+    z *= _symbol(derivative_multiplier(grid, axis), grid.freq_mesh(),
+                 z.shape, False, axes)
+    np.fft.ifftn(z, axes=axes, out=z)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,7 @@ def test_band_random_is_one_inverse_transform_of_its_modes(
 def _band_random_coefficients(grid, odd, ms, amps, phases):
     """A reference construction of a draw's sparse coefficients, with
     their flat row indices: the tangential rows |m_t| <= 4 in fft order,
-    whichever modes the draw reaches."""
+    whichever modes the draw reaches, shaped (2, rows, M/2)."""
     N, M = grid.N, grid.N // 2
     low = np.abs(np.fft.fftfreq(N, 1.0 / N)) <= 4
     rows = np.flatnonzero(functools.reduce(np.logical_and.outer,
@@ -290,7 +290,9 @@ def _band_random_coefficients(grid, odd, ms, amps, phases):
             factors.append(t)
         coef[..., M - m if odd else m] = functools.reduce(
             np.multiply.outer, factors, amps[i] * M / 2)
-    return coef.reshape(-1, M), rows
+    # the coefficients' two contiguous halves, k < M/2 and k >= M/2
+    halves = coef.reshape(-1, 2, M // 2).transpose(1, 0, 2)
+    return np.ascontiguousarray(halves), rows
 
 
 @pytest.mark.parametrize("n, L, N, ref_N, seed", [

@@ -188,10 +188,12 @@ def test_only_spectral_calls_a_transform():
     assert found == {}
 
 
-#: the spectral internals that read or write half-space coefficients
+#: the spectral internals that read or write half-space coefficients or
+#: know their layout: two contiguous halves along the normal, (2, *T, M/2)
 _COEFFICIENT_INTERNALS = {"_half_forward", "_half_inverse",
                           "_half_inverse_rows", "_packed_spectrum",
-                          "_unpacked", "_half_image"}
+                          "_unpacked", "_half_image", "_by_rows",
+                          "_half_mesh", "_normal_wavenumbers"}
 
 
 def _coefficient_internals(tree: ast.Module) -> list:

@@ -117,6 +117,50 @@ def test_odd_symbol_live_on_the_nyquist_plane_is_rejected(grid1d):
         apply_multiplier(f, raw)
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_hermitian_guard_is_in_place_and_exact(n, kind):
+    # the guard compares each block of the symbol with its reversed view:
+    # a Hermitian symbol passes with no mirrored copy (the peak traced
+    # allocation stays below a quarter of the symbol's bytes for a real
+    # symbol, three quarters for a complex one, whose negated imaginary
+    # parts are one float temporary), and one changed element is caught
+    # on the m = 0 line, at an interior pair and on the unpaired Nyquist
+    # plane, where the mirror partner is the element itself or 0
+    import tracemalloc
+
+    from halfspace_spectral.spectral import _symbol
+
+    N = 512 if n == 2 else 64
+    grid = make_grid(n, 8.0, N)
+    mesh = grid.freq_mesh()
+    base = np.broadcast_to(sum(xi ** 2 for xi in mesh), (N,) * n).copy()
+    if kind == "complex":
+        base = base * derivative_multiplier(grid, 1).symbol(*mesh)
+    axes = tuple(range(n))
+
+    def check(sym):
+        probe = Multiplier(lambda *_: sym, 0.0, "probe")
+        return _symbol(probe, mesh, sym.shape, False, axes)
+
+    tracemalloc.start()
+    try:
+        check(base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (0.25 if kind == "real" else 0.75) * base.nbytes, peak
+    tail = (3, 7)[:n - 1]
+    for where in [(0,) + tail, (5,) + tail, (N // 2,) + tail]:
+        bad = base.copy()
+        bad[where] += 0.5
+        with pytest.raises(NumericalGuardError, match="Hermitian"):
+            check(bad)
+        # the same change at the mirror partner restores the symmetry
+        bad[tuple(-i % N for i in where)] += 0.5
+        check(bad)
+
+
 def test_legitimate_high_order_passes_the_residue_guard(grid1d):
     # steep symbols amplify roundoff; the guard checks the symmetry of
     # the symbol itself and so never trips on benign rounding noise
