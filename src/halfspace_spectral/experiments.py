@@ -421,7 +421,7 @@ def paraproduct_split(F: SampledField, G: SampledField,
 
     def blocks_of(X):
         spectrum = _BoxSpectrum(X.values, X.grid)
-        _check_leak(spectrum.power, spectrum.lam, bank, low_too=True)
+        _check_leak(spectrum, bank, low_too=True)
         return [block for _, block in _dyadic_blocks(spectrum.band, bank, js)]
 
     bF = blocks_of(F)

@@ -139,19 +139,16 @@ def sobolev_norm(hf: HalfField, spec: SpaceSpec) -> float:
 # ---------------------------------------------------------------------------
 # dyadic machinery shared by the Besov evaluations
 
-def _check_leak(power, lam, bank: DyadicBank, low_too: bool) -> float:
+def _check_leak(spectrum, bank: DyadicBank, low_too: bool) -> float:
     """The leak guard of every dyadic split.
 
-    Returns the share of the non-DC energy in ``power`` above 2^j_max
-    and, with ``low_too``, below 2^j_min (what a truncated j-sum cannot
-    see) and raises when it exceeds ``_LEAK_TOL``.
+    Returns the share of the non-DC energy of ``spectrum`` above
+    2^j_max and, with ``low_too``, below 2^j_min (what a truncated
+    j-sum cannot see) and raises when it exceeds ``_LEAK_TOL``.
     """
-    nonzero = lam > 0
-    total = float(np.sum(power, where=nonzero))
-    out = lam > 2.0 ** bank.j_max
-    if low_too:
-        out |= nonzero & (lam < 2.0 ** bank.j_min)
-    leak = float(np.sum(power, where=out)) / total if total else 0.0
+    total, outside = spectrum.leak_sums(
+        2.0 ** bank.j_min if low_too else 0.0, 2.0 ** bank.j_max)
+    leak = outside / total if total else 0.0
     if leak > _LEAK_TOL:
         raise NumericalGuardError(
             f"{leak:.3e} of the spectral energy lies outside the resolved "
@@ -190,8 +187,7 @@ def _dyadic_pass(hf: HalfField, spec: SpaceSpec, bank: DyadicBank,
     """
     work = _checked(hf, spec, "besov", what)
     spectrum = _HalfSpectrum(work.values, work.grid, _is_odd(work, spec.op))
-    leak = _check_leak(spectrum.power, spectrum.lam, bank,
-                       low_too=spec.homogeneous)
+    leak = _check_leak(spectrum, bank, low_too=spec.homogeneous)
     norms = _band_norms(work, spectrum, spec.p, spec.op if box else None)
     j_lo = bank.j_min if spec.homogeneous else max(bank.j_min, 1)
     blocks, box_weighted = [], []

@@ -38,14 +38,20 @@ frequencies).  Other modules pass samples, modes or profiles of |xi|:
 ``_half_multiplier`` and the two derivatives apply operators,
 ``_half_synthesis`` samples separable modes, and the ``band`` of
 ``_HalfSpectrum`` filters by a profile of |xi| for every Besov pass:
-dyadic, low-pass or heat flow.
+dyadic, low-pass or heat flow.  Of the field's size, a spectrum holds
+its coefficients and, at p = 2, their weighted squares: |xi| is formed
+a block of rows at a time, bitwise the full |xi|, and each block of
+profile(|xi|) coef is written into the buffer that the inverse
+transforms in place.
 
 At p = 2 no norm needs the samples.  By Parseval, the squared
 half-space L^2 norm of an image is a weighted sum of its squared
 coefficients, and this module alone knows the weights:
 ``_HalfSpectrum.energy`` gives it for a band and
 ``_half_multiplier_energy`` for a multiplier, with no inverse
-transform.
+transform.  Both spectra give the two sums of the leak guard,
+``leak_sums``: the half spectrum a block of rows at a time, so that
+only p = 2 passes form the weighted |coef|^2.
 
 The dyadic bank realizes a standard smooth partition of unity: with
 eta(lambda) equal to 1 on [0, 1], supported in [0, 2] and built from
@@ -246,8 +252,8 @@ def _radial(mesh):
 class _BoxSpectrum:
     """The DFT fhat of a real full-grid array, as :class:`_HalfSpectrum`
     is for the half-grid: |xi| as ``lam``, |fhat|^2 as ``power``, formed
-    on first use, and ``band``, which transforms every row, so it
-    ignores the radius."""
+    on first use, ``leak_sums`` from them, and ``band``, which
+    transforms every row, so it ignores the radius."""
 
     def __init__(self, values: np.ndarray, grid: GridSpec):
         self.fhat = np.fft.fftn(values)
@@ -256,6 +262,9 @@ class _BoxSpectrum:
     @functools.cached_property
     def power(self) -> np.ndarray:
         return np.abs(self.fhat) ** 2
+
+    def leak_sums(self, low: float, high: float) -> tuple:
+        return _leak_sums(self.power, self.lam, low, high)
 
     def band(self, profile, _radius) -> np.ndarray:
         return np.fft.ifftn(profile(self.lam) * self.fhat).real
@@ -478,8 +487,8 @@ def _half_inverse_rows(coef: np.ndarray, rows: np.ndarray, shape: tuple,
     alone, which are then scattered into one zeroed buffer of packed
     points for the inverse FFT over the tangential axes.  numpy
     transforms the last axis first, so the split is the same transform.
-    With every row, or in 1-D, it is :func:`_half_inverse`.  ``coef``
-    is overwritten.
+    With every row, or in 1-D, it is :func:`_half_inverse`, and
+    ``rows`` is not read.  ``coef`` is overwritten.
     """
     h = shape[-1] // 2
     if coef.shape[1] == math.prod(shape[:-1]):
@@ -561,39 +570,73 @@ def _parseval_scale(grid: GridSpec) -> float:
     return grid.h ** grid.n / (grid.N ** (grid.n - 1) * (grid.N // 2))
 
 
+def _parseval_power(coef: np.ndarray) -> np.ndarray:
+    """|coef|^2 weighted as Parseval weighs the extension's spectrum,
+    for coefficients shaped (2, ..., M/2): coefficient 0 holds cosine
+    mode 0 or sine mode M, which is unpaired, and every other
+    coefficient stands for +-m on the box."""
+    power = np.abs(coef) ** 2
+    power[1] *= 2.0
+    power[0, ..., 1:] *= 2.0
+    return power
+
+
+def _leak_sums(power: np.ndarray, lam: np.ndarray, low: float,
+               high: float) -> tuple:
+    """(the energy at |xi| > 0, the energy at |xi| > ``high`` or 0 <
+    |xi| < ``low``) of ``power`` on the radii ``lam``."""
+    nonzero = lam > 0
+    outside = lam < low
+    outside &= nonzero
+    outside |= lam > high
+    return (float(np.sum(power, where=nonzero)),
+            float(np.sum(power, where=outside)))
+
+
+#: |xi| is formed a block of rows at a time, of about this many bytes
+_BLOCK_BYTES = 2 ** 20
+
+
 class _HalfSpectrum:
     """The sine (``odd``) or cosine coefficients of a real half-grid
     array, for the Besov passes.
 
-    ``lam`` is |xi| on the coefficients.  ``power``, formed on first
-    use, weighs |coef|^2 as Parseval weighs the extension's spectrum:
-    coefficient 0 holds cosine mode 0 or sine mode M, which is
-    unpaired, and every other coefficient stands for +-m on the box.
+    Of the field's size it holds ``coef`` and, once a p = 2 pass has
+    read it, ``power``.  |xi| is formed a block of rows (about
+    ``_BLOCK_BYTES``) at a time, and freed with it, from the squared
+    tangential |xi_t| of each row and the squared normal wavenumbers,
+    added in the order of :func:`_radial`, so each block is bitwise
+    that slice of the full |xi|.
+
     For a profile that vanishes from |xi| = radius on, ``band(profile,
-    radius)`` is the field of profile(|xi|) coef, and ``energy(profile,
-    radius)`` its squared half-space L^2 norm by Parseval, with no
-    inverse transform.
+    radius)`` is the field of profile(|xi|) coef, each block of the
+    product written straight into the buffer that the inverse
+    transforms in place.  ``energy(profile, radius)`` is its squared
+    half-space L^2 norm by Parseval, with no inverse transform, from
+    ``power``, the weighted |coef|^2 of :func:`_parseval_power`, formed
+    on first use.  ``leak_sums(low, high)`` are the two energies of the
+    leak guard, taken a block at a time, with no ``power``.
 
     Since |xi| >= |xi_t|, every row whose tangential |xi_t| reaches the
-    radius is zero: both evaluate the profile on the other rows alone,
-    and ``band`` transforms only those by :func:`_half_inverse_rows`.
+    radius is zero: ``band`` and ``energy`` evaluate the profile on the
+    other rows alone, and ``band`` transforms only those by
+    :func:`_half_inverse_rows`.
     """
 
     def __init__(self, values: np.ndarray, grid: GridSpec, odd: bool):
         self.coef = _half_forward(values, odd)
-        mesh = _half_mesh(grid, odd)
-        self.lam = _radial(mesh)
-        self.tangential = np.ravel(_radial(mesh[:-1]))
+        *mesh, k = _half_mesh(grid, odd)
+        self.tangential2 = np.ravel(sum((xi ** 2 for xi in mesh),
+                                        np.zeros(1)))
+        self.tangential = np.sqrt(self.tangential2)
+        self.normal2 = _by_rows(k ** 2)
         self.shape = values.shape
         self.odd = odd
         self.scale = _parseval_scale(grid)
 
     @functools.cached_property
     def power(self) -> np.ndarray:
-        power = np.abs(self.coef) ** 2
-        power[1] *= 2.0
-        power[0, ..., 1:] *= 2.0
-        return power
+        return _parseval_power(self.coef)
 
     def _rows(self, radius: float):
         """The flat indices of the rows below ``radius``, or None for
@@ -601,22 +644,47 @@ class _HalfSpectrum:
         rows = np.flatnonzero(self.tangential < radius)
         return None if rows.size == self.tangential.size else rows
 
+    def _blocks(self, rows):
+        """Yield (span, picked, lam) for each block of ``rows`` (None for
+        every row): ``span`` slices the block's positions in ``rows``,
+        ``picked`` indexes its rows as :func:`_by_rows` lays them out,
+        and ``lam`` is |xi| on them, shape (2, rows in the block, M/2)."""
+        count = self.tangential.size if rows is None else rows.size
+        step = max(1, _BLOCK_BYTES // self.normal2.nbytes)
+        for start in range(0, count, step):
+            span = slice(start, min(start + step, count))
+            picked = span if rows is None else rows[span]
+            lam = self.tangential2[picked, None] + self.normal2
+            yield span, picked, np.sqrt(lam, out=lam)
+
     def band(self, profile, radius: float) -> np.ndarray:
         rows = self._rows(radius)
-        if rows is None:
-            return _half_inverse(profile(self.lam) * self.coef, self.odd)
-        product = _by_rows(self.coef)[:, rows]
-        product *= profile(_by_rows(self.lam)[:, rows])
+        coef = _by_rows(self.coef)
+        count = coef.shape[1] if rows is None else rows.size
+        product = np.empty((2, count, coef.shape[-1]), dtype=complex)
+        for span, picked, lam in self._blocks(rows):
+            np.multiply(profile(lam), coef[:, picked], out=product[:, span])
         return _half_inverse_rows(product, rows, self.shape, self.odd)
 
     def energy(self, profile, radius: float) -> float:
-        rows = self._rows(radius)
-        lam, power = _by_rows(self.lam), _by_rows(self.power)
-        if rows is not None:
-            lam, power = lam[:, rows], power[:, rows]
-        weight = profile(lam)
-        weight *= weight
-        return self.scale * float(np.vdot(weight, power))
+        power = _by_rows(self.power)
+        total = 0.0
+        for _, picked, lam in self._blocks(self._rows(radius)):
+            weight = profile(lam)
+            weight *= weight
+            total += float(np.vdot(weight, power[:, picked]))
+        return self.scale * total
+
+    def leak_sums(self, low: float, high: float) -> tuple:
+        """:func:`_leak_sums` of the Parseval power, on every row."""
+        coef = _by_rows(self.coef)
+        total = outside = 0.0
+        for _, picked, lam in self._blocks(None):
+            block = _leak_sums(_parseval_power(coef[:, picked]), lam, low,
+                               high)
+            total += block[0]
+            outside += block[1]
+        return total, outside
 
 
 

@@ -193,7 +193,8 @@ def test_only_spectral_calls_a_transform():
 _COEFFICIENT_INTERNALS = {"_half_forward", "_half_inverse",
                           "_half_inverse_rows", "_packed_spectrum",
                           "_unpacked", "_half_image", "_by_rows",
-                          "_half_mesh", "_normal_wavenumbers"}
+                          "_half_mesh", "_normal_wavenumbers",
+                          "_parseval_power"}
 
 
 def _coefficient_internals(tree: ast.Module) -> list:

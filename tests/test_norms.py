@@ -1,5 +1,7 @@
 """Sobolev and Besov norms, their reports and the route cross-checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -607,9 +609,10 @@ def test_p2_norms_come_from_the_coefficients(n, L, N, op, monkeypatch):
 
 
 def test_power_is_formed_only_where_it_is_read(grid1d, grid2d, monkeypatch):
-    # |coef|^2 serves the leak guard and the p = 2 energies alone: the
-    # semigroup and the block floor at p != 2, and dyadic_block, never
-    # form it
+    # |coef|^2 serves the p = 2 energies alone: the leak guard takes its
+    # sums a block of rows at a time, so the dyadic and extension passes,
+    # the semigroup and the block floor at p != 2, and dyadic_block,
+    # never form it
     from halfspace_spectral import spectral
 
     def refuse(self):
@@ -622,6 +625,10 @@ def test_power_is_formed_only_where_it_is_read(grid1d, grid2d, monkeypatch):
     for p in (1.0, 3.0, np.inf):
         spec = SpaceSpec("besov", 1.0, p, 2.0, False, OP_NEUMANN)
         assert besov_norm_semigroup(f, spec, bank=bank) > 0.0
+        for homogeneous in (True, False):
+            spec = SpaceSpec("besov", 1.0, p, 2.0, homogeneous, OP_NEUMANN)
+            assert besov_norm_report(f, spec, bank)["value"] > 0.0
+            assert extension_norm_equivalence(f, spec, bank)["full_norm"] > 0.0
     assert besov_block_floor(3.0, grid1d)["plateau"] in (True, False)
     box = sample(grid1d, lambda x: np.sin(np.pi * 4 * x / grid1d.L))
     assert np.any(dyadic_block(box, -1, get_bank(grid1d)).values)
@@ -629,6 +636,36 @@ def test_power_is_formed_only_where_it_is_read(grid1d, grid2d, monkeypatch):
         with pytest.raises(AssertionError, match="power formed"):
             route(f, SpaceSpec("besov", 1.0, 2.0, 2.0, False, OP_NEUMANN),
                   bank=bank)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_besov_passes_hold_few_half_fields_at_once(p):
+    # peak traced allocation of one call at 2-D N = 1024, in half-field
+    # float64 bytes.  The spectrum holds only its coefficients (two) and
+    # forms |xi| a block of rows at a time; a band adds its work buffer
+    # (two) and its samples (one), and the extension route at p != 2 the
+    # box block and its moduli (two each).  At p = 2 the weighted power
+    # (one) replaces the band
+    g = make_grid(2, 16.0, 1024)
+    bank = get_bank(g)
+    f = _band_field(g)
+    spec = SpaceSpec("besov", 0.7, p, 2.0, False, OP_DIRICHLET)
+    t_grid = np.geomspace(2.0 ** (-2 * bank.j_max), 1.0, 9)
+    calls = {
+        "report": lambda: besov_norm_report(f, spec, bank),
+        "semigroup": lambda: besov_norm_semigroup(f, spec, t_grid=t_grid,
+                                                  bank=bank),
+        "extension": lambda: extension_norm_equivalence(f, spec, bank),
+    }
+    calls["report"]()  # leave the one-off caches out of the peak
+    for label, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7.5 * f.values.nbytes, (label, peak / f.values.nbytes)
 
 
 # ---------------------------------------------------------------------------

@@ -335,7 +335,8 @@ def test_band_energy_is_the_squared_norm_of_the_band(n, L, N, odd, bank1d):
     # (some keep every row, some only the low ones), the low-pass psi,
     # and heat nodes at small and large t at the radius sqrt(746 / t)
     from halfspace_spectral.grid import HalfField, lp_norm
-    from halfspace_spectral.spectral import _HalfSpectrum
+    from halfspace_spectral.spectral import (_HalfSpectrum, _half_mesh,
+                                             _radial)
 
     grid = make_grid(n, L, N)
     rng = np.random.default_rng(n + 10 * odd)
@@ -346,7 +347,7 @@ def test_band_energy_is_the_squared_norm_of_the_band(n, L, N, odd, bank1d):
     def heat(t):
         return lambda lam: (t * lam ** 2) ** 2 * np.exp(-t * lam ** 2)
 
-    top = np.max(spectrum.lam)
+    top = np.max(_radial(_half_mesh(grid, odd)))
     cases = [(lambda lam, j=j: bank1d.phi(j, lam), 2.0 ** (j + 1))
              for j in range(-1, 6) if 2.0 ** (j - 1) < top]
     cases += [(bank1d.psi, 2.0)]
@@ -359,6 +360,42 @@ def test_band_energy_is_the_squared_norm_of_the_band(n, L, N, odd, bank1d):
         assert want > 0.0
         assert got == pytest.approx(want, rel=1e-13, abs=0), radius
     assert partial >= (3 if n > 1 else 0)
+
+
+@pytest.mark.parametrize("odd", [True, False], ids=["sine", "cosine"])
+@pytest.mark.parametrize("n, N", [(1, 64), (2, 32), (3, 16)],
+                         ids=["1d", "2d", "3d"])
+def test_radii_formed_per_block_are_bitwise_the_full_radii(n, N, odd,
+                                                            monkeypatch):
+    # |xi| formed a block of rows at a time, on every row and on two row
+    # subsets, against |xi| on the full half mesh, with blocks of one
+    # row, of three rows and of every row; and a band that reaches every
+    # row against the inverse of the full-size product
+    from halfspace_spectral import spectral
+
+    grid = make_grid(n, 4.0, N)
+    rng = np.random.default_rng(n + 10 * odd)
+    values = rng.standard_normal((N,) * (n - 1) + (N // 2,))
+    lam = spectral._radial(spectral._half_mesh(grid, odd))
+    full = spectral._by_rows(lam)
+    count = full.shape[1]
+    subsets = [None, np.arange(0, count, 3),
+               np.append(0, 1 + np.flatnonzero(rng.random(count - 1) < 0.5))]
+
+    def profile(x):
+        return np.exp(-x / 3.0)
+
+    for rows_per_block in (1, 3, count):
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES",
+                            rows_per_block * full[:, :1].nbytes)
+        spectrum = spectral._HalfSpectrum(values, grid, odd)
+        for rows in subsets:
+            got = np.concatenate([b for *_, b in spectrum._blocks(rows)],
+                                 axis=1)
+            assert np.array_equal(got, full if rows is None
+                                  else full[:, rows]), rows
+        want = spectral._half_inverse(profile(lam) * spectrum.coef, odd)
+        assert np.array_equal(spectrum.band(profile, np.inf), want)
 
 
 # ---------------------------------------------------------------------------
