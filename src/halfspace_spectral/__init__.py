@@ -29,9 +29,9 @@ from .experiments import (BilinearConfig, RatioReport, TrilinearConfig,
                           besov_block_floor, bilinear_ratio,
                           classify_growth, counterexample_fields,
                           derivative_mapping_sweep, fit_line, get_bank,
-                          leibniz_decomposition, paraproduct_split,
-                          ratio_sweep, singular_window_growth,
-                          singularity_profile, trilinear_ratio)
+                          leibniz_decomposition, ratio_sweep,
+                          singular_window_growth, singularity_profile,
+                          trilinear_ratio)
 
 __all__ = [
     "__version__",
@@ -52,8 +52,8 @@ __all__ = [
     "FAMILY_NAMES", "make_family", "bump", "cutoff_profile",
     "counterexample_expr",
     "BilinearConfig", "TrilinearConfig", "RatioReport", "bilinear_ratio",
-    "trilinear_ratio", "ratio_sweep", "paraproduct_split",
-    "leibniz_decomposition", "counterexample_fields", "singularity_profile",
+    "trilinear_ratio", "ratio_sweep", "leibniz_decomposition",
+    "counterexample_fields", "singularity_profile",
     "besov_block_floor", "singular_window_growth",
     "derivative_mapping_sweep", "fit_line", "classify_growth", "get_bank",
 ]

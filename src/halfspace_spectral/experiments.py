@@ -1,5 +1,5 @@
-"""Experiment harness: bilinear/trilinear ratio sweeps, paraproduct and
-Leibniz decompositions, and the boundary counterexample diagnostics.
+"""Experiment harness: bilinear/trilinear ratio sweeps, the Leibniz
+decomposition, and the boundary counterexample diagnostics.
 
 The sweeps measure empirical constants only.  A ratio staying flat
 under refinement is evidence of boundedness at that regularity, and a
@@ -35,15 +35,14 @@ from . import __version__, norms
 from .errors import ConfigError, NumericalGuardError
 from .extension import odd_extend
 from .families import cutoff_profile, make_family
-from .grid import (GridSpec, HalfField, SampledField, _exponent, lp_norm,
-                   make_grid, sample_half)
+from .grid import (GridSpec, HalfField, _exponent, lp_norm, make_grid,
+                   sample_half)
 from .halfspace_ops import (OP_DIRICHLET, OP_NEUMANN, boundary_trace,
                             frac_power, normal_derivative,
                             tangential_derivative)
-from .norms import (SpaceSpec, _band_norms, _check_leak, besov_norm,
-                    sobolev_norm)
-from .spectral import (DyadicBank, _BoxSpectrum, _dyadic_blocks,
-                       _HalfSpectrum, build_bank, singular_integral_frac_lap)
+from .norms import SpaceSpec, _band_norms, besov_norm, sobolev_norm
+from .spectral import (DyadicBank, _dyadic_blocks, _HalfSpectrum, build_bank,
+                       singular_integral_frac_lap)
 
 __all__ = [
     "BilinearConfig",
@@ -55,7 +54,6 @@ __all__ = [
     "ratio_sweep",
     "fit_line",
     "classify_growth",
-    "paraproduct_split",
     "leibniz_decomposition",
     "counterexample_fields",
     "singularity_profile",
@@ -394,55 +392,7 @@ def ratio_sweep(cfg) -> RatioReport:
 
 
 # ---------------------------------------------------------------------------
-# decompositions
-
-def paraproduct_split(F: SampledField, G: SampledField,
-                      bank: DyadicBank) -> tuple:
-    """Split FG into the high-low piece (first factor rougher by three
-    octaves or more) and the rest.
-
-    Both inputs must be zero-mean and band-resolved; the two pieces
-    then reconstruct the pointwise product to the leak tolerance.
-    Returns (piece_I, piece_II, info).
-    """
-    if F.grid != G.grid:
-        raise ConfigError("paraproduct factors live on different grids")
-    for name, X in (("F", F), ("G", G)):
-        mean = abs(float(np.mean(X.values)))
-        sup = float(np.max(np.abs(X.values)))
-        if sup == 0.0:
-            raise ConfigError(f"factor {name} is identically zero")
-        if mean > 1e-8 * sup:
-            raise NumericalGuardError(
-                f"factor {name} has mean {mean:.3e}; the dyadic split "
-                "ignores the zero mode")
-
-    js = list(bank.octaves)
-
-    def blocks_of(X):
-        spectrum = _BoxSpectrum(X.values, X.grid)
-        _check_leak(spectrum, bank, low_too=True)
-        return [block for _, block in _dyadic_blocks(spectrum.band, bank, js)]
-
-    bF = blocks_of(F)
-    bG = blocks_of(G)
-    cumF = np.cumsum(np.stack(bF), axis=0)
-    cumG = np.cumsum(np.stack(bG), axis=0)
-
-    piece1 = np.zeros_like(F.values)
-    for idx in range(len(js)):
-        if idx >= 3:
-            piece1 += bF[idx] * cumG[idx - 3]
-    piece2 = np.zeros_like(F.values)
-    for idx in range(len(js)):
-        piece2 += bG[idx] * cumF[min(idx + 2, len(js) - 1)]
-
-    product = F.values * G.values
-    err = float(np.linalg.norm(piece1 + piece2 - product)
-                / max(np.linalg.norm(product), 1e-300))
-    info = {"octaves": js, "reconstruction_rel_l2": err}
-    return (SampledField(F.grid, piece1), SampledField(F.grid, piece2), info)
-
+# the Leibniz decomposition
 
 def leibniz_decomposition(f: HalfField, g: HalfField) -> dict:
     """Pieces of A_D(fg) = (A_D f) g - 2 grad f . grad g + f (A_D g).

@@ -19,14 +19,19 @@ is invisible to every phi_j and is excluded from the leak bookkeeping.
 
 At p = 2 every norm is taken from the coefficients by Parseval: the
 Sobolev norm, each block, low-pass term and heat node, with no inverse
-transform (``_image_norms`` chooses the route).  Every other p forms
-the samples and takes their midpoint-rule norm.
+transform (``_image_norms`` chooses the route), and the leak guard's
+sums come from the same weighted |coef|^2.  Every other p forms the
+samples and takes their midpoint-rule norm.
 
 The semigroup characterization
 
     ( int_0^inf ( t^(-s/2) || (tA)^M e^(-tA) f ||_p )^q  dt/t )^(1/q)
 
-is evaluated on a log-uniform t-quadrature; M must exceed s/2.
+is evaluated on a log-uniform t-quadrature; M must exceed s/2.  Each
+heat node's profile x^M e^-x, x = t |xi|^2, is a function of |xi|^2,
+cut at the one x = ``_heat_cut(M)`` where it falls to 1e-20 of its
+peak: the node reaches only the disk below sqrt(cut / t), and ``exp``
+is taken only below the cut, where it never underflows.
 """
 
 from __future__ import annotations
@@ -57,9 +62,9 @@ __all__ = [
 
 _LEAK_TOL = 1e-8
 
-#: exp(-x) is exactly 0.0 in doubles from x = 745.13 on, so a heat node
-#: (t lam^2)^M exp(-t lam^2) vanishes wherever t lam^2 >= 746
-_HEAT_ZERO = 746.0
+#: a heat node's profile x^M e^-x, x = t |xi|^2, is cut where it falls
+#: below this share of its peak M^M e^-M
+_HEAT_FLOOR = 1e-20
 
 
 @dataclass(frozen=True)
@@ -139,15 +144,19 @@ def sobolev_norm(hf: HalfField, spec: SpaceSpec) -> float:
 # ---------------------------------------------------------------------------
 # dyadic machinery shared by the Besov evaluations
 
-def _check_leak(spectrum, bank: DyadicBank, low_too: bool) -> float:
+def _check_leak(spectrum: _HalfSpectrum, bank: DyadicBank,
+                spec: SpaceSpec) -> float:
     """The leak guard of every dyadic split.
 
     Returns the share of the non-DC energy of ``spectrum`` above
-    2^j_max and, with ``low_too``, below 2^j_min (what a truncated
-    j-sum cannot see) and raises when it exceeds ``_LEAK_TOL``.
+    2^j_max and, for a homogeneous ``spec``, below 2^j_min (what a
+    truncated j-sum cannot see) and raises when it exceeds
+    ``_LEAK_TOL``.  At p = 2 the sums come from the weighted |coef|^2
+    that the pass forms for its energies anyway.
     """
     total, outside = spectrum.leak_sums(
-        2.0 ** bank.j_min if low_too else 0.0, 2.0 ** bank.j_max)
+        2.0 ** bank.j_min if spec.homogeneous else 0.0, 2.0 ** bank.j_max,
+        from_power=spec.p == 2)
     leak = outside / total if total else 0.0
     if leak > _LEAK_TOL:
         raise NumericalGuardError(
@@ -187,7 +196,7 @@ def _dyadic_pass(hf: HalfField, spec: SpaceSpec, bank: DyadicBank,
     """
     work = _checked(hf, spec, "besov", what)
     spectrum = _HalfSpectrum(work.values, work.grid, _is_odd(work, spec.op))
-    leak = _check_leak(spectrum, bank, low_too=spec.homogeneous)
+    leak = _check_leak(spectrum, bank, spec)
     norms = _band_norms(work, spectrum, spec.p, spec.op if box else None)
     j_lo = bank.j_min if spec.homogeneous else max(bank.j_min, 1)
     blocks, box_weighted = [], []
@@ -217,10 +226,28 @@ def besov_norm(hf: HalfField, spec: SpaceSpec, bank: DyadicBank) -> float:
     return besov_norm_report(hf, spec, bank)["value"]
 
 
-def _heat_moment(t, M: int, lam):
-    """(t lam^2)^M exp(-t lam^2), the profile of (tA)^M e^(-tA)."""
-    tlam2 = t * lam ** 2
-    return tlam2 ** M * np.exp(-tlam2)
+@functools.lru_cache(maxsize=None)
+def _heat_cut(M: int) -> float:
+    """The x > M at which x^M e^-x falls to ``_HEAT_FLOOR`` of its peak
+    M^M e^-M: the root of M ln(x/M) - (x - M) = ln(floor), the fixed
+    point of x = M - ln(floor) + M ln(x/M), reached from below, where
+    the map's slope M/x is under 1."""
+    x = M - math.log(_HEAT_FLOOR)
+    for _ in range(64):
+        x = M - math.log(_HEAT_FLOOR) + M * math.log(x / M)
+    return x
+
+
+def _heat_moment(t, M: int, cut: float, lam2):
+    """(t lam^2)^M exp(-t lam^2), the profile of (tA)^M e^(-tA), as a
+    function of lam^2; 0 from t lam^2 = ``cut`` on, where ``exp`` is
+    not taken, so it meets no underflow."""
+    x = t * lam2
+    decay = np.zeros_like(x)
+    np.exp(np.negative(x), out=decay, where=x < cut)
+    x **= M
+    x *= decay
+    return x
 
 
 def besov_norm_semigroup(hf: HalfField, spec: SpaceSpec, M: int | None = None,
@@ -259,10 +286,11 @@ def besov_norm_semigroup(hf: HalfField, spec: SpaceSpec, M: int | None = None,
     norms = _band_norms(
         work, _HalfSpectrum(work.values, work.grid, _is_odd(work, spec.op)),
         spec.p)
+    cut = _heat_cut(M)
     vals = np.empty(t_grid.size)
     for i, t in enumerate(t_grid):
-        node = norms(functools.partial(_heat_moment, t, M),
-                     math.sqrt(_HEAT_ZERO / t))[0]
+        node = norms(functools.partial(_heat_moment, t, M, cut),
+                     math.sqrt(cut / t))[0]
         vals[i] = t ** (-spec.s / 2.0) * node
 
     if np.isinf(spec.q):

@@ -34,24 +34,29 @@ transform points as the full pair.
 
 This module alone reads and writes the half-space coefficients, their
 modes, packing, halves and rows (the normal lines of single tangential
-frequencies).  Other modules pass samples, modes or profiles of |xi|:
+frequencies).  Other modules pass samples, modes or profiles:
 ``_half_multiplier`` and the two derivatives apply operators,
 ``_half_synthesis`` samples separable modes, and the ``band`` of
-``_HalfSpectrum`` filters by a profile of |xi| for every Besov pass:
-dyadic, low-pass or heat flow.  Of the field's size, a spectrum holds
-its coefficients and, at p = 2, their weighted squares: |xi| is formed
-a block of rows at a time, bitwise the full |xi|, and each block of
-profile(|xi|) coef is written into the buffer that the inverse
-transforms in place.
+``_HalfSpectrum`` filters for every Besov pass: dyadic, low-pass or
+heat flow.  A band reaches only the disk below its radius, held by the
+rows whose tangential |xi_t| is below it and, in each row, the window
+of normal wavenumbers below it; the product buffer is zero outside.
+The octave profiles phi_j and psi are tabulated on that window once
+per bank and grid, shared by the sine and cosine coefficients, bitwise
+the profile of |xi|, and kept with the bank; a heat node passes a
+profile of |xi|^2, evaluated on every call a block of rows at a time.
+Of the field's size, a spectrum holds its coefficients and, at p = 2,
+their weighted squares.
 
 At p = 2 no norm needs the samples.  By Parseval, the squared
 half-space L^2 norm of an image is a weighted sum of its squared
 coefficients, and this module alone knows the weights:
 ``_HalfSpectrum.energy`` gives it for a band and
-``_half_multiplier_energy`` for a multiplier, with no inverse
-transform.  Both spectra give the two sums of the leak guard,
-``leak_sums``: the half spectrum a block of rows at a time, so that
-only p = 2 passes form the weighted |coef|^2.
+``_half_multiplier_energy`` for a multiplier, with no inverse transform
+and no BLAS call.  ``_HalfSpectrum.leak_sums`` gives the two sums of
+the leak guard from one weighted |coef|^2 per block of rows, or from
+the one a p = 2 pass forms for its energies; |xi| is formed only on the
+rows and window of the band.
 
 The dyadic bank realizes a standard smooth partition of unity: with
 eta(lambda) equal to 1 on [0, 1], supported in [0, 2] and built from
@@ -71,11 +76,12 @@ that they pin the exact profiles they were produced with.
 This module is the single owner of the dyadic split: the radial
 frequency |xi|, the octave range a grid resolves, the two bands that
 filter a field by a profile of |xi|, ``_BoxSpectrum`` on the box DFT
-and ``_HalfSpectrum`` on the half-length pair, and the loop that takes
-one block phi_j(|xi|) fhat, or its energy, at a time.  phi_j
-vanishes from |xi| = 2^(j+1) on, and the low-pass psi from 2 on, so on
-the half-length pair each block touches only the tangential rows
-|xi_t| its annulus reaches.
+and ``_HalfSpectrum`` on the half-length pair, the octave tables, and
+the loop that takes one block phi_j(|xi|) fhat, or its energy, at a
+time.  phi_j vanishes from |xi| = 2^(j+1) on, and the low-pass psi
+from 2 on, so on the half-length pair each block touches only the disk
+its annulus reaches.  The box route evaluates its profile on every
+call: it is the oracle.
 
 A real-space quadrature for the fractional Laplacian at order
 s in (0, 1) lives here too; it is the independent check that the
@@ -88,6 +94,7 @@ import functools
 import hashlib
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -250,21 +257,14 @@ def _radial(mesh):
 
 
 class _BoxSpectrum:
-    """The DFT fhat of a real full-grid array, as :class:`_HalfSpectrum`
-    is for the half-grid: |xi| as ``lam``, |fhat|^2 as ``power``, formed
-    on first use, ``leak_sums`` from them, and ``band``, which
-    transforms every row, so it ignores the radius."""
+    """The DFT fhat of a real full-grid array and |xi| as ``lam``, with
+    ``band``, which evaluates the profile on every point and transforms
+    every row, so it ignores the radius: the oracle of the half
+    spectrum's band."""
 
     def __init__(self, values: np.ndarray, grid: GridSpec):
         self.fhat = np.fft.fftn(values)
         self.lam = _radial(grid.freq_mesh())
-
-    @functools.cached_property
-    def power(self) -> np.ndarray:
-        return np.abs(self.fhat) ** 2
-
-    def leak_sums(self, low: float, high: float) -> tuple:
-        return _leak_sums(self.power, self.lam, low, high)
 
     def band(self, profile, _radius) -> np.ndarray:
         return np.fft.ifftn(profile(self.lam) * self.fhat).real
@@ -581,16 +581,26 @@ def _parseval_power(coef: np.ndarray) -> np.ndarray:
     return power
 
 
-def _leak_sums(power: np.ndarray, lam: np.ndarray, low: float,
-               high: float) -> tuple:
-    """(the energy at |xi| > 0, the energy at |xi| > ``high`` or 0 <
-    |xi| < ``low``) of ``power`` on the radii ``lam``."""
-    nonzero = lam > 0
-    outside = lam < low
-    outside &= nonzero
-    outside |= lam > high
-    return (float(np.sum(power, where=nonzero)),
-            float(np.sum(power, where=outside)))
+def _sum_of_squares(a: np.ndarray) -> float:
+    """sum(a ** 2) of a real array by numpy's own loop: no BLAS call,
+    whose threads stall on sums this small, and no temporary."""
+    axes = list(range(a.ndim))
+    return float(np.einsum(a, axes, a, axes, []))
+
+
+def _slice_of(mask: np.ndarray) -> slice:
+    """The slice of the True entries of a mask that holds one run of
+    them, or an empty slice."""
+    hits = np.flatnonzero(mask)
+    return slice(hits[0], hits[-1] + 1) if hits.size else slice(0, 0)
+
+
+def _halves(window: tuple, weights: np.ndarray):
+    """(half, slice, columns of ``weights``) for each half of the
+    coefficients: the window's two slices lie side by side in
+    ``weights``."""
+    width = window[0].stop - window[0].start
+    return zip((0, 1), window, (weights[:, :width], weights[:, width:]))
 
 
 #: |xi| is formed a block of rows at a time, of about this many bytes
@@ -602,25 +612,31 @@ class _HalfSpectrum:
     array, for the Besov passes.
 
     Of the field's size it holds ``coef`` and, once a p = 2 pass has
-    read it, ``power``.  |xi| is formed a block of rows (about
-    ``_BLOCK_BYTES``) at a time, and freed with it, from the squared
+    read it, ``power``, the weighted |coef|^2 of
+    :func:`_parseval_power`.
+
+    A profile that vanishes from |xi| = radius on reaches only the disk
+    below the radius.  Since |xi| >= |xi_t| and |xi| >= k, that disk
+    lies in the rows whose tangential |xi_t| is below the radius and,
+    within each row, in the window of normal wavenumbers k below it:
+    a prefix of the cosine modes or a suffix of the sine modes, one
+    slice in each half.  ``band(profile, radius)`` is the field of
+    profile(|xi|) coef, its product buffer zero outside the window and
+    transformed on those rows alone by :func:`_half_inverse_rows`.
+    ``energy(profile, radius)`` is its squared half-space L^2 norm by
+    Parseval, from ``power``, with no inverse transform.
+
+    The profile is an :class:`_Octave` of a bank, whose weights on the
+    rows and the normal modes below the radius are tabulated once per
+    bank and grid, shared by both parities and kept with the bank, or a
+    function of |xi|^2, evaluated on every call a block of rows (about
+    ``_BLOCK_BYTES``) at a time.  Both form |xi|^2 from the squared
     tangential |xi_t| of each row and the squared normal wavenumbers,
-    added in the order of :func:`_radial`, so each block is bitwise
-    that slice of the full |xi|.
+    added in the order of :func:`_radial`, so a table is bitwise the
+    profile of the full |xi|.
 
-    For a profile that vanishes from |xi| = radius on, ``band(profile,
-    radius)`` is the field of profile(|xi|) coef, each block of the
-    product written straight into the buffer that the inverse
-    transforms in place.  ``energy(profile, radius)`` is its squared
-    half-space L^2 norm by Parseval, with no inverse transform, from
-    ``power``, the weighted |coef|^2 of :func:`_parseval_power`, formed
-    on first use.  ``leak_sums(low, high)`` are the two energies of the
-    leak guard, taken a block at a time, with no ``power``.
-
-    Since |xi| >= |xi_t|, every row whose tangential |xi_t| reaches the
-    radius is zero: ``band`` and ``energy`` evaluate the profile on the
-    other rows alone, and ``band`` transforms only those by
-    :func:`_half_inverse_rows`.
+    ``leak_sums(low, high)`` are the two energies of the leak guard, by
+    one weighted |coef|^2 per block of rows, or from ``power`` at p = 2.
     """
 
     def __init__(self, values: np.ndarray, grid: GridSpec, odd: bool):
@@ -629,7 +645,9 @@ class _HalfSpectrum:
         self.tangential2 = np.ravel(sum((xi ** 2 for xi in mesh),
                                         np.zeros(1)))
         self.tangential = np.sqrt(self.tangential2)
-        self.normal2 = _by_rows(k ** 2)
+        self.normal2 = (k ** 2).reshape(2, -1)
+        self.normal = np.sqrt(self.normal2)
+        self.grid = grid
         self.shape = values.shape
         self.odd = odd
         self.scale = _parseval_scale(grid)
@@ -638,54 +656,126 @@ class _HalfSpectrum:
     def power(self) -> np.ndarray:
         return _parseval_power(self.coef)
 
-    def _rows(self, radius: float):
-        """The flat indices of the rows below ``radius``, or None for
-        every row; with None, nothing is gathered."""
+    def _disk(self, radius: float) -> tuple:
+        """(rows, window) that hold the disk |xi| < ``radius``: the flat
+        indices of the rows below it, or None for every row, and the
+        slices of the two halves whose wavenumbers are below it."""
         rows = np.flatnonzero(self.tangential < radius)
-        return None if rows.size == self.tangential.size else rows
+        window = tuple(_slice_of(k < radius) for k in self.normal)
+        return (None if rows.size == self.tangential.size else rows), window
 
-    def _blocks(self, rows):
-        """Yield (span, picked, lam) for each block of ``rows`` (None for
-        every row): ``span`` slices the block's positions in ``rows``,
-        ``picked`` indexes its rows as :func:`_by_rows` lays them out,
-        and ``lam`` is |xi| on them, shape (2, rows in the block, M/2)."""
+    def _blocks(self, rows, width: int):
+        """Yield (span, picked) for each block of ``rows`` (None for every
+        row), ``width`` coefficients wide: ``span`` slices the block's
+        positions in ``rows`` and ``picked`` indexes its rows as
+        :func:`_by_rows` lays them out."""
         count = self.tangential.size if rows is None else rows.size
-        step = max(1, _BLOCK_BYTES // self.normal2.nbytes)
+        step = max(1, _BLOCK_BYTES // (8 * max(width, 1)))
         for start in range(0, count, step):
             span = slice(start, min(start + step, count))
-            picked = span if rows is None else rows[span]
-            lam = self.tangential2[picked, None] + self.normal2
-            yield span, picked, np.sqrt(lam, out=lam)
+            yield span, span if rows is None else rows[span]
+
+    def _normal2_on(self, window: tuple) -> np.ndarray:
+        """The squared normal wavenumbers of ``window``, its two slices
+        side by side."""
+        return np.concatenate([k2[w] for k2, w in zip(self.normal2, window)])
+
+    def _weights(self, profile, rows, window: tuple, radius: float):
+        """Yield (span, picked, weights) for each block of rows, the
+        profile on the window, its two slices side by side."""
+        normal2 = self._normal2_on(window)
+        table = None
+        if isinstance(profile, _Octave):
+            table = self._table(profile, rows, radius)
+            # cosine coefficient m holds mode m, sine coefficient M - m
+            table = table[:, :0:-1] if self.odd else table[:, :normal2.size]
+        for span, picked in self._blocks(rows, normal2.size):
+            yield span, picked, (
+                table[span] if table is not None
+                else profile(self.tangential2[picked, None] + normal2))
+
+    def _table(self, octave, rows, radius: float) -> np.ndarray:
+        """The weights of ``octave`` on its rows and on the normal modes
+        m = 0, 1, ... whose wavenumber is below ``radius``, in mode
+        order and read-only, which the sine and cosine coefficients
+        share: from the bank's tables, or built block by block and kept
+        there."""
+        tables = _TABLES.setdefault(octave.bank, {})
+        key = (self.grid, octave.j)
+        table = tables.get(key)
+        if table is None:
+            modes2 = np.abs(self.grid.freq_axis()[:self.shape[-1] + 1]) ** 2
+            modes2 = modes2[np.sqrt(modes2) < radius]
+            count = self.tangential.size if rows is None else rows.size
+            table = np.empty((count, modes2.size))
+            for span, picked in self._blocks(rows, modes2.size):
+                lam = self.tangential2[picked, None] + modes2
+                table[span] = octave(np.sqrt(lam, out=lam))
+            table.flags.writeable = False
+            tables[key] = table
+        return table
 
     def band(self, profile, radius: float) -> np.ndarray:
-        rows = self._rows(radius)
+        rows, window = self._disk(radius)
         coef = _by_rows(self.coef)
         count = coef.shape[1] if rows is None else rows.size
-        product = np.empty((2, count, coef.shape[-1]), dtype=complex)
-        for span, picked, lam in self._blocks(rows):
-            np.multiply(profile(lam), coef[:, picked], out=product[:, span])
+        product = np.zeros((2, count, coef.shape[-1]), dtype=complex)
+        for span, picked, weights in self._weights(profile, rows, window,
+                                                   radius):
+            for half, cols, w in _halves(window, weights):
+                np.multiply(w, coef[half, picked, cols],
+                            out=product[half, span, cols])
         return _half_inverse_rows(product, rows, self.shape, self.odd)
 
     def energy(self, profile, radius: float) -> float:
+        rows, window = self._disk(radius)
         power = _by_rows(self.power)
         total = 0.0
-        for _, picked, lam in self._blocks(self._rows(radius)):
-            weight = profile(lam)
-            weight *= weight
-            total += float(np.vdot(weight, power[:, picked]))
+        for _, picked, weights in self._weights(profile, rows, window,
+                                                radius):
+            for half, cols, w in _halves(window, weights):
+                product = np.square(w)
+                product *= power[half, picked, cols]
+                total += float(np.sum(product))
         return self.scale * total
 
-    def leak_sums(self, low: float, high: float) -> tuple:
-        """:func:`_leak_sums` of the Parseval power, on every row."""
-        coef = _by_rows(self.coef)
-        total = outside = 0.0
-        for _, picked, lam in self._blocks(None):
-            block = _leak_sums(_parseval_power(coef[:, picked]), lam, low,
-                               high)
-            total += block[0]
-            outside += block[1]
-        return total, outside
+    def leak_sums(self, low: float, high: float,
+                  from_power: bool = False) -> tuple:
+        """(the energy at |xi| > 0, the energy at |xi| > ``high`` or 0 <
+        |xi| < ``low``), with ``low`` <= ``high``, by Parseval.
 
+        Each block of rows forms its weighted |coef|^2 once, or reads it
+        from ``power`` with ``from_power``.  Every coefficient outside
+        the rows and window of the closed disk |xi| <= ``high`` is out
+        of band whole, so |xi| is formed only on them.  The one
+        coefficient at |xi| = 0 is the cosine mode (0, ..., 0), the
+        first of the first half, and is left out of both sums.
+        """
+        near = self.tangential <= high
+        window = tuple(_slice_of(k <= high) for k in self.normal)
+        normal2 = self._normal2_on(window)
+        source = _by_rows(self.power if from_power else self.coef)
+        total = outside = 0.0
+        for span, _ in self._blocks(None, 2 * source.shape[-1]):
+            block = (source[:, span] if from_power
+                     else _parseval_power(source[:, span]))
+            inner = near[span]
+            beyond = float(np.sum(block, where=~inner[:, None]))
+            lam = self.tangential2[span][inner, None] + normal2
+            np.sqrt(lam, out=lam)
+            for half, cols, r in _halves(window, lam):
+                part = block[half][inner]
+                if half == 0 and span.start == 0 and not self.odd:
+                    part[0, 0] = 0.0    # the cosine mode (0, ..., 0)
+                rest = (slice(cols.stop, None) if cols.start == 0
+                        else slice(0, cols.start))
+                beyond += float(np.sum(part[:, rest]))
+                total += float(np.sum(part[:, cols]))
+                outside += float(np.sum(part[:, cols],
+                                        where=(r > high) | (r < low)))
+            total += beyond
+            outside += beyond
+        return total, outside
 
 
 #: the last keyed symbol: {(grid, odd, key): checked read-only array}
@@ -737,12 +827,13 @@ def _half_multiplier_energy(values: np.ndarray, grid: GridSpec,
 
     The weights are those of ``_HalfSpectrum.power``: coefficient 0 is
     unpaired and every other counts twice, so the sum is twice the
-    whole |coef|^2 less coefficient 0's, with no full-size temporary.
+    whole |coef|^2 less coefficient 0's, taken on the real and
+    imaginary parts with no full-size temporary.
     """
     coef = _half_image(values, grid, m, odd, key)
-    unpaired = coef[0, ..., 0]
-    total = 2.0 * np.vdot(coef, coef).real - np.vdot(unpaired, unpaired).real
-    return _parseval_scale(grid) * float(total)
+    parts, unpaired = coef.view(float), coef[0, ..., :1].view(float)
+    total = 2.0 * _sum_of_squares(parts) - _sum_of_squares(unpaired)
+    return _parseval_scale(grid) * total
 
 
 def _half_normal_derivative(values: np.ndarray, grid: GridSpec,
@@ -850,6 +941,26 @@ def _resolved_octaves(grid: GridSpec) -> tuple[int, int]:
     return j_min, j_max
 
 
+@dataclass(frozen=True)
+class _Octave:
+    """phi_j of ``bank``, or its low-pass psi for j None, as a profile of
+    |xi|.  The box spectrum evaluates it on every call; the half
+    spectrum tabulates it once per bank and grid."""
+
+    bank: DyadicBank
+    j: int | None = None
+
+    def __call__(self, lam):
+        if self.j is None:
+            return self.bank.psi(lam)
+        return self.bank.phi(self.j, lam)
+
+
+#: the half spectrum's octave tables, {bank: {(grid, j): weights}},
+#: dropped with their bank
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _dyadic_blocks(band, bank: DyadicBank, octaves):
     """Yield (j, band(phi_j, 2^(j+1))) for each octave, one at a time,
     so that no more than one block is held in memory.
@@ -857,17 +968,17 @@ def _dyadic_blocks(band, bank: DyadicBank, octaves):
     ``band(profile, radius)`` is a function of profile(|xi|) fhat for a
     profile that vanishes from |xi| = radius on, as phi_j does from
     2^(j+1) on: the real block, as a spectrum's ``band`` transforms it,
-    or a norm of it; the half-space spectrum skips the rows beyond the
-    radius.
+    or a norm of it; the half-space spectrum reaches only the disk
+    below the radius.
     """
     for j in octaves:
-        yield j, band(functools.partial(bank.phi, j), 2.0 ** (j + 1))
+        yield j, band(_Octave(bank, j), 2.0 ** (j + 1))
 
 
 def _lowpass_block(band, bank: DyadicBank):
     """``band`` of the inhomogeneous low-pass term psi(|xi|) fhat; psi
     vanishes from |xi| = 2 on."""
-    return band(bank.psi, 2.0)
+    return band(_Octave(bank), 2.0)
 
 
 def build_bank(grid: GridSpec, phi0_scale: float = 1.0) -> DyadicBank:

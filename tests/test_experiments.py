@@ -29,7 +29,6 @@ from halfspace_spectral import (
     make_family,
     make_grid,
     odd_extend,
-    paraproduct_split,
     ratio_sweep,
     restrict,
     sample,
@@ -297,54 +296,6 @@ def test_neumann_sweep_runs():
     cfg = _cfg(op=OP_NEUMANN, s=1.5, count=2, resolutions=(512, 1024))
     rep = ratio_sweep(cfg)
     assert rep.verdict == "bounded"
-
-
-# ---------------------------------------------------------------------------
-# paraproducts
-
-def test_paraproduct_reconstructs_banded_products(grid1d, bank1d):
-    flds = make_family("band_random", grid1d, OP_DIRICHLET, 13, 2,
-                       grid1d.N)
-    from halfspace_spectral import odd_extend
-
-    F = odd_extend(flds[0])
-    G = odd_extend(flds[1])
-    p1, p2, info = paraproduct_split(F, G, bank1d)
-    assert info["reconstruction_rel_l2"] < 1e-8
-    recon = p1.values + p2.values
-    prod = F.values * G.values
-    assert np.linalg.norm(recon - prod) < 1e-8 * np.linalg.norm(prod)
-
-
-def test_paraproduct_separates_distant_octaves(grid1d, bank1d):
-    # rough factor four octaves above the smooth one: the whole
-    # product must land in the high-low piece
-    rough = sample(grid1d, lambda x: np.sin(64.0 * np.pi * x / 16.0))
-    smooth = sample(grid1d, lambda x: np.sin(np.pi * x / 4.0))
-    p1, p2, info = paraproduct_split(rough, smooth, bank1d)
-    prod = rough.values * smooth.values
-    assert np.linalg.norm(p1.values - prod) < 1e-8 * np.linalg.norm(prod)
-    assert np.linalg.norm(p2.values) < 1e-8 * np.linalg.norm(prod)
-
-
-def test_paraproduct_rejects_nonzero_mean(grid1d, bank1d):
-    f = make_family("band_random", grid1d, OP_DIRICHLET, 13, 1, grid1d.N)[0]
-    from halfspace_spectral import odd_extend
-
-    F = odd_extend(f)
-    shifted = F.with_values(F.values + 0.5)
-    with pytest.raises(NumericalGuardError):
-        paraproduct_split(shifted, F, bank1d)
-    with pytest.raises(ConfigError):
-        paraproduct_split(F.with_values(0.0 * F.values), F, bank1d)
-
-
-def test_paraproduct_rejects_out_of_band_energy(grid1d, bank1d):
-    N = grid1d.N
-    alias = sample(grid1d, lambda x: np.sin(np.pi * (N - 2) / 2 * x / 16.0))
-    inband = sample(grid1d, lambda x: np.sin(np.pi * x / 2.0))
-    with pytest.raises(NumericalGuardError):
-        paraproduct_split(alias, inband, bank1d)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """AST scans of ``src/``: every name the package imports is used, every
 name it re-exports is listed by its module, every transform it makes is
-one the benchmark's tracer counts, and only ``spectral.py`` calls a
-transform or touches the half-space coefficient layout."""
+one the benchmark's tracer counts, only ``spectral.py`` calls a
+transform or touches the half-space coefficient layout, and the modules
+of the hot paths call no BLAS-backed numpy function."""
 
 import ast
 import pathlib
@@ -227,4 +228,57 @@ def test_only_spectral_touches_half_space_coefficients():
     found = {str(path.relative_to(SRC)): hits for path in files
              if path.name != "spectral.py"
              and (hits := _coefficient_internals(ast.parse(path.read_text())))}
+    assert found == {}
+
+
+#: numpy functions that call BLAS, whose threads stall for milliseconds
+#: on products the size of the package's
+_BLAS = {"vdot", "dot", "inner", "matmul", "tensordot"}
+
+#: the modules on the hot paths of the norms and operators
+_NO_BLAS_MODULES = ("spectral.py", "norms.py", "halfspace_ops.py", "grid.py")
+
+
+def _blas_calls(tree: ast.Module) -> list:
+    """(line, name) of each use of a BLAS-backed numpy function: a
+    numpy name in ``_BLAS`` however the module imported it, anything of
+    numpy.linalg, the ``dot`` method of an array and the @ operator."""
+    aliases = _import_aliases(tree)
+    inner = {id(node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)):
+            found.append((node.lineno, "@"))
+            continue
+        if id(node) in inner:
+            continue
+        name = _dotted(node, aliases)
+        parts = name.split(".") if name else []
+        if (parts[:2] == ["numpy", "linalg"]
+                or (len(parts) == 2 and parts[0] == "numpy"
+                    and parts[1] in _BLAS)
+                or (isinstance(node, ast.Attribute) and node.attr == "dot")):
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_scan_finds_a_blas_call():
+    tree = ast.parse(
+        "import numpy as np\nfrom numpy import vdot as v\n"
+        "from numpy.linalg import norm\nnp.vdot(a, b)\nv(a, b)\n"
+        "a.dot(b)\na @ b\nnp.linalg.norm(a)\nnorm(a)\n"
+        "np.einsum('i,i', a, b)\nc @= d\n"
+        "np.inner(a, b) + np.matmul(a, b) + np.tensordot(a, b)\n")
+    assert _blas_calls(tree) == [
+        (4, "numpy.vdot"), (5, "numpy.vdot"), (6, "a.dot"), (7, "@"),
+        (8, "numpy.linalg.norm"), (9, "numpy.linalg.norm"), (11, "@"),
+        (12, "numpy.inner"), (12, "numpy.matmul"), (12, "numpy.tensordot")]
+
+
+def test_hot_modules_call_no_blas():
+    found = {name: hits for name in _NO_BLAS_MODULES
+             if (hits := _blas_calls(ast.parse(
+                 (PACKAGE / name).read_text())))}
     assert found == {}

@@ -508,8 +508,10 @@ def test_besov_passes_make_quarter_size_transforms(op, monkeypatch):
     # p = 1 each dyadic block, low-pass term and t-node then
     # inverse-transforms along the normal only the rows |xi_t| below its
     # radius, and then 256 x 64 points along the tangential axis; a
-    # t-node whose radius sqrt(746 / t) lies beyond every row makes one
-    # inverse of 256 x 64 points.  At p = 2 every norm comes from the
+    # t-node whose radius sqrt(cut / t) lies beyond every row makes one
+    # inverse of 256 x 64 points.  With M = 2 the heat profile is cut at
+    # t |xi|^2 = 54.67, where it falls to 1e-20 of its peak, and two of
+    # the five t-nodes reach every row.  At p = 2 every norm comes from the
     # coefficients, and the forward transform is the only one.  There is
     # never a 256 x 256 transform of an extension, and each transform
     # runs in place on a complex array (out= is the input)
@@ -535,8 +537,10 @@ def test_besov_passes_make_quarter_size_transforms(op, monkeypatch):
                 ("ifftn", 256 * 64, (0,), True)]
 
     fwd = ("fftn", 256 * 64, None, True)
-    nodes = [call for t in t_grid for call in band(np.sqrt(746.0 / t))]
-    assert nodes[0] == band(np.inf)[0] and len(nodes) == t_grid.size + 1
+    cut = norms._heat_cut(2)
+    assert cut == pytest.approx(54.668, abs=1e-3)
+    nodes = [call for t in t_grid for call in band(np.sqrt(cut / t))]
+    assert nodes[:2] == band(np.inf) * 2 and len(nodes) == t_grid.size + 3
     for homogeneous in (True, False):
         spec = SpaceSpec("besov", 1.0, 1.0, 2.0, homogeneous, op)
         low = [] if homogeneous else band(2.0)
@@ -619,7 +623,6 @@ def test_power_is_formed_only_where_it_is_read(grid1d, grid2d, monkeypatch):
         raise AssertionError("power formed")
 
     monkeypatch.setattr(spectral._HalfSpectrum, "power", property(refuse))
-    monkeypatch.setattr(spectral._BoxSpectrum, "power", property(refuse))
     bank = get_bank(grid2d)
     f = make_family("band_random", grid2d, OP_NEUMANN, 3, 1, grid2d.N)[0]
     for p in (1.0, 3.0, np.inf):
@@ -636,6 +639,61 @@ def test_power_is_formed_only_where_it_is_read(grid1d, grid2d, monkeypatch):
         with pytest.raises(AssertionError, match="power formed"):
             route(f, SpaceSpec("besov", 1.0, 2.0, 2.0, False, OP_NEUMANN),
                   bank=bank)
+
+
+@pytest.mark.parametrize("op", [OP_DIRICHLET, OP_NEUMANN])
+@pytest.mark.parametrize("n, N", [(1, 4096), (2, 512)], ids=["1d", "2d"])
+def test_heat_cut_moves_semigroup_values_at_roundoff(n, N, op, monkeypatch):
+    # heat nodes stop where their profile falls to 1e-20 of its peak,
+    # against the uncut route: every row, every normal wavenumber and
+    # exp taken everywhere.  The default M, homogeneous and not, and an
+    # explicit M = 6, over nine t-nodes that span the resolved octaves
+    grid = make_grid(n, 16.0, N)
+    bank = get_bank(grid)
+    f = make_family("band_random", grid, op, 5, 1, N)[0]
+    t_grid = np.geomspace(2.0 ** (-2 * bank.j_max), 2.0 ** (-2 * bank.j_min),
+                          9)
+    cases = [(SpaceSpec("besov", s, p, 2.0, i % 2 == 0, op), None)
+             for i, s in enumerate((-0.4, 0.7, 1.9, 2.4, 3.7))
+             for p in (1.0, 2.0, 3.0, np.inf)]
+    cases += [(SpaceSpec("besov", s, p, 2.0, True, op), 6)
+              for s in (0.7, 3.7) for p in (1.0, 2.0, 3.0, np.inf)]
+
+    def run():
+        return [besov_norm_semigroup(f, spec, M=M, t_grid=t_grid, bank=bank)
+                for spec, M in cases]
+
+    cut = run()
+    monkeypatch.setattr(norms, "_heat_cut", lambda M: np.inf)
+    for (spec, M), got, want in zip(cases, cut, run()):
+        assert abs(got - want) <= 1e-15 * abs(want), (spec, M)
+
+
+def test_p2_routes_call_no_blas(monkeypatch):
+    # the Parseval sums run numpy's own loops, never BLAS, whose threads
+    # stall on sums this small: with numpy.vdot and numpy.dot refusing,
+    # Sobolev norms in 1-D and 3-D and the dyadic, semigroup and
+    # extension routes all return at p = 2
+    def refuse(*args, **kwargs):
+        raise AssertionError("BLAS called")
+
+    monkeypatch.setattr(np, "vdot", refuse)
+    monkeypatch.setattr(np, "dot", refuse)
+    for n, L, N in ((1, 16.0, 1024), (3, 8.0, 32)):
+        grid = make_grid(n, L, N)
+        f = make_family("bump_random", grid, OP_NEUMANN, 2, 1)[0]
+        for homogeneous in (True, False):
+            spec = SpaceSpec("sobolev", 1.5, 2.0, None, homogeneous,
+                             OP_NEUMANN)
+            assert sobolev_norm(f, spec) > 0.0
+    grid = make_grid(2, 8.0, 256)
+    bank = get_bank(grid)
+    f = _band_field(grid)
+    for homogeneous in (True, False):
+        spec = SpaceSpec("besov", 0.7, 2.0, 2.0, homogeneous, OP_DIRICHLET)
+        assert besov_norm_report(f, spec, bank)["value"] > 0.0
+        assert besov_norm_semigroup(f, spec, bank=bank) > 0.0
+        assert extension_norm_equivalence(f, spec, bank)["half_norm"] > 0.0
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])

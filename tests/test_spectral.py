@@ -333,25 +333,26 @@ def test_band_energy_is_the_squared_norm_of_the_band(n, L, N, odd, bank1d):
     # the energy of a band, summed over the coefficients, against the
     # midpoint-rule L^2 norm of its samples: octaves at their row radius
     # (some keep every row, some only the low ones), the low-pass psi,
-    # and heat nodes at small and large t at the radius sqrt(746 / t)
+    # and heat nodes, profiles of |xi|^2, at small and large t at the
+    # radius sqrt(cut / t) of their cut
     from halfspace_spectral.grid import HalfField, lp_norm
-    from halfspace_spectral.spectral import (_HalfSpectrum, _half_mesh,
-                                             _radial)
+    from halfspace_spectral.norms import _heat_cut, _heat_moment
+    from halfspace_spectral.spectral import (_half_mesh, _HalfSpectrum,
+                                             _Octave, _radial)
 
     grid = make_grid(n, L, N)
     rng = np.random.default_rng(n + 10 * odd)
     f = HalfField(grid, rng.standard_normal((N,) * (n - 1) + (N // 2,)))
     spectrum = _HalfSpectrum(f.values, grid, odd)
     xi_t = np.abs(grid.freq_axis())
-
-    def heat(t):
-        return lambda lam: (t * lam ** 2) ** 2 * np.exp(-t * lam ** 2)
+    cut = _heat_cut(2)
 
     top = np.max(_radial(_half_mesh(grid, odd)))
-    cases = [(lambda lam, j=j: bank1d.phi(j, lam), 2.0 ** (j + 1))
+    cases = [(_Octave(bank1d, j), 2.0 ** (j + 1))
              for j in range(-1, 6) if 2.0 ** (j - 1) < top]
-    cases += [(bank1d.psi, 2.0)]
-    cases += [(heat(t), np.sqrt(746.0 / t)) for t in (1e-3, 0.05, 2.0, 20.0)]
+    cases += [(_Octave(bank1d), 2.0)]
+    cases += [(lambda lam2, t=t: _heat_moment(t, 2, cut, lam2),
+               np.sqrt(cut / t)) for t in (1e-3, 0.05, 2.0, 20.0)]
     partial = 0
     for profile, radius in cases:
         partial += n > 1 and np.count_nonzero(xi_t < radius) < N
@@ -367,18 +368,21 @@ def test_band_energy_is_the_squared_norm_of_the_band(n, L, N, odd, bank1d):
                          ids=["1d", "2d", "3d"])
 def test_radii_formed_per_block_are_bitwise_the_full_radii(n, N, odd,
                                                             monkeypatch):
-    # |xi| formed a block of rows at a time, on every row and on two row
-    # subsets, against |xi| on the full half mesh, with blocks of one
-    # row, of three rows and of every row; and a band that reaches every
-    # row against the inverse of the full-size product
+    # |xi|^2 formed a block of rows at a time, on every row and on two
+    # row subsets, against |xi| on the full half mesh (its square root,
+    # bitwise), with blocks of one row, of three rows and of every row;
+    # and a band that reaches every row against the inverse of the
+    # full-size product
     from halfspace_spectral import spectral
 
     grid = make_grid(n, 4.0, N)
     rng = np.random.default_rng(n + 10 * odd)
     values = rng.standard_normal((N,) * (n - 1) + (N // 2,))
     lam = spectral._radial(spectral._half_mesh(grid, odd))
-    full = spectral._by_rows(lam)
-    count = full.shape[1]
+    halves = spectral._by_rows(lam)
+    full = np.concatenate(list(halves), axis=1)
+    count, h = halves.shape[1:]
+    window = (slice(0, h), slice(0, h))
     subsets = [None, np.arange(0, count, 3),
                np.append(0, 1 + np.flatnonzero(rng.random(count - 1) < 0.5))]
 
@@ -387,15 +391,116 @@ def test_radii_formed_per_block_are_bitwise_the_full_radii(n, N, odd,
 
     for rows_per_block in (1, 3, count):
         monkeypatch.setattr(spectral, "_BLOCK_BYTES",
-                            rows_per_block * full[:, :1].nbytes)
+                            rows_per_block * full[:1].nbytes)
         spectrum = spectral._HalfSpectrum(values, grid, odd)
         for rows in subsets:
-            got = np.concatenate([b for *_, b in spectrum._blocks(rows)],
-                                 axis=1)
+            got = np.concatenate([w for *_, w in spectrum._weights(
+                np.sqrt, rows, window, np.inf)])
             assert np.array_equal(got, full if rows is None
-                                  else full[:, rows]), rows
+                                  else full[rows]), rows
         want = spectral._half_inverse(profile(lam) * spectrum.coef, odd)
-        assert np.array_equal(spectrum.band(profile, np.inf), want)
+        got = spectrum.band(lambda lam2: profile(np.sqrt(lam2)), np.inf)
+        assert np.array_equal(got, want)
+
+
+def _count_phi(monkeypatch):
+    """A list that grows by one for each call of ``DyadicBank.phi``."""
+    from halfspace_spectral.spectral import DyadicBank
+
+    calls = []
+
+    def counting(self, j, lam, _orig=DyadicBank.phi):
+        calls.append(j)
+        return _orig(self, j, lam)
+
+    monkeypatch.setattr(DyadicBank, "phi", counting)
+    return calls
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["sine", "cosine"])
+@pytest.mark.parametrize("n, L, N", [(1, 16.0, 1024), (2, 8.0, 128),
+                                     (3, 4.0, 32)], ids=["1d", "2d", "3d"])
+def test_tabulated_bands_are_bitwise_the_profile(n, L, N, first,
+                                                 monkeypatch):
+    # every octave and psi of a fresh bank, tabulated on its rows and
+    # window, against the same profile evaluated on every call and
+    # against the inverse of the full-size product: bands and energies
+    # bitwise, in both parities, the second reading the tables that the
+    # first built.  The rows and window hold every point of the disk,
+    # and the window is no wider.  Once the tables are built, neither
+    # parity calls DyadicBank.phi again
+    from halfspace_spectral import spectral
+
+    grid = make_grid(n, L, N)
+    bank = build_bank(make_grid(1, 16.0, 1024))
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal((N,) * (n - 1) + (N // 2,))
+    cases = [(spectral._Octave(bank, j), 2.0 ** (j + 1))
+             for j in bank.octaves]
+    cases += [(spectral._Octave(bank), 2.0)]
+    for odd in (first, not first):
+        lam = spectral._radial(spectral._half_mesh(grid, odd))
+        spectrum = spectral._HalfSpectrum(values, grid, odd)
+        for octave, radius in cases:
+            def per_call(lam2, octave=octave):
+                return octave(np.sqrt(lam2))
+
+            inside = spectral._by_rows(lam) < radius
+            rows, window = spectrum._disk(radius)
+            held = np.zeros_like(inside)
+            for half, cols in enumerate(window):
+                held[half, slice(None) if rows is None else rows, cols] = True
+            assert not np.any(inside & ~held)
+            assert window == tuple(spectral._slice_of(half.any(axis=0))
+                                   for half in inside)
+            band = spectrum.band(octave, radius)
+            assert np.array_equal(band, spectrum.band(per_call, radius))
+            assert np.array_equal(band, spectral._half_inverse(
+                octave(lam) * spectrum.coef, odd))
+            assert (spectrum.energy(octave, radius)
+                    == spectrum.energy(per_call, radius))
+    assert spectral._TABLES[bank].keys() == {
+        (grid, octave.j) for octave, _ in cases}
+    calls = _count_phi(monkeypatch)
+    for odd in (True, False):
+        again = spectral._HalfSpectrum(values, grid, odd)
+        for octave, radius in cases:
+            again.band(octave, radius)
+            again.energy(octave, radius)
+    assert calls == []
+
+
+def test_tables_go_with_their_bank(grid2d, monkeypatch):
+    # a table is built through DyadicBank.phi, so a tracer of the bank
+    # sees the work; it is kept with the bank that built it and freed
+    # with it.  A fault-injected bank of the same grid builds its own
+    # and never reads another bank's
+    import gc
+    import weakref
+
+    from halfspace_spectral import spectral
+
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((grid2d.N, grid2d.N // 2))
+    spectrum = spectral._HalfSpectrum(values, grid2d, True)
+    bank = build_bank(grid2d)
+    bad = build_bank(grid2d, phi0_scale=1.5)
+    j = bank.j_max
+    calls = _count_phi(monkeypatch)
+    good_band = spectrum.band(spectral._Octave(bank, j), 2.0 ** (j + 1))
+    assert calls and set(calls) == {j}
+    bad_band = spectrum.band(spectral._Octave(bad, j), 2.0 ** (j + 1))
+    assert np.array_equal(bad_band, spectrum.band(
+        lambda lam2: bad.phi(j, np.sqrt(lam2)), 2.0 ** (j + 1)))
+    assert not np.allclose(bad_band, good_band)
+    tables = [spectral._TABLES[b][grid2d, j] for b in (bank, bad)]
+    assert np.array_equal(tables[1], 1.5 * tables[0])
+    assert not any(t.flags.writeable for t in tables)
+    refs = [weakref.ref(bank), weakref.ref(tables[0])]
+    del bank, tables
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    assert (grid2d, j) in spectral._TABLES[bad]
 
 
 # ---------------------------------------------------------------------------
