@@ -41,7 +41,7 @@ from .halfspace_ops import (OP_DIRICHLET, OP_NEUMANN, boundary_trace,
                             frac_power, normal_derivative,
                             tangential_derivative)
 from .norms import SpaceSpec, _band_norms, besov_norm, sobolev_norm
-from .spectral import (DyadicBank, _dyadic_blocks, _HalfSpectrum, build_bank,
+from .spectral import (DyadicBank, _HalfSpectrum, _Octave, build_bank,
                        singular_integral_frac_lap)
 
 __all__ = [
@@ -583,9 +583,8 @@ def besov_block_floor(p: float, grid: GridSpec,
     phi = _phi_half(grid)
     norms = _band_norms(phi, _HalfSpectrum(phi.values, grid, True), p)
     js = list(range(j0, bank.j_max + 1))
-    blocks_arr = np.asarray([
-        2.0 ** ((j + 1) / p) * norm for j, (norm, _)
-        in _dyadic_blocks(norms, bank, js)])
+    blocks_arr = np.asarray([2.0 ** ((j + 1) / p) * norms(_Octave(bank, j))[0]
+                             for j in js])
 
     last4 = blocks_arr[-4:]
     plateau = bool(last4.min() > 0.5 * float(np.median(last4))

@@ -4,10 +4,11 @@ Homogeneous Sobolev: ||f||_{H^s_p(A)} = ||A^(s/2) f||_{L^p(half)}.
 Inhomogeneous replaces the symbol by (1 + |xi|^2)^(s/2).
 
 Besov norms run the dyadic bank, and the semigroup characterization
-its heat flows, as profiles of |xi| that ``spectral`` applies to the
+its heat flows, as profiles of |xi|^2 that ``spectral`` applies to the
 sine (Dirichlet) or cosine (Neumann) coefficients of the field; each
-block's half-space norm is weighted by 2^(sj) and the l^q sum taken
-over the resolved octaves.  Truncating the j-sum to the resolved band
+profile carries the radius from which it vanishes.  Each block's
+half-space norm is weighted by 2^(sj) and the l^q sum taken over the
+resolved octaves.  Truncating the j-sum to the resolved band
 is only honest when the field actually lives there, so the spectral
 leak guard raises when more than 1e-8 of the (non-DC) energy sits
 outside the band.  The inhomogeneous variant adds the psi low-pass
@@ -28,10 +29,10 @@ The semigroup characterization
     ( int_0^inf ( t^(-s/2) || (tA)^M e^(-tA) f ||_p )^q  dt/t )^(1/q)
 
 is evaluated on a log-uniform t-quadrature; M must exceed s/2.  Each
-heat node's profile x^M e^-x, x = t |xi|^2, is a function of |xi|^2,
-cut at the one x = ``_heat_cut(M)`` where it falls to 1e-20 of its
-peak: the node reaches only the disk below sqrt(cut / t), and ``exp``
-is taken only below the cut, where it never underflows.
+heat node, ``_HeatNode``, is the profile x^M e^-x, x = t |xi|^2, cut
+at the one x = ``_heat_cut(M)`` where it falls to 1e-20 of its peak:
+the node reaches only the disk below its radius sqrt(cut / t), and
+``exp`` is taken only below the cut, where it never underflows.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ from .grid import HalfField, _exponent, lp_norm
 from .halfspace_ops import (OP_DIRICHLET, OP_NEUMANN, _calculus,
                             _calculus_energy, _is_odd, _power_symbol,
                             extend_for, frac_power)
-from .spectral import (DyadicBank, Multiplier, _dyadic_blocks, _HalfSpectrum,
-                       _lowpass_block)
+from .spectral import DyadicBank, Multiplier, _HalfSpectrum, _Octave
 
 __all__ = [
     "SpaceSpec",
@@ -178,11 +178,11 @@ def _lq(values, q: float) -> float:
 def _band_norms(work: HalfField, spectrum: _HalfSpectrum, p: float,
                 box_op: str | None = None):
     """The :func:`_image_norms` of a band of ``work``, as a function of
-    (profile, radius) like the spectrum's ``band``."""
-    def norms(profile, radius):
+    the profile like the spectrum's ``band``."""
+    def norms(profile):
         return _image_norms(
-            p, lambda: work.with_values(spectrum.band(profile, radius)),
-            lambda: spectrum.energy(profile, radius), box_op)
+            p, lambda: work.with_values(spectrum.band(profile)),
+            lambda: spectrum.energy(profile), box_op)
     return norms
 
 
@@ -200,8 +200,8 @@ def _dyadic_pass(hf: HalfField, spec: SpaceSpec, bank: DyadicBank,
     norms = _band_norms(work, spectrum, spec.p, spec.op if box else None)
     j_lo = bank.j_min if spec.homogeneous else max(bank.j_min, 1)
     blocks, box_weighted = [], []
-    for j, (b, b_box) in _dyadic_blocks(norms, bank,
-                                        range(j_lo, bank.j_max + 1)):
+    for j in range(j_lo, bank.j_max + 1):
+        b, b_box = norms(_Octave(bank, j))
         blocks.append({"j": j, "norm": b, "weighted": 2.0 ** (spec.s * j) * b})
         if box:
             box_weighted.append(2.0 ** (spec.s * j) * b_box)
@@ -209,7 +209,7 @@ def _dyadic_pass(hf: HalfField, spec: SpaceSpec, bank: DyadicBank,
     value = _lq([b["weighted"] for b in blocks], spec.q)
     full = _lq(box_weighted, spec.q) if box else None
     if not spec.homogeneous:
-        terms["lowpass"], low_box = _lowpass_block(norms, bank)
+        terms["lowpass"], low_box = norms(_Octave(bank))
         value = terms["lowpass"] + value
         if box:
             full += low_box
@@ -238,16 +238,28 @@ def _heat_cut(M: int) -> float:
     return x
 
 
-def _heat_moment(t, M: int, cut: float, lam2):
+@dataclass(frozen=True)
+class _HeatNode:
     """(t lam^2)^M exp(-t lam^2), the profile of (tA)^M e^(-tA), as a
-    function of lam^2; 0 from t lam^2 = ``cut`` on, where ``exp`` is
-    not taken, so it meets no underflow."""
-    x = t * lam2
-    decay = np.zeros_like(x)
-    np.exp(np.negative(x), out=decay, where=x < cut)
-    x **= M
-    x *= decay
-    return x
+    function of lam^2; 0 from t lam^2 = ``cut`` on, that is from lam =
+    ``radius`` on, where ``exp`` is not taken, so it meets no
+    underflow."""
+
+    t: float
+    M: int
+    cut: float
+
+    @property
+    def radius(self) -> float:
+        return math.sqrt(self.cut / self.t)
+
+    def __call__(self, lam2):
+        x = self.t * lam2
+        decay = np.zeros_like(x)
+        np.exp(np.negative(x), out=decay, where=x < self.cut)
+        x **= self.M
+        x *= decay
+        return x
 
 
 def besov_norm_semigroup(hf: HalfField, spec: SpaceSpec, M: int | None = None,
@@ -272,8 +284,9 @@ def besov_norm_semigroup(hf: HalfField, spec: SpaceSpec, M: int | None = None,
         npts = int(np.ceil(16 * np.log10(t_hi / t_lo))) + 1
         t_grid = np.geomspace(t_lo, t_hi, npts)
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 2 or np.any(t_grid <= 0):
-        raise ConfigError("t_grid must be a positive 1-D array")
+    if (t_grid.ndim != 1 or t_grid.size < 2
+            or not np.all(np.isfinite(t_grid)) or np.any(t_grid <= 0)):
+        raise ConfigError("t_grid must be a finite positive 1-D array")
     if np.any(np.diff(t_grid) <= 0):
         raise ConfigError("t_grid must be increasing")
     if not spec.homogeneous:
@@ -289,9 +302,7 @@ def besov_norm_semigroup(hf: HalfField, spec: SpaceSpec, M: int | None = None,
     cut = _heat_cut(M)
     vals = np.empty(t_grid.size)
     for i, t in enumerate(t_grid):
-        node = norms(functools.partial(_heat_moment, t, M, cut),
-                     math.sqrt(cut / t))[0]
-        vals[i] = t ** (-spec.s / 2.0) * node
+        vals[i] = t ** (-spec.s / 2.0) * norms(_HeatNode(t, M, cut))[0]
 
     if np.isinf(spec.q):
         body = float(np.max(vals))
@@ -300,7 +311,7 @@ def besov_norm_semigroup(hf: HalfField, spec: SpaceSpec, M: int | None = None,
                      ** (1.0 / spec.q))
     if spec.homogeneous:
         return body
-    return _lowpass_block(norms, bank)[0] + body
+    return norms(_Octave(bank))[0] + body
 
 
 def extension_norm_equivalence(hf: HalfField, spec: SpaceSpec,

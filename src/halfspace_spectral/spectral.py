@@ -38,15 +38,16 @@ frequencies).  Other modules pass samples, modes or profiles:
 ``_half_multiplier`` and the two derivatives apply operators,
 ``_half_synthesis`` samples separable modes, and the ``band`` of
 ``_HalfSpectrum`` filters for every Besov pass: dyadic, low-pass or
-heat flow.  A band reaches only the disk below its radius, held by the
-rows whose tangential |xi_t| is below it and, in each row, the window
-of normal wavenumbers below it; the product buffer is zero outside.
-The octave profiles phi_j and psi are tabulated on that window once
-per bank and grid, shared by the sine and cosine coefficients, bitwise
-the profile of |xi|, and kept with the bank; a heat node passes a
-profile of |xi|^2, evaluated on every call a block of rows at a time.
-Of the field's size, a spectrum holds its coefficients and, at p = 2,
-their weighted squares.
+heat flow.  A band profile is a function of |xi|^2 that carries the
+radius from which it vanishes, and a band reaches only the disk below
+that radius, held by the rows whose tangential |xi_t| is below it and,
+in each row, the window of normal wavenumbers below it; the product
+buffer is zero outside.  The octave profiles phi_j and psi are
+tabulated on that window once per bank and grid, shared by the sine
+and cosine coefficients, bitwise the profile, and kept with the bank;
+any other profile, such as a heat node, is evaluated on every call a
+block of rows at a time.  Of the field's size, a spectrum holds its
+coefficients and, at p = 2, their weighted squares.
 
 At p = 2 no norm needs the samples.  By Parseval, the squared
 half-space L^2 norm of an image is a weighted sum of its squared
@@ -74,14 +75,15 @@ together with ``phi0_scale``, and is echoed into experiment reports so
 that they pin the exact profiles they were produced with.
 
 This module is the single owner of the dyadic split: the radial
-frequency |xi|, the octave range a grid resolves, the two bands that
-filter a field by a profile of |xi|, ``_BoxSpectrum`` on the box DFT
-and ``_HalfSpectrum`` on the half-length pair, the octave tables, and
-the loop that takes one block phi_j(|xi|) fhat, or its energy, at a
-time.  phi_j vanishes from |xi| = 2^(j+1) on, and the low-pass psi
+frequency |xi|, the octave range a grid resolves, the octave profiles
+``_Octave`` with their radii, the band of ``_HalfSpectrum`` that
+filters a field by a profile on the half-length pair, and the octave
+tables.  phi_j vanishes from |xi| = 2^(j+1) on, and the low-pass psi
 from 2 on, so on the half-length pair each block touches only the disk
-its annulus reaches.  The box route evaluates its profile on every
-call: it is the oracle.
+its annulus reaches.  On the box, ``dyadic_block`` is
+``apply_multiplier`` with the octave of |xi|^2 as its symbol; composed
+with a parity extension and a restriction, the box route takes any
+profile and evaluates it on every call: it is the oracle.
 
 A real-space quadrature for the fractional Laplacian at order
 s in (0, 1) lives here too; it is the independent check that the
@@ -254,20 +256,6 @@ def apply_multiplier(f: SampledField, m: Multiplier) -> SampledField:
 
 def _radial(mesh):
     return np.sqrt(sum(xi ** 2 for xi in mesh))
-
-
-class _BoxSpectrum:
-    """The DFT fhat of a real full-grid array and |xi| as ``lam``, with
-    ``band``, which evaluates the profile on every point and transforms
-    every row, so it ignores the radius: the oracle of the half
-    spectrum's band."""
-
-    def __init__(self, values: np.ndarray, grid: GridSpec):
-        self.fhat = np.fft.fftn(values)
-        self.lam = _radial(grid.freq_mesh())
-
-    def band(self, profile, _radius) -> np.ndarray:
-        return np.fft.ifftn(profile(self.lam) * self.fhat).real
 
 
 def _require_zero_mean(f: SampledField, what: str) -> None:
@@ -574,8 +562,11 @@ def _parseval_power(coef: np.ndarray) -> np.ndarray:
     """|coef|^2 weighted as Parseval weighs the extension's spectrum,
     for coefficients shaped (2, ..., M/2): coefficient 0 holds cosine
     mode 0 or sine mode M, which is unpaired, and every other
-    coefficient stands for +-m on the box."""
-    power = np.abs(coef) ** 2
+    coefficient stands for +-m on the box.  |coef|^2 is the sum of the
+    squared real and imaginary parts, as in
+    :func:`_half_multiplier_energy`, with no hypot."""
+    power = np.square(coef.real)
+    power += np.square(coef.imag)
     power[1] *= 2.0
     power[0, ..., 1:] *= 2.0
     return power
@@ -615,25 +606,26 @@ class _HalfSpectrum:
     read it, ``power``, the weighted |coef|^2 of
     :func:`_parseval_power`.
 
-    A profile that vanishes from |xi| = radius on reaches only the disk
-    below the radius.  Since |xi| >= |xi_t| and |xi| >= k, that disk
-    lies in the rows whose tangential |xi_t| is below the radius and,
-    within each row, in the window of normal wavenumbers k below it:
-    a prefix of the cosine modes or a suffix of the sine modes, one
-    slice in each half.  ``band(profile, radius)`` is the field of
-    profile(|xi|) coef, its product buffer zero outside the window and
-    transformed on those rows alone by :func:`_half_inverse_rows`.
-    ``energy(profile, radius)`` is its squared half-space L^2 norm by
-    Parseval, from ``power``, with no inverse transform.
+    A profile is a function of |xi|^2 that vanishes from |xi| =
+    ``profile.radius`` on, so it reaches only the disk below the radius.
+    Since |xi| >= |xi_t| and |xi| >= k, that disk lies in the rows whose
+    tangential |xi_t| is below the radius and, within each row, in the
+    window of normal wavenumbers k below it: a prefix of the cosine
+    modes or a suffix of the sine modes, one slice in each half.
+    ``band(profile)`` is the field of profile(|xi|^2) coef, its product
+    buffer zero outside the window and transformed on those rows alone
+    by :func:`_half_inverse_rows`.  ``energy(profile)`` is its squared
+    half-space L^2 norm by Parseval, from ``power``, with no inverse
+    transform.
 
-    The profile is an :class:`_Octave` of a bank, whose weights on the
-    rows and the normal modes below the radius are tabulated once per
-    bank and grid, shared by both parities and kept with the bank, or a
-    function of |xi|^2, evaluated on every call a block of rows (about
-    ``_BLOCK_BYTES``) at a time.  Both form |xi|^2 from the squared
-    tangential |xi_t| of each row and the squared normal wavenumbers,
-    added in the order of :func:`_radial`, so a table is bitwise the
-    profile of the full |xi|.
+    The weights of an :class:`_Octave` on the rows and the normal modes
+    below its radius are tabulated once per bank and grid, shared by
+    both parities and kept with the bank; any other profile is
+    evaluated on every call a block of rows (about ``_BLOCK_BYTES``) at
+    a time.  Both form |xi|^2 from the squared tangential |xi_t| of
+    each row and the squared normal wavenumbers, added in the order of
+    :func:`_radial`, so a table is bitwise the profile of the full
+    |xi|^2.
 
     ``leak_sums(low, high)`` are the two energies of the leak guard, by
     one weighted |coef|^2 per block of rows, or from ``power`` at p = 2.
@@ -680,13 +672,13 @@ class _HalfSpectrum:
         side by side."""
         return np.concatenate([k2[w] for k2, w in zip(self.normal2, window)])
 
-    def _weights(self, profile, rows, window: tuple, radius: float):
+    def _weights(self, profile, rows, window: tuple):
         """Yield (span, picked, weights) for each block of rows, the
         profile on the window, its two slices side by side."""
         normal2 = self._normal2_on(window)
         table = None
         if isinstance(profile, _Octave):
-            table = self._table(profile, rows, radius)
+            table = self._table(profile, rows)
             # cosine coefficient m holds mode m, sine coefficient M - m
             table = table[:, :0:-1] if self.odd else table[:, :normal2.size]
         for span, picked in self._blocks(rows, normal2.size):
@@ -694,9 +686,9 @@ class _HalfSpectrum:
                 table[span] if table is not None
                 else profile(self.tangential2[picked, None] + normal2))
 
-    def _table(self, octave, rows, radius: float) -> np.ndarray:
+    def _table(self, octave, rows) -> np.ndarray:
         """The weights of ``octave`` on its rows and on the normal modes
-        m = 0, 1, ... whose wavenumber is below ``radius``, in mode
+        m = 0, 1, ... whose wavenumber is below its radius, in mode
         order and read-only, which the sine and cosine coefficients
         share: from the bank's tables, or built block by block and kept
         there."""
@@ -705,34 +697,31 @@ class _HalfSpectrum:
         table = tables.get(key)
         if table is None:
             modes2 = np.abs(self.grid.freq_axis()[:self.shape[-1] + 1]) ** 2
-            modes2 = modes2[np.sqrt(modes2) < radius]
+            modes2 = modes2[np.sqrt(modes2) < octave.radius]
             count = self.tangential.size if rows is None else rows.size
             table = np.empty((count, modes2.size))
             for span, picked in self._blocks(rows, modes2.size):
-                lam = self.tangential2[picked, None] + modes2
-                table[span] = octave(np.sqrt(lam, out=lam))
+                table[span] = octave(self.tangential2[picked, None] + modes2)
             table.flags.writeable = False
             tables[key] = table
         return table
 
-    def band(self, profile, radius: float) -> np.ndarray:
-        rows, window = self._disk(radius)
+    def band(self, profile) -> np.ndarray:
+        rows, window = self._disk(profile.radius)
         coef = _by_rows(self.coef)
         count = coef.shape[1] if rows is None else rows.size
         product = np.zeros((2, count, coef.shape[-1]), dtype=complex)
-        for span, picked, weights in self._weights(profile, rows, window,
-                                                   radius):
+        for span, picked, weights in self._weights(profile, rows, window):
             for half, cols, w in _halves(window, weights):
                 np.multiply(w, coef[half, picked, cols],
                             out=product[half, span, cols])
         return _half_inverse_rows(product, rows, self.shape, self.odd)
 
-    def energy(self, profile, radius: float) -> float:
-        rows, window = self._disk(radius)
+    def energy(self, profile) -> float:
+        rows, window = self._disk(profile.radius)
         power = _by_rows(self.power)
         total = 0.0
-        for _, picked, weights in self._weights(profile, rows, window,
-                                                radius):
+        for _, picked, weights in self._weights(profile, rows, window):
             for half, cols, w in _halves(window, weights):
                 product = np.square(w)
                 product *= power[half, picked, cols]
@@ -944,13 +933,18 @@ def _resolved_octaves(grid: GridSpec) -> tuple[int, int]:
 @dataclass(frozen=True)
 class _Octave:
     """phi_j of ``bank``, or its low-pass psi for j None, as a profile of
-    |xi|.  The box spectrum evaluates it on every call; the half
-    spectrum tabulates it once per bank and grid."""
+    |xi|^2 that vanishes from |xi| = ``radius`` on: 2^(j+1), or 2 for
+    psi.  The half spectrum tabulates it once per bank and grid."""
 
     bank: DyadicBank
     j: int | None = None
 
-    def __call__(self, lam):
+    @property
+    def radius(self) -> float:
+        return 2.0 if self.j is None else 2.0 ** (self.j + 1)
+
+    def __call__(self, lam2):
+        lam = np.sqrt(lam2)
         if self.j is None:
             return self.bank.psi(lam)
         return self.bank.phi(self.j, lam)
@@ -959,26 +953,6 @@ class _Octave:
 #: the half spectrum's octave tables, {bank: {(grid, j): weights}},
 #: dropped with their bank
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _dyadic_blocks(band, bank: DyadicBank, octaves):
-    """Yield (j, band(phi_j, 2^(j+1))) for each octave, one at a time,
-    so that no more than one block is held in memory.
-
-    ``band(profile, radius)`` is a function of profile(|xi|) fhat for a
-    profile that vanishes from |xi| = radius on, as phi_j does from
-    2^(j+1) on: the real block, as a spectrum's ``band`` transforms it,
-    or a norm of it; the half-space spectrum reaches only the disk
-    below the radius.
-    """
-    for j in octaves:
-        yield j, band(_Octave(bank, j), 2.0 ** (j + 1))
-
-
-def _lowpass_block(band, bank: DyadicBank):
-    """``band`` of the inhomogeneous low-pass term psi(|xi|) fhat; psi
-    vanishes from |xi| = 2 on."""
-    return band(_Octave(bank), 2.0)
 
 
 def build_bank(grid: GridSpec, phi0_scale: float = 1.0) -> DyadicBank:
@@ -1005,9 +979,9 @@ def dyadic_block(f: SampledField, j: int, bank: DyadicBank) -> SampledField:
     if not bank.j_min <= j <= bank.j_max:
         raise ConfigError(
             f"octave j={j} outside resolved range [{bank.j_min}, {bank.j_max}]")
-    _, block = next(_dyadic_blocks(_BoxSpectrum(f.values, f.grid).band,
-                                   bank, (j,)))
-    return SampledField(f.grid, block)
+    octave = _Octave(bank, j)
+    return apply_multiplier(f, Multiplier(
+        lambda *mesh: octave(sum(xi ** 2 for xi in mesh)), 0.0, f"phi_{j}"))
 
 
 # ---------------------------------------------------------------------------

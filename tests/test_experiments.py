@@ -10,12 +10,16 @@ from halfspace_spectral import (
     BC_NEUMANN,
     BilinearConfig,
     ConfigError,
+    HalfField,
     NumericalGuardError,
     OP_DIRICHLET,
     OP_NEUMANN,
+    SpaceSpec,
     TrilinearConfig,
     besov_block_floor,
+    besov_norm,
     bilinear_ratio,
+    boundary_trace,
     bump,
     classify_growth,
     counterexample_fields,
@@ -28,6 +32,7 @@ from halfspace_spectral import (
     lp_norm,
     make_family,
     make_grid,
+    normal_derivative,
     odd_extend,
     ratio_sweep,
     restrict,
@@ -298,6 +303,36 @@ def test_neumann_sweep_runs():
     assert rep.verdict == "bounded"
 
 
+def test_besov_product_sweep_pins_its_banks_and_norms():
+    # the inhomogeneous Besov sweep of a band-random pair: every rung
+    # echoes its bank's hash, and a pair's numerator is the Besov norm of
+    # the product on that rung's bank, as bilinear_ratio computes it with
+    # no bank passed.  The homogeneous sweep of the same pair raises: the
+    # product leaks below 2^j_min
+    cfg = _cfg(s=1.0, kind="besov", q=2.0, homogeneous=False,
+               family="band_random", count=1, resolutions=(8192, 16384))
+    rep = ratio_sweep(cfg)
+    assert rep.verdict == "bounded"
+    assert [e["max_ratio"] for e in rep.per_resolution] == pytest.approx(
+        [0.2771, 0.2771], abs=1e-4)
+    for entry in rep.per_resolution:
+        grid = make_grid(1, cfg.L, entry["N"])
+        assert entry["bank_hash"] == get_bank(grid).table_hash
+    N = rep.items[-1]["N"]
+    grid = make_grid(1, cfg.L, N)
+    f, g = make_family("band_random", grid, OP_DIRICHLET, cfg.seed, 2,
+                       min(cfg.resolutions))
+    spec = SpaceSpec("besov", cfg.s, cfg.p, cfg.q, False, OP_DIRICHLET)
+    lhs = besov_norm(HalfField(grid, f.values * g.values, OP_DIRICHLET),
+                     spec, get_bank(grid))
+    assert rep.items[-1]["lhs"] == lhs
+    assert bilinear_ratio(f, g, cfg)["ratio"] == rep.items[-1]["ratio"]
+    homogeneous = _cfg(s=1.0, kind="besov", q=2.0, family="band_random",
+                       count=1, resolutions=(8192, 16384))
+    with pytest.raises(NumericalGuardError, match="outside the resolved"):
+        ratio_sweep(homogeneous)
+
+
 # ---------------------------------------------------------------------------
 # product rule through the wall
 
@@ -321,6 +356,27 @@ def test_product_rule_flags_boundary_gradient_pairs(grid1d):
     # grad f . grad g extrapolates to phi(0)^2 = 1 at the wall
     assert out["middle_trace_max"] == pytest.approx(1.0, abs=1e-3)
     assert 1e-5 < out["residual_rel_l2"] < 1e-1
+
+
+def test_product_rule_2d_middle_trace_is_the_normal_product():
+    # in 2-D the middle piece adds the tangential term, which vanishes on
+    # the wall with a Dirichlet pair, so its trace tends to the product
+    # of the normal derivatives' traces.  A bump pair off the wall has
+    # no boundary gradient
+    gaps = []
+    for N in (256, 512):
+        grid = make_grid(2, 16.0, N)
+        f, g = make_family("band_random", grid, OP_DIRICHLET, 0, 2, N)
+        out = leibniz_decomposition(f, g)
+        assert out["boundary_active"]
+        want = (boundary_trace(normal_derivative(f))
+                * boundary_trace(normal_derivative(g)))
+        gaps.append(np.max(np.abs(out["middle_trace"] - want))
+                    / np.max(np.abs(want)))
+    assert gaps[0] < 1e-2 and gaps[1] < 1e-3
+    f, g = make_family("bump_random", make_grid(2, 16.0, 256), OP_DIRICHLET,
+                       0, 2)
+    assert not leibniz_decomposition(f, g)["boundary_active"]
 
 
 def test_product_rule_boundary_residual_shrinks_like_sqrt_h():

@@ -1,5 +1,6 @@
 """AST scans of ``src/``: every name the package imports is used, every
-name it re-exports is listed by its module, every transform it makes is
+private name it defines is read, every name it re-exports is listed by
+its module, every transform it makes is
 one the benchmark's tracer counts, only ``spectral.py`` calls a
 transform or touches the half-space coefficient layout, and the modules
 of the hot paths call no BLAS-backed numpy function."""
@@ -72,6 +73,69 @@ def test_package_exports_are_listed_by_their_modules():
                             if alias.name in exported
                             and alias.name not in listed]
     assert missing == []
+
+
+def _private_definitions(tree: ast.Module) -> list:
+    """(line, name) of each private name the module binds at its top
+    level: a function, a class or an assigned constant whose name starts
+    with one underscore, dunders aside."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            found += [(node.lineno, t.id) for t in targets
+                      if isinstance(t, ast.Name)]
+    return [(line, name) for line, name in found
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def _names_read(trees) -> set:
+    """Every name the modules load, bare or as an attribute, or import
+    from another module, whose own use the unused-import scan checks."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return read
+
+
+def _dead_private(sources: dict) -> dict:
+    """{module: [(line, name), ...]} of the private top-level names that
+    no module of ``sources``, {module: source}, reads."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = _names_read(trees.values())
+    return {name: dead for name, tree in trees.items()
+            if (dead := [(line, private) for line, private
+                         in _private_definitions(tree)
+                         if private not in read])}
+
+
+def test_scan_finds_dead_private_code():
+    sources = {
+        "a": "_TOL = 1\n__all__ = []\ndef _used():\n    return _TOL\n"
+             "def _dead():\n    pass\nclass _Gone:\n    pass\n"
+             "_cache: dict = {}\ndef public():\n    _local = 2\n",
+        "b": "from . import a\nfrom .a import _used as u\nu()\n",
+    }
+    assert _dead_private(sources) == {
+        "a": [(5, "_dead"), (7, "_Gone"), (9, "_cache")]}
+
+
+def test_package_private_names_are_all_read():
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    dead = _dead_private({str(path.relative_to(SRC)): path.read_text()
+                          for path in files})
+    assert dead == {}
 
 
 #: the numpy.fft names that the benchmark's tracer wraps, or that

@@ -266,6 +266,18 @@ def test_inhomogeneous_semigroup_without_bank_fails_before_any_transform(
         besov_norm_semigroup(f, spec, t_grid=np.geomspace(1e-4, 1.0, 20))
 
 
+@pytest.mark.parametrize("t_grid", [[1e-3, np.nan], [1e-3, 1e-2, np.inf],
+                                    [np.nan, 1e-3]])
+def test_semigroup_refuses_a_non_finite_t_grid(t_grid):
+    # a NaN node passes both t <= 0 and diff <= 0, and an infinite one
+    # passes both too; either would return nan or inf as a norm
+    grid = make_grid(1, 16.0, 1024)
+    f = _band_field(grid)
+    spec = SpaceSpec("besov", 0.8, 2.0, 2.0, True, OP_DIRICHLET)
+    with pytest.raises(ConfigError, match="finite positive"):
+        besov_norm_semigroup(f, spec, t_grid=t_grid)
+
+
 # ---------------------------------------------------------------------------
 # extension equivalence
 

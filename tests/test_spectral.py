@@ -8,6 +8,8 @@ normalization of the real-space kernel.
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from halfspace_spectral import (
     ConfigError,
     Multiplier,
     NumericalGuardError,
+    OP_DIRICHLET,
+    OP_NEUMANN,
     SampledField,
     apply_multiplier,
     build_bank,
@@ -26,9 +30,11 @@ from halfspace_spectral import (
     derivative_multiplier,
     dyadic_block,
     eta_profile,
+    extend_for,
     frac_lap_constant,
     fractional_laplacian,
     make_grid,
+    restrict,
     sample,
     semigroup_symbol,
     singular_integral_frac_lap,
@@ -326,41 +332,83 @@ def test_block_outside_resolved_range_rejected(grid1d, bank1d):
 # ---------------------------------------------------------------------------
 # Parseval on the half-space coefficients
 
+@dataclass(frozen=True)
+class _Profile:
+    """A band profile: ``function`` of |xi|^2 that vanishes from |xi| =
+    ``radius`` on, evaluated on every call."""
+
+    function: Callable
+    radius: float = np.inf
+
+    def __call__(self, lam2):
+        return self.function(lam2)
+
+
+def _band_profiles(grid, bank, odd):
+    """Octaves of ``bank`` that reach the half mesh of ``grid`` (some
+    keep every row, some only the low ones), the low-pass psi, and heat
+    nodes at small and large t, whose radius sqrt(cut / t) is that of
+    their cut."""
+    from halfspace_spectral.norms import _heat_cut, _HeatNode
+    from halfspace_spectral.spectral import _half_mesh, _Octave, _radial
+
+    top = np.max(_radial(_half_mesh(grid, odd)))
+    cut = _heat_cut(2)
+    return ([_Octave(bank, j) for j in range(-1, 6) if 2.0 ** (j - 1) < top]
+            + [_Octave(bank)]
+            + [_HeatNode(t, 2, cut) for t in (1e-3, 0.05, 2.0, 20.0)])
+
+
 @pytest.mark.parametrize("odd", [True, False], ids=["sine", "cosine"])
 @pytest.mark.parametrize("n, L, N", [(1, 16.0, 512), (2, 8.0, 64),
                                      (3, 4.0, 16)], ids=["1d", "2d", "3d"])
 def test_band_energy_is_the_squared_norm_of_the_band(n, L, N, odd, bank1d):
     # the energy of a band, summed over the coefficients, against the
-    # midpoint-rule L^2 norm of its samples: octaves at their row radius
-    # (some keep every row, some only the low ones), the low-pass psi,
-    # and heat nodes, profiles of |xi|^2, at small and large t at the
-    # radius sqrt(cut / t) of their cut
+    # midpoint-rule L^2 norm of its samples, for every band profile
     from halfspace_spectral.grid import HalfField, lp_norm
-    from halfspace_spectral.norms import _heat_cut, _heat_moment
-    from halfspace_spectral.spectral import (_half_mesh, _HalfSpectrum,
-                                             _Octave, _radial)
+    from halfspace_spectral.spectral import _HalfSpectrum
 
     grid = make_grid(n, L, N)
     rng = np.random.default_rng(n + 10 * odd)
     f = HalfField(grid, rng.standard_normal((N,) * (n - 1) + (N // 2,)))
     spectrum = _HalfSpectrum(f.values, grid, odd)
     xi_t = np.abs(grid.freq_axis())
-    cut = _heat_cut(2)
-
-    top = np.max(_radial(_half_mesh(grid, odd)))
-    cases = [(_Octave(bank1d, j), 2.0 ** (j + 1))
-             for j in range(-1, 6) if 2.0 ** (j - 1) < top]
-    cases += [(_Octave(bank1d), 2.0)]
-    cases += [(lambda lam2, t=t: _heat_moment(t, 2, cut, lam2),
-               np.sqrt(cut / t)) for t in (1e-3, 0.05, 2.0, 20.0)]
     partial = 0
-    for profile, radius in cases:
-        partial += n > 1 and np.count_nonzero(xi_t < radius) < N
-        want = lp_norm(f.with_values(spectrum.band(profile, radius)), 2) ** 2
-        got = spectrum.energy(profile, radius)
+    for profile in _band_profiles(grid, bank1d, odd):
+        partial += n > 1 and np.count_nonzero(xi_t < profile.radius) < N
+        want = lp_norm(f.with_values(spectrum.band(profile)), 2) ** 2
+        got = spectrum.energy(profile)
         assert want > 0.0
-        assert got == pytest.approx(want, rel=1e-13, abs=0), radius
+        assert got == pytest.approx(want, rel=1e-13, abs=0), profile
     assert partial >= (3 if n > 1 else 0)
+
+
+@pytest.mark.parametrize("op", [OP_DIRICHLET, OP_NEUMANN])
+@pytest.mark.parametrize("n, L, N", [(1, 16.0, 512), (2, 8.0, 128),
+                                     (3, 4.0, 32)], ids=["1d", "2d", "3d"])
+def test_half_bands_are_the_box_route_of_the_extension(n, L, N, op, bank1d):
+    # every band profile on the half-length pair, reaching only the disk
+    # below its radius, against the box route: the profile of |xi|^2 as
+    # the symbol of apply_multiplier on the parity extension, evaluated
+    # on every point of the box, then restricted
+    from halfspace_spectral.grid import HalfField
+    from halfspace_spectral.spectral import _HalfSpectrum
+
+    grid = make_grid(n, L, N)
+    odd = op == OP_DIRICHLET
+    rng = np.random.default_rng(n)
+    f = HalfField(grid, rng.standard_normal((N,) * (n - 1) + (N // 2,)), op)
+    spectrum = _HalfSpectrum(f.values, grid, odd)
+    box = extend_for(f, op)
+    for profile in _band_profiles(grid, bank1d, odd):
+        symbol = Multiplier(
+            lambda *mesh, pr=profile: pr(sum(xi ** 2 for xi in mesh)),
+            float(profile(np.zeros(1))[0]))
+        want = restrict(apply_multiplier(box, symbol), op).values
+        got = spectrum.band(profile)
+        sup = np.max(np.abs(want))
+        assert sup > 0.0
+        assert np.max(np.abs(got - want)) <= 1e-13 * sup, profile
 
 
 @pytest.mark.parametrize("odd", [True, False], ids=["sine", "cosine"])
@@ -395,11 +443,11 @@ def test_radii_formed_per_block_are_bitwise_the_full_radii(n, N, odd,
         spectrum = spectral._HalfSpectrum(values, grid, odd)
         for rows in subsets:
             got = np.concatenate([w for *_, w in spectrum._weights(
-                np.sqrt, rows, window, np.inf)])
+                np.sqrt, rows, window)])
             assert np.array_equal(got, full if rows is None
                                   else full[rows]), rows
         want = spectral._half_inverse(profile(lam) * spectrum.coef, odd)
-        got = spectrum.band(lambda lam2: profile(np.sqrt(lam2)), np.inf)
+        got = spectrum.band(_Profile(lambda lam2: profile(np.sqrt(lam2))))
         assert np.array_equal(got, want)
 
 
@@ -435,38 +483,34 @@ def test_tabulated_bands_are_bitwise_the_profile(n, L, N, first,
     bank = build_bank(make_grid(1, 16.0, 1024))
     rng = np.random.default_rng(n)
     values = rng.standard_normal((N,) * (n - 1) + (N // 2,))
-    cases = [(spectral._Octave(bank, j), 2.0 ** (j + 1))
-             for j in bank.octaves]
-    cases += [(spectral._Octave(bank), 2.0)]
+    octaves = [spectral._Octave(bank, j) for j in bank.octaves]
+    octaves += [spectral._Octave(bank)]
     for odd in (first, not first):
-        lam = spectral._radial(spectral._half_mesh(grid, odd))
+        lam2 = sum(xi ** 2 for xi in spectral._half_mesh(grid, odd))
         spectrum = spectral._HalfSpectrum(values, grid, odd)
-        for octave, radius in cases:
-            def per_call(lam2, octave=octave):
-                return octave(np.sqrt(lam2))
-
-            inside = spectral._by_rows(lam) < radius
-            rows, window = spectrum._disk(radius)
+        for octave in octaves:
+            per_call = _Profile(octave, octave.radius)
+            inside = spectral._by_rows(np.sqrt(lam2)) < octave.radius
+            rows, window = spectrum._disk(octave.radius)
             held = np.zeros_like(inside)
             for half, cols in enumerate(window):
                 held[half, slice(None) if rows is None else rows, cols] = True
             assert not np.any(inside & ~held)
             assert window == tuple(spectral._slice_of(half.any(axis=0))
                                    for half in inside)
-            band = spectrum.band(octave, radius)
-            assert np.array_equal(band, spectrum.band(per_call, radius))
+            band = spectrum.band(octave)
+            assert np.array_equal(band, spectrum.band(per_call))
             assert np.array_equal(band, spectral._half_inverse(
-                octave(lam) * spectrum.coef, odd))
-            assert (spectrum.energy(octave, radius)
-                    == spectrum.energy(per_call, radius))
+                octave(lam2) * spectrum.coef, odd))
+            assert spectrum.energy(octave) == spectrum.energy(per_call)
     assert spectral._TABLES[bank].keys() == {
-        (grid, octave.j) for octave, _ in cases}
+        (grid, octave.j) for octave in octaves}
     calls = _count_phi(monkeypatch)
     for odd in (True, False):
         again = spectral._HalfSpectrum(values, grid, odd)
-        for octave, radius in cases:
-            again.band(octave, radius)
-            again.energy(octave, radius)
+        for octave in octaves:
+            again.band(octave)
+            again.energy(octave)
     assert calls == []
 
 
@@ -487,11 +531,11 @@ def test_tables_go_with_their_bank(grid2d, monkeypatch):
     bad = build_bank(grid2d, phi0_scale=1.5)
     j = bank.j_max
     calls = _count_phi(monkeypatch)
-    good_band = spectrum.band(spectral._Octave(bank, j), 2.0 ** (j + 1))
+    good_band = spectrum.band(spectral._Octave(bank, j))
     assert calls and set(calls) == {j}
-    bad_band = spectrum.band(spectral._Octave(bad, j), 2.0 ** (j + 1))
-    assert np.array_equal(bad_band, spectrum.band(
-        lambda lam2: bad.phi(j, np.sqrt(lam2)), 2.0 ** (j + 1)))
+    bad_band = spectrum.band(spectral._Octave(bad, j))
+    assert np.array_equal(bad_band, spectrum.band(_Profile(
+        lambda lam2: bad.phi(j, np.sqrt(lam2)), 2.0 ** (j + 1))))
     assert not np.allclose(bad_band, good_band)
     tables = [spectral._TABLES[b][grid2d, j] for b in (bank, bad)]
     assert np.array_equal(tables[1], 1.5 * tables[0])
