@@ -292,66 +292,54 @@ def cmd_norm(ns):
 _SWEEP_SPECS = {
     "s": (float, None),
     "p": (float, 2.0),
-    "p1": (float, None),
-    "p2": (float, None),
-    "p3": (float, None),
-    "p4": (float, None),
     "op": (str, OP_DIRICHLET),
     "kind": (str, "sobolev"),
     "q": (float, None),
     "inhomogeneous": (_bool, False),
     "family": (str, "bump_random"),
-    "count": (int, 8),
+    "count": (int, None),
     "seed": (int, 0),
     "resolutions": (_res_list, (2048, 4096, 8192)),
     "L": (float, 16.0),
     "n": (int, 1),
 }
 
-_TRI_SPECS = dict(_SWEEP_SPECS)
-for _k in ("p1", "p2", "p3", "p4"):
-    _TRI_SPECS.pop(_k)
-_TRI_SPECS["exponents"] = (_triples, None)
-_TRI_SPECS["count"] = (int, 4)
+_P1_P4 = ("p1", "p2", "p3", "p4")
 
 
-def _config_args(o):
-    """Sweep config fields from resolved options: each option is the
-    field of the same name, except the negated ``homogeneous``."""
-    args = dict(o)
-    args["homogeneous"] = not args.pop("inhomogeneous")
-    return args
+def _diagonal(p, k):
+    """The default exponents of a k-factor sweep: term i takes p on
+    factor i, the one carrying the regularity, and inf on the others."""
+    return tuple(tuple(p if j == i else float("inf") for j in range(k))
+                 for i in range(k))
 
 
-def _sweep(ns, cfg):
-    report = ratio_sweep(cfg)
+def cmd_sweep(ns):
+    """The bilinear and trilinear sweeps.  Each option is the config
+    field of the same name, except the negated ``homogeneous``; an unset
+    count or q takes the config's default, and unset exponents the
+    diagonal ones."""
+    o = _resolve(ns)
+    if o["s"] is None:
+        raise ConfigError(f"{ns.command} sweep needs --s")
+    o["homogeneous"] = not o.pop("inhomogeneous")
+    if ns.command == "trilinear":
+        if o["exponents"] is None:
+            o["exponents"] = _diagonal(o["p"], 3)
+        make = TrilinearConfig
+    else:
+        given = [o[k] for k in _P1_P4]
+        if given == [None] * 4:
+            o.update(zip(_P1_P4, sum(_diagonal(o["p"], 2), ())))
+        elif None in given:
+            raise ConfigError("give all four exponents p1..p4 or none")
+        make = BilinearConfig
+    report = ratio_sweep(make(**{k: v for k, v in o.items()
+                                 if v is not None}))
     _say(f"# sweep finished in {report.wall_time_s:.2f}s, "
          f"verdict: {report.verdict}")
     _emit(report.to_json_dict(), ns.out)
     return 0
-
-
-def cmd_bilinear(ns):
-    o = _resolve(ns)
-    if o["s"] is None:
-        raise ConfigError("bilinear sweep needs --s")
-    p = o["p"]
-    if o["p1"] is None and o["p3"] is None:
-        o["p1"], o["p2"], o["p3"], o["p4"] = p, float("inf"), float("inf"), p
-    if any(o[k] is None for k in ("p1", "p2", "p3", "p4")):
-        raise ConfigError("give all four exponents p1..p4 or none")
-    return _sweep(ns, BilinearConfig(**_config_args(o)))
-
-
-def cmd_trilinear(ns):
-    o = _resolve(ns)
-    if o["s"] is None:
-        raise ConfigError("trilinear sweep needs --s")
-    p = o["p"]
-    if o["exponents"] is None:
-        inf = float("inf")
-        o["exponents"] = ((p, inf, inf), (inf, p, inf), (inf, inf, p))
-    return _sweep(ns, TrilinearConfig(**_config_args(o)))
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +360,12 @@ def cmd_counterexample(ns):
     if not 1 < p < np.inf:
         raise ConfigError("counterexample needs 1 < p < inf")
     s = 2.0 + 1.0 / p
-    inf = float("inf")
     _say(f"# probing s = 2 + 1/p = {s} at N in {list(o['resolutions'])}")
     common = dict(s=s, p=p, op=OP_DIRICHLET, kind="sobolev",
                   family="counterexample", count=1, seed=o["seed"],
                   resolutions=o["resolutions"], L=o["L"], n=1)
-    report = ratio_sweep(BilinearConfig(p1=p, p2=inf, p3=inf, p4=p, **common))
+    report = ratio_sweep(BilinearConfig(
+        **dict(zip(_P1_P4, sum(_diagonal(p, 2), ()))), **common))
     payload = {
         "regularity": s,
         "p": p,
@@ -398,10 +386,8 @@ def cmd_counterexample(ns):
         t0 = time.perf_counter()
         payload["profile"] = singularity_profile(p, grid)
         _say(f"# singularity profile done ({time.perf_counter() - t0:.2f}s)")
-        tri = TrilinearConfig(
-            exponents=((p, inf, inf), (inf, p, inf), (inf, inf, p)),
-            **common)
-        tri_report = ratio_sweep(tri)
+        tri_report = ratio_sweep(
+            TrilinearConfig(exponents=_diagonal(p, 3), **common))
         payload["trilinear_contrast"] = tri_report.to_json_dict()
         _say(f"# trilinear contrast verdict: {tri_report.verdict}")
     _emit(payload, ns.out)
@@ -531,8 +517,10 @@ def cmd_selftest(ns):
 # subcommand -> (option table, help)
 _SUBCOMMANDS = {
     "norm": (_NORM_SPECS, "one norm of one field"),
-    "bilinear": (_SWEEP_SPECS, "two-factor product ratio sweep"),
-    "trilinear": (_TRI_SPECS, "three-factor product ratio sweep"),
+    "bilinear": ({**_SWEEP_SPECS, **{k: (float, None) for k in _P1_P4}},
+                 "two-factor product ratio sweep"),
+    "trilinear": ({**_SWEEP_SPECS, "exponents": (_triples, None)},
+                  "three-factor product ratio sweep"),
     "counterexample": (_CEX_SPECS, "exhibit the breakdown at s = 2 + 1/p"),
 }
 
@@ -583,8 +571,8 @@ def build_parser():
 
 _COMMANDS = {
     "norm": cmd_norm,
-    "bilinear": cmd_bilinear,
-    "trilinear": cmd_trilinear,
+    "bilinear": cmd_sweep,
+    "trilinear": cmd_sweep,
     "counterexample": cmd_counterexample,
     "selftest": cmd_selftest,
 }

@@ -1,6 +1,11 @@
 """Experiment harness: bilinear/trilinear ratio sweeps, the Leibniz
 decomposition, and the boundary counterexample diagnostics.
 
+A sweep's config is a frozen, keyword-only ``_ProductConfig``, which
+owns the shared sweep fields and every sweep check; ``BilinearConfig``
+and ``TrilinearConfig`` only translate their constructors.  Every
+resolution ladder, a sweep's or a diagnostic's, goes through ``_rungs``.
+
 The sweeps measure empirical constants only.  A ratio staying flat
 under refinement is evidence of boundedness at that regularity, and a
 monotone, statistically significant climb is evidence of divergence;
@@ -83,32 +88,27 @@ def _check_holder(p, parts, what):
             f"{what}: 1/p = {lhs!r} but exponents {parts} sum to {rhs!r}")
 
 
-def _check_sweep(cfg):
-    """Checks shared by both sweep configs; sorts the resolutions and
-    refuses a repeated one.  The space of the target norm checks kind,
-    op, s, p and q."""
-    SpaceSpec(cfg.kind, cfg.s, cfg.p, cfg.q, cfg.homogeneous, cfg.op)
-    if cfg.count < 1:
-        raise ConfigError("need at least one sample per resolution")
-    res = tuple(sorted(int(N) for N in cfg.resolutions))
-    if len(res) < 1:
+def _rungs(resolutions) -> tuple:
+    """A resolution ladder, sorted; refuses an empty one or a repeated
+    rung."""
+    res = tuple(sorted(int(N) for N in resolutions))
+    if not res:
         raise ConfigError("at least one resolution required")
     if len(set(res)) < len(res):
         raise ConfigError(f"resolutions {res} repeat a rung")
-    object.__setattr__(cfg, "resolutions", res)
+    return res
 
 
-@dataclass(frozen=True)
-class BilinearConfig:
-    """Product estimate  ||fg||_(s,p) <= C (||f||_(s,p1) ||g||_p2
-    + ||f||_p3 ||g||_(s,p4))  probed over a family."""
+@dataclass(frozen=True, kw_only=True)
+class _ProductConfig:
+    """Product estimate  ||prod f_i||_(s,p) <= C sum_i ||f_i||_(s,q_ii)
+    prod_(j != i) ||f_j||_(q_ij)  probed over a family, with the k
+    exponent k-tuples q_i = ``exponents[i]``; term i carries the
+    regularity on factor i, and the arity is k."""
 
     s: float
     p: float
-    p1: float
-    p2: float
-    p3: float
-    p4: float
+    exponents: tuple
     op: str = OP_DIRICHLET
     kind: str = "sobolev"
     q: float | None = None
@@ -121,57 +121,58 @@ class BilinearConfig:
     n: int = 1
 
     def __post_init__(self):
-        for name in ("p", "p1", "p2", "p3", "p4"):
-            object.__setattr__(self, name,
-                               _exponent(getattr(self, name), name))
-        _check_holder(self.p, (self.p1, self.p2), "first bilinear term")
-        _check_holder(self.p, (self.p3, self.p4), "second bilinear term")
-        _check_sweep(self)
+        """Every sweep check: each term's Hoelder sum, the target norm's
+        space (kind, op, s, p, q), the count and the ladder."""
+        p = _exponent(self.p, "p")
+        k = len(self.exponents)
+        if any(len(t) != k for t in self.exponents):
+            raise ConfigError(f"{k} factors need {k} exponents per term")
+        exponents = tuple(tuple(_exponent(v, f"term {i + 1} exponent")
+                                for v in t)
+                          for i, t in enumerate(self.exponents))
+        for i, t in enumerate(exponents):
+            _check_holder(p, t, f"term {i + 1}")
+        SpaceSpec(self.kind, self.s, p, self.q, self.homogeneous, self.op)
+        if self.count < 1:
+            raise ConfigError("need at least one sample per resolution")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "resolutions", _rungs(self.resolutions))
 
     @property
     def arity(self):
-        return 2
-
-    @property
-    def exponents(self):
-        """Exponent pair of each term; pair i carries the regularity on
-        factor i."""
-        return ((self.p1, self.p2), (self.p3, self.p4))
+        return len(self.exponents)
 
 
-@dataclass(frozen=True)
-class TrilinearConfig:
-    """Three-factor version; exponent triple i carries the regularity
-    on factor i."""
+@dataclass(frozen=True, kw_only=True)
+class BilinearConfig(_ProductConfig):
+    """Two factors,  ||fg||_(s,p) <= C (||f||_(s,p1) ||g||_p2
+    + ||f||_p3 ||g||_(s,p4)):  ``exponents`` is ((p1, p2), (p3, p4))."""
 
-    s: float
-    p: float
-    exponents: tuple  # ((p1,p2,p3), (p4,p5,p6), (p7,p8,p9))
-    op: str = OP_DIRICHLET
-    kind: str = "sobolev"
-    q: float | None = None
-    homogeneous: bool = True
-    family: str = "bump_random"
-    count: int = 4
-    seed: int = 0
-    resolutions: tuple = (4096, 8192, 16384)
-    L: float = 16.0
-    n: int = 1
+    p1: float
+    p2: float
+    p3: float
+    p4: float
+    exponents: tuple = dc_field(init=False)
 
     def __post_init__(self):
-        if len(self.exponents) != 3 or any(len(t) != 3 for t in self.exponents):
-            raise ConfigError("trilinear exponents are three triples")
-        cleaned = tuple(tuple(_exponent(v, "exponent") for v in t)
-                        for t in self.exponents)
-        object.__setattr__(self, "exponents", cleaned)
-        object.__setattr__(self, "p", _exponent(self.p, "p"))
-        for i, t in enumerate(cleaned):
-            _check_holder(self.p, t, f"trilinear term {i + 1}")
-        _check_sweep(self)
+        object.__setattr__(self, "exponents",
+                           ((self.p1, self.p2), (self.p3, self.p4)))
+        super().__post_init__()
+        for name, v in zip(("p1", "p2", "p3", "p4"), sum(self.exponents, ())):
+            object.__setattr__(self, name, v)
 
-    @property
-    def arity(self):
-        return 3
+
+@dataclass(frozen=True, kw_only=True)
+class TrilinearConfig(_ProductConfig):
+    """Three factors; ``exponents`` is three triples."""
+
+    count: int = 4
+
+    def __post_init__(self):
+        if len(self.exponents) != 3:
+            raise ConfigError("trilinear exponents are three triples")
+        super().__post_init__()
 
 
 def _graded_norm(hf: HalfField, cfg, p: float, bank) -> float:
@@ -403,7 +404,8 @@ def leibniz_decomposition(f: HalfField, g: HalfField) -> dict:
     residual is spectrally small only when grad f . grad g vanishes at
     the boundary; a nonzero trace is precisely the obstruction the
     counterexample exploits, and it shows up here as a residual that
-    decays like N^(-1/2) instead.
+    decays like N^(-1/2) instead.  When fg vanishes, so that A_D(fg)
+    is exactly 0, the report is ``degenerate`` and the residual NaN.
     """
     if f.bc != OP_DIRICHLET or g.bc != OP_DIRICHLET:
         raise ConfigError("leibniz decomposition expects Dirichlet tags")
@@ -427,7 +429,9 @@ def leibniz_decomposition(f: HalfField, g: HalfField) -> dict:
     direct = frac_power(product, OP_DIRICHLET, 2.0).values
     recon = piece1 - 2.0 * grad + piece3
     scale = float(np.linalg.norm(direct))
-    resid = float(np.linalg.norm(direct - recon) / max(scale, 1e-300))
+    degenerate = scale == 0.0
+    resid = (np.nan if degenerate
+             else float(np.linalg.norm(direct - recon) / scale))
     mid = HalfField(f.grid, grad)
     trace = boundary_trace(mid)
     trace_max = float(np.max(np.abs(np.atleast_1d(trace))))
@@ -436,6 +440,7 @@ def leibniz_decomposition(f: HalfField, g: HalfField) -> dict:
         "pieces": (HalfField(f.grid, piece1), mid, HalfField(f.grid, piece3)),
         "direct": HalfField(f.grid, direct, OP_DIRICHLET),
         "residual_rel_l2": resid,
+        "degenerate": degenerate,
         "middle_trace": trace,
         "middle_trace_max": trace_max,
         "boundary_active": bool(trace_max > 1e-3 * max(sup, 1e-300)),
@@ -630,7 +635,7 @@ def singular_window_growth(p: float, L: float, resolutions,
     the critical order the squared norm grows linearly in log N.
     """
     _check_diagnostic_exponent(p)
-    resolutions = sorted(int(N) for N in resolutions)
+    resolutions = list(_rungs(resolutions))
     norms2 = []
     for N in resolutions:
         grid = make_grid(1, L, N)
@@ -662,7 +667,7 @@ def derivative_mapping_sweep(s: float, p: float, family: str, op: str,
             odd extension of d_n f carries a jump and the ratio climbs
             under refinement.
     """
-    resolutions = sorted(int(N) for N in resolutions)
+    resolutions = list(_rungs(resolutions))
     ref_N = min(resolutions)
     other = OP_NEUMANN if op == OP_DIRICHLET else OP_DIRICHLET
     cross_items, same_items = [], []

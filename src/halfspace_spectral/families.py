@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import BC_DIRICHLET, BC_NEUMANN, GridSpec, HalfField, sample_half
-from .halfspace_ops import OP_DIRICHLET
+from .halfspace_ops import OP_DIRICHLET, _check_op
 from .spectral import _half_synthesis, _resolved_octaves, smooth_step
 
 __all__ = ["cutoff_profile", "bump", "counterexample_expr", "make_family",
@@ -163,6 +163,7 @@ def make_family(name: str, grid: GridSpec, op: str, seed: int, count: int,
     """
     if name not in FAMILY_NAMES:
         raise ConfigError(f"unknown family {name!r} (have {FAMILY_NAMES})")
+    _check_op(op)
     if count < 1:
         raise ConfigError("family count must be >= 1")
     if seed < 0:

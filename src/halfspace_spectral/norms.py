@@ -46,9 +46,9 @@ import numpy as np
 
 from .errors import ConfigError, NumericalGuardError
 from .grid import HalfField, _exponent, lp_norm
-from .halfspace_ops import (OP_DIRICHLET, OP_NEUMANN, _calculus,
-                            _calculus_energy, _is_odd, _power_symbol,
-                            extend_for, frac_power)
+from .halfspace_ops import (OP_DIRICHLET, _calculus, _calculus_energy,
+                            _check_op, _is_odd, _power_symbol, extend_for,
+                            frac_power)
 from .spectral import DyadicBank, Multiplier, _HalfSpectrum, _Octave
 
 __all__ = [
@@ -81,8 +81,7 @@ class SpaceSpec:
     def __post_init__(self):
         if self.kind not in ("sobolev", "besov"):
             raise ConfigError(f"unknown space kind {self.kind!r}")
-        if self.op not in (OP_DIRICHLET, OP_NEUMANN):
-            raise ConfigError(f"unknown operator {self.op!r}")
+        _check_op(self.op)
         if not np.isfinite(self.s):
             raise ConfigError("regularity s must be finite")
         _exponent(self.p, "integrability p")

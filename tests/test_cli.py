@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -233,6 +234,23 @@ def test_bad_holder_exponents_exit_two():
                         "--p4", "2", "--count", "1",
                         "--resolutions", "512"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("given", [
+    c for k in (1, 2, 3)
+    for c in itertools.combinations(("p1", "p2", "p3", "p4"), k)],
+    ids="+".join)
+def test_partial_bilinear_exponents_exit_two(given):
+    # only none or all four of p1..p4; a subset is not completed from
+    # the defaults
+    args = ["bilinear", "--s", "1.0", "--p", "2", "--count", "1",
+            "--resolutions", "512"]
+    for k in given:
+        args += [f"--{k}", "4"]
+    rc, out, err = run_cli(args)
+    assert rc == 2
+    assert out == ""
+    assert "p1..p4" in err
 
 
 # ---------------------------------------------------------------------------

@@ -67,21 +67,6 @@ def test_exponent_bookkeeping_enforced():
     _cfg(p=3.0, p1=3.0, p4=6.0, p3=6.0)
 
 
-def test_exponent_range_enforced():
-    with pytest.raises(ConfigError):
-        _cfg(p=0.5, p1=0.5)
-    with pytest.raises(ConfigError):
-        _cfg(count=0)
-    with pytest.raises(ConfigError):
-        _cfg(resolutions=())
-
-
-def test_besov_sweeps_need_q():
-    with pytest.raises(ConfigError):
-        _cfg(kind="besov")
-    _cfg(kind="besov", q=1.0)
-
-
 def _tri(**kw):
     base = dict(s=1.0, p=2.0,
                 exponents=((2.0, INF, INF), (INF, 2.0, INF), (INF, INF, 2.0)),
@@ -89,6 +74,29 @@ def _tri(**kw):
                 resolutions=(512,), L=16.0, n=1)
     base.update(kw)
     return TrilinearConfig(**base)
+
+
+@pytest.mark.parametrize("make, bad", [
+    (_cfg, {"p": 0.5, "p1": 0.5}),
+    (_tri, {"p": 0.5, "exponents": ((0.5, INF, INF), (INF, 0.5, INF),
+                                    (INF, INF, 0.5))}),
+    (_cfg, {"count": 0}),
+    (_tri, {"count": 0}),
+    (_cfg, {"resolutions": ()}),
+    (_tri, {"resolutions": ()}),
+    (_tri, {"exponents": ((2.0, INF), (INF, 2.0, INF), (INF, INF, 2.0))}),
+    (_tri, {"exponents": ((2.0, INF), (INF, 2.0))}),
+], ids=["bi-p", "tri-p", "bi-count", "tri-count", "bi-ladder", "tri-ladder",
+        "tri-ragged", "tri-two_terms"])
+def test_exponent_range_enforced(make, bad):
+    with pytest.raises(ConfigError):
+        make(**bad)
+
+
+def test_besov_sweeps_need_q():
+    with pytest.raises(ConfigError):
+        _cfg(kind="besov")
+    _cfg(kind="besov", q=1.0)
 
 
 def test_sobolev_sweeps_take_no_q():
@@ -106,7 +114,16 @@ def test_sweep_configs_refuse_bad_op_or_s_at_construction(make, bad):
         make(**bad)
 
 
-@pytest.mark.parametrize("make", [_cfg, _tri])
+def _mapping(resolutions):
+    return derivative_mapping_sweep(0.3, 2.0, "band_random", OP_DIRICHLET,
+                                    0, 2, resolutions)
+
+
+def _window(resolutions):
+    return singular_window_growth(2.0, 16.0, resolutions)
+
+
+@pytest.mark.parametrize("make", [_cfg, _tri, _mapping, _window])
 @pytest.mark.parametrize("res", [(512, 512, 1024), (512, 512)])
 def test_sweep_configs_refuse_a_repeated_rung(make, res):
     with pytest.raises(ConfigError, match="repeat"):
@@ -377,6 +394,22 @@ def test_product_rule_2d_middle_trace_is_the_normal_product():
     f, g = make_family("bump_random", make_grid(2, 16.0, 256), OP_DIRICHLET,
                        0, 2)
     assert not leibniz_decomposition(f, g)["boundary_active"]
+
+
+def test_product_rule_flags_a_vanishing_product(grid1d):
+    # these 2-D bumps do not overlap, so fg is exactly 0 and no relative
+    # residual exists; an overlapping pair is not degenerate
+    f, g = make_family("bump_random", make_grid(2, 16.0, 256), OP_DIRICHLET,
+                       0, 2)
+    assert not np.any(f.values * g.values)
+    out = leibniz_decomposition(f, g)
+    assert out["degenerate"]
+    assert np.isnan(out["residual_rel_l2"])
+    f = sample_half(grid1d, lambda x: bump(x, 4.0, 1.2), bc=BC_DIRICHLET)
+    g = sample_half(grid1d, lambda x: bump(x, 5.0, 1.5), bc=BC_DIRICHLET)
+    out = leibniz_decomposition(f, g)
+    assert not out["degenerate"]
+    assert out["residual_rel_l2"] < 1e-8
 
 
 def test_product_rule_boundary_residual_shrinks_like_sqrt_h():

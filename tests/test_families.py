@@ -161,6 +161,15 @@ def test_eigenmode_families_are_exact_modes(grid1d):
         assert f.bc == BC_NEUMANN
 
 
+@pytest.mark.parametrize("op", ["Dirichlet", "foo", None])
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_unknown_operator_rejected(grid1d, name, op):
+    # every family refuses an operator it does not know, rather than
+    # reading it as Neumann or ignoring it
+    with pytest.raises(ConfigError, match="unknown operator"):
+        make_family(name, grid1d, op, 0, 1)
+
+
 def test_unknown_family_rejected(grid1d):
     with pytest.raises(ConfigError):
         make_family("perlin", grid1d, OP_DIRICHLET, 0, 1)
