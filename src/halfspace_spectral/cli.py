@@ -44,10 +44,7 @@ _ENV_SEED = "HALFSPACE_SPECTRAL_SEED"
 
 
 def _res_list(text):
-    parts = [p.strip() for p in str(text).split(",") if p.strip()]
-    if not parts:
-        raise ConfigError("empty resolution list")
-    return tuple(int(p) for p in parts)
+    return tuple(int(p) for p in str(text).split(",") if p.strip())
 
 
 def _bool(text):
@@ -289,51 +286,33 @@ def cmd_norm(ns):
 # ---------------------------------------------------------------------------
 # bilinear / trilinear sweeps
 
+# an unset option takes the config's default; the CLI keeps its own
+# shorter ladder and p = 2
 _SWEEP_SPECS = {
     "s": (float, None),
     "p": (float, 2.0),
-    "op": (str, OP_DIRICHLET),
-    "kind": (str, "sobolev"),
+    "op": (str, None),
+    "kind": (str, None),
     "q": (float, None),
     "inhomogeneous": (_bool, False),
-    "family": (str, "bump_random"),
+    "family": (str, None),
     "count": (int, None),
     "seed": (int, 0),
     "resolutions": (_res_list, (2048, 4096, 8192)),
-    "L": (float, 16.0),
-    "n": (int, 1),
+    "L": (float, None),
+    "n": (int, None),
 }
-
-_P1_P4 = ("p1", "p2", "p3", "p4")
-
-
-def _diagonal(p, k):
-    """The default exponents of a k-factor sweep: term i takes p on
-    factor i, the one carrying the regularity, and inf on the others."""
-    return tuple(tuple(p if j == i else float("inf") for j in range(k))
-                 for i in range(k))
 
 
 def cmd_sweep(ns):
     """The bilinear and trilinear sweeps.  Each option is the config
-    field of the same name, except the negated ``homogeneous``; an unset
-    count or q takes the config's default, and unset exponents the
-    diagonal ones."""
+    field of the same name, except the negated ``homogeneous``; the
+    config checks every field and fills in what is unset."""
     o = _resolve(ns)
     if o["s"] is None:
         raise ConfigError(f"{ns.command} sweep needs --s")
     o["homogeneous"] = not o.pop("inhomogeneous")
-    if ns.command == "trilinear":
-        if o["exponents"] is None:
-            o["exponents"] = _diagonal(o["p"], 3)
-        make = TrilinearConfig
-    else:
-        given = [o[k] for k in _P1_P4]
-        if given == [None] * 4:
-            o.update(zip(_P1_P4, sum(_diagonal(o["p"], 2), ())))
-        elif None in given:
-            raise ConfigError("give all four exponents p1..p4 or none")
-        make = BilinearConfig
+    make = TrilinearConfig if ns.command == "trilinear" else BilinearConfig
     report = ratio_sweep(make(**{k: v for k, v in o.items()
                                  if v is not None}))
     _say(f"# sweep finished in {report.wall_time_s:.2f}s, "
@@ -361,11 +340,9 @@ def cmd_counterexample(ns):
         raise ConfigError("counterexample needs 1 < p < inf")
     s = 2.0 + 1.0 / p
     _say(f"# probing s = 2 + 1/p = {s} at N in {list(o['resolutions'])}")
-    common = dict(s=s, p=p, op=OP_DIRICHLET, kind="sobolev",
-                  family="counterexample", count=1, seed=o["seed"],
-                  resolutions=o["resolutions"], L=o["L"], n=1)
-    report = ratio_sweep(BilinearConfig(
-        **dict(zip(_P1_P4, sum(_diagonal(p, 2), ()))), **common))
+    common = dict(s=s, p=p, family="counterexample", count=1,
+                  seed=o["seed"], resolutions=o["resolutions"], L=o["L"])
+    report = ratio_sweep(BilinearConfig(**common))
     payload = {
         "regularity": s,
         "p": p,
@@ -386,8 +363,7 @@ def cmd_counterexample(ns):
         t0 = time.perf_counter()
         payload["profile"] = singularity_profile(p, grid)
         _say(f"# singularity profile done ({time.perf_counter() - t0:.2f}s)")
-        tri_report = ratio_sweep(
-            TrilinearConfig(exponents=_diagonal(p, 3), **common))
+        tri_report = ratio_sweep(TrilinearConfig(**common))
         payload["trilinear_contrast"] = tri_report.to_json_dict()
         _say(f"# trilinear contrast verdict: {tri_report.verdict}")
     _emit(payload, ns.out)
@@ -517,7 +493,8 @@ def cmd_selftest(ns):
 # subcommand -> (option table, help)
 _SUBCOMMANDS = {
     "norm": (_NORM_SPECS, "one norm of one field"),
-    "bilinear": ({**_SWEEP_SPECS, **{k: (float, None) for k in _P1_P4}},
+    "bilinear": ({**_SWEEP_SPECS,
+                  **dict.fromkeys(("p1", "p2", "p3", "p4"), (float, None))},
                  "two-factor product ratio sweep"),
     "trilinear": ({**_SWEEP_SPECS, "exponents": (_triples, None)},
                   "three-factor product ratio sweep"),

@@ -2,8 +2,10 @@
 decomposition, and the boundary counterexample diagnostics.
 
 A sweep's config is a frozen, keyword-only ``_ProductConfig``, which
-owns the shared sweep fields and every sweep check; ``BilinearConfig``
-and ``TrilinearConfig`` only translate their constructors.  Every
+owns the shared sweep fields and their defaults and checks every one
+when built, the family draw and each rung's grid included;
+``BilinearConfig`` and ``TrilinearConfig`` only translate their
+constructors, with the diagonal exponents by default.  Every
 resolution ladder, a sweep's or a diagnostic's, goes through ``_rungs``.
 
 The sweeps measure empirical constants only.  A ratio staying flat
@@ -39,7 +41,7 @@ import numpy as np
 from . import __version__, norms
 from .errors import ConfigError, NumericalGuardError
 from .extension import odd_extend
-from .families import cutoff_profile, make_family
+from .families import _check_draw, cutoff_profile, make_family
 from .grid import (GridSpec, HalfField, _exponent, lp_norm, make_grid,
                    sample_half)
 from .halfspace_ops import (OP_DIRICHLET, OP_NEUMANN, boundary_trace,
@@ -99,6 +101,13 @@ def _rungs(resolutions) -> tuple:
     return res
 
 
+def _diagonal(p, k):
+    """The default exponents of a k-factor sweep: term i takes p on
+    factor i, the one carrying the regularity, and inf on the others."""
+    return tuple(tuple(p if j == i else float("inf") for j in range(k))
+                 for i in range(k))
+
+
 @dataclass(frozen=True, kw_only=True)
 class _ProductConfig:
     """Product estimate  ||prod f_i||_(s,p) <= C sum_i ||f_i||_(s,q_ii)
@@ -108,7 +117,7 @@ class _ProductConfig:
 
     s: float
     p: float
-    exponents: tuple
+    exponents: tuple | None = None
     op: str = OP_DIRICHLET
     kind: str = "sobolev"
     q: float | None = None
@@ -122,7 +131,7 @@ class _ProductConfig:
 
     def __post_init__(self):
         """Every sweep check: each term's Hoelder sum, the target norm's
-        space (kind, op, s, p, q), the count and the ladder."""
+        space (kind, op, s, p, q), the family draw and each rung's grid."""
         p = _exponent(self.p, "p")
         k = len(self.exponents)
         if any(len(t) != k for t in self.exponents):
@@ -133,11 +142,12 @@ class _ProductConfig:
         for i, t in enumerate(exponents):
             _check_holder(p, t, f"term {i + 1}")
         SpaceSpec(self.kind, self.s, p, self.q, self.homogeneous, self.op)
-        if self.count < 1:
-            raise ConfigError("need at least one sample per resolution")
+        _check_draw(self.family, self.op, self.count, self.seed)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "exponents", exponents)
         object.__setattr__(self, "resolutions", _rungs(self.resolutions))
+        for N in self.resolutions:
+            make_grid(self.n, self.L, N)
 
     @property
     def arity(self):
@@ -147,17 +157,22 @@ class _ProductConfig:
 @dataclass(frozen=True, kw_only=True)
 class BilinearConfig(_ProductConfig):
     """Two factors,  ||fg||_(s,p) <= C (||f||_(s,p1) ||g||_p2
-    + ||f||_p3 ||g||_(s,p4)):  ``exponents`` is ((p1, p2), (p3, p4))."""
+    + ||f||_p3 ||g||_(s,p4)):  ``exponents`` is ((p1, p2), (p3, p4)),
+    the diagonal ((p, inf), (inf, p)) when none of p1..p4 is given."""
 
-    p1: float
-    p2: float
-    p3: float
-    p4: float
+    p1: float | None = None
+    p2: float | None = None
+    p3: float | None = None
+    p4: float | None = None
     exponents: tuple = dc_field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents",
-                           ((self.p1, self.p2), (self.p3, self.p4)))
+        given = (self.p1, self.p2, self.p3, self.p4)
+        if given == (None,) * 4:
+            given = sum(_diagonal(self.p, 2), ())
+        elif None in given:
+            raise ConfigError("give all four exponents p1..p4 or none")
+        object.__setattr__(self, "exponents", (given[:2], given[2:]))
         super().__post_init__()
         for name, v in zip(("p1", "p2", "p3", "p4"), sum(self.exponents, ())):
             object.__setattr__(self, name, v)
@@ -165,12 +180,14 @@ class BilinearConfig(_ProductConfig):
 
 @dataclass(frozen=True, kw_only=True)
 class TrilinearConfig(_ProductConfig):
-    """Three factors; ``exponents`` is three triples."""
+    """Three factors; ``exponents`` is three triples, diagonal if unset."""
 
     count: int = 4
 
     def __post_init__(self):
-        if len(self.exponents) != 3:
+        if self.exponents is None:
+            object.__setattr__(self, "exponents", _diagonal(self.p, 3))
+        elif len(self.exponents) != 3:
             raise ConfigError("trilinear exponents are three triples")
         super().__post_init__()
 
@@ -552,19 +569,15 @@ def _limit_kernel(table_hash: str, phi0_scale: float) -> tuple:
 
 def _limit_profile(bank: DyadicBank, p: float) -> dict:
     """The rescaled large-j limit W of the blocks of Phi_odd, with its
-    sup, argmax and L^p norm over the whole line."""
+    sup, argmax and L^p norm (p finite) over the whole line."""
     x, W = _limit_kernel(bank.table_hash, bank.phi0_scale)
     absW = np.abs(W)
     i_star = int(np.argmax(absW))
-    if np.isinf(p):
-        norm = float(absW.max())
-    else:
-        norm = float((2.0 * np.trapezoid(absW ** p, x)) ** (1.0 / p))
     return {
         "x": x, "W": W,
         "sup": float(absW.max()),
         "argmax": float(x[i_star]),
-        "lp_norm": norm,
+        "lp_norm": float((2.0 * np.trapezoid(absW ** p, x)) ** (1.0 / p)),
     }
 
 

@@ -153,6 +153,19 @@ def _eigenmode(grid: GridSpec, parity: str, index: int) -> HalfField:
     return sample_half(grid, lambda *c: np.cos(k * c[-1]), bc=BC_NEUMANN)
 
 
+def _check_draw(name: str, op: str, count, seed) -> None:
+    """The one check of a draw: a known name and operator (the adversarial
+    family is Dirichlet-tagged), integers count >= 1 and seed >= 0."""
+    if name not in FAMILY_NAMES:
+        raise ConfigError(f"unknown family {name!r} (have {FAMILY_NAMES})")
+    if _check_op(op) != OP_DIRICHLET and name == "boundary_adversarial":
+        raise ConfigError(
+            "the adversarial family is Dirichlet-tagged by design")
+    for what, v, least in (("family count", count, 1), ("seed", seed, 0)):
+        if not isinstance(v, (int, np.integer)) or v < least:
+            raise ConfigError(f"{what} {v!r} must be an integer >= {least}")
+
+
 def make_family(name: str, grid: GridSpec, op: str, seed: int, count: int,
                 ref_N: int | None = None) -> list[HalfField]:
     """Deterministic list of fields; same seed, same functions, any grid.
@@ -161,13 +174,7 @@ def make_family(name: str, grid: GridSpec, op: str, seed: int, count: int,
     band-random family keeps its frequencies inside that grid's band so
     refinement only re-samples.
     """
-    if name not in FAMILY_NAMES:
-        raise ConfigError(f"unknown family {name!r} (have {FAMILY_NAMES})")
-    _check_op(op)
-    if count < 1:
-        raise ConfigError("family count must be >= 1")
-    if seed < 0:
-        raise ConfigError(f"seed {seed} must be >= 0")
+    _check_draw(name, op, count, seed)
     ref_N = grid.N if ref_N is None else min(ref_N, grid.N)
     rng = np.random.default_rng(seed)
     out = []
@@ -177,9 +184,6 @@ def make_family(name: str, grid: GridSpec, op: str, seed: int, count: int,
         elif name == "bump_random":
             out.append(_bump_random(grid, op, rng))
         elif name == "boundary_adversarial":
-            if op != OP_DIRICHLET:
-                raise ConfigError(
-                    "the adversarial family is Dirichlet-tagged by design")
             out.append(_boundary_adversarial(grid, rng))
         elif name == "counterexample":
             # the same samples under either interpretation; the tag

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import halfspace_spectral
-from halfspace_spectral import BC_DIRICHLET, make_grid, sample_half, save_field
+from halfspace_spectral import (BC_DIRICHLET, make_grid, sample,
+                                sample_half, save_field)
 from halfspace_spectral.cli import (_CHOICES, _SUBCOMMANDS, _resolve,
                                     build_parser, main)
 
@@ -163,6 +164,36 @@ def test_bad_ini_value_exits_two(tmp_path):
     assert "[norm] N" in err
 
 
+def test_bad_ini_boolean_exits_two(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[norm]\nsemigroup = maybe\n")
+    rc, out, err = run_cli(["norm", "--config", str(ini), "--N", "512"])
+    assert rc == 2
+    assert out == ""
+    assert "[norm] semigroup" in err and "not a boolean" in err
+
+
+def test_malformed_exponents_exit_two(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        with contextlib.redirect_stderr(io.StringIO()):
+            main(["trilinear", "--s", "1.0", "--exponents", "2,inf;inf,2"])
+    assert exc.value.code == 2
+    ini = tmp_path / "run.ini"
+    ini.write_text("[trilinear]\ns = 1.0\nexponents = 2,inf;inf,2\n")
+    rc, out, err = run_cli(["trilinear", "--config", str(ini)])
+    assert rc == 2
+    assert out == ""
+    assert "three semicolon-separated triples" in err
+
+
+@pytest.mark.parametrize("command", ["bilinear", "trilinear"])
+def test_sweep_without_s_exits_two(command):
+    rc, out, err = run_cli([command, "--resolutions", "512"])
+    assert rc == 2
+    assert out == ""
+    assert "needs --s" in err
+
+
 def test_malformed_ini_file_exits_two(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text("[norm\nN = 512\n")
@@ -223,6 +254,44 @@ def test_unknown_field_spec_exits_two():
     ("bump:width=nan", "width")])
 def test_bad_inline_field_option_exits_two(field, named):
     rc, out, err = run_cli(["norm", "--field", field, "--N", "512"])
+    assert rc == 2
+    assert out == ""
+    assert "configuration error" in err and named in err
+
+
+def _field_file(tmp_path, kind):
+    """A saved field that the 1-D, N = 512, L = 16 norm request refuses."""
+    path = tmp_path / f"{kind}.hsf"
+    grid = make_grid(1, 16.0, 512)
+    if kind == "full_box":
+        save_field(sample(grid, lambda x: x), path)
+    elif kind == "other_grid":
+        save_field(sample_half(make_grid(1, 16.0, 1024), lambda x: x,
+                               bc=BC_DIRICHLET), path)
+    else:
+        save_field(sample_half(grid, lambda x: x, bc=BC_DIRICHLET), path)
+    return f"file:{path}"
+
+
+@pytest.mark.parametrize("field, extra, named", [
+    ("full_box", [], "full-box field"),
+    ("other_grid", [], "not the requested grid"),
+    ("dirichlet_tag", ["--op", "neumann"], "is tagged 'dirichlet'"),
+    ("sine:k", [], "malformed field option 'k'"),
+    ("sine:k=2", ["--n", "2", "--N", "64"], "inline field specs are 1-D"),
+    ("sine:k=2,z=1", [], "unknown options ['z']"),
+    ("sine:k=0", [], "k must be >= 1"),
+    ("bump:depth=1", [], "unknown options ['depth']"),
+    ("xphi:a=1", [], "xphi takes no options"),
+    ("random:family=bump_random,x=1", [], "unknown options ['x']"),
+    ("random:family=perlin", [], "unknown family 'perlin'"),
+], ids=["full_box", "other_grid", "other_tag", "no_equals", "inline_2d",
+        "sine_option", "k_zero", "bump_option", "xphi_option",
+        "random_option", "random_family"])
+def test_bad_field_spec_exits_two(tmp_path, field, extra, named):
+    if ":" not in field:
+        field = _field_file(tmp_path, field)
+    rc, out, err = run_cli(["norm", "--field", field, "--N", "512"] + extra)
     assert rc == 2
     assert out == ""
     assert "configuration error" in err and named in err
@@ -417,6 +486,14 @@ def test_negative_seed_exits_two_for_a_deterministic_field(
     assert rc == 2
     assert out == ""
     assert f"configuration error: seed {seed} must be >= 0" in err
+
+
+def test_non_integer_environment_seed_exits_two(monkeypatch):
+    monkeypatch.setenv("HALFSPACE_SPECTRAL_SEED", "eleven")
+    rc, out, err = run_cli(["norm", "--field", "random", "--N", "512"])
+    assert rc == 2
+    assert out == ""
+    assert "HALFSPACE_SPECTRAL_SEED='eleven' is not an integer" in err
 
 
 def test_negative_environment_seed_exits_two(monkeypatch):

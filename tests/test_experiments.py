@@ -42,6 +42,7 @@ from halfspace_spectral import (
     singularity_profile,
     trilinear_ratio,
 )
+from halfspace_spectral import experiments
 from halfspace_spectral.experiments import get_bank
 
 INF = float("inf")
@@ -107,11 +108,27 @@ def test_sobolev_sweeps_take_no_q():
 
 
 @pytest.mark.parametrize("make", [_cfg, _tri])
-@pytest.mark.parametrize("bad", [{"op": "foo"}, {"s": float("nan")},
-                                 {"s": INF}], ids=["op", "s_nan", "s_inf"])
+@pytest.mark.parametrize("bad", [
+    {"op": "foo"}, {"s": float("nan")}, {"s": INF},
+    {"family": "perlin"}, {"seed": -1}, {"L": -1.0}, {"n": 0},
+    {"count": 1.5}, {"resolutions": (512, 1000)},
+    {"family": "boundary_adversarial", "op": OP_NEUMANN},
+], ids=["op", "s_nan", "s_inf", "family", "seed", "L", "n", "count_float",
+        "rung_1000", "adversarial_neumann"])
 def test_sweep_configs_refuse_bad_op_or_s_at_construction(make, bad):
     with pytest.raises(ConfigError):
         make(**bad)
+
+
+def test_configs_take_the_diagonal_exponents_when_none_are_given():
+    bi = BilinearConfig(s=1.0, p=3.0)
+    assert bi.exponents == ((3.0, INF), (INF, 3.0))
+    assert (bi.p1, bi.p2, bi.p3, bi.p4) == (3.0, INF, INF, 3.0)
+    assert TrilinearConfig(s=1.0, p=3.0).exponents == (
+        (3.0, INF, INF), (INF, 3.0, INF), (INF, INF, 3.0))
+    # a subset of p1..p4 is not completed from the diagonal
+    with pytest.raises(ConfigError, match=r"p1\.\.p4"):
+        BilinearConfig(s=1.0, p=3.0, p1=3.0, p2=INF, p3=INF)
 
 
 def _mapping(resolutions):
@@ -287,6 +304,27 @@ def test_smooth_pair_sweep_is_bounded_and_deterministic():
     assert rep1.excluded == []
 
 
+def test_sweep_sets_degenerate_pairs_aside(monkeypatch):
+    # a zero first factor makes both terms of pair 0 vanish at every rung
+    draw = experiments.make_family
+
+    def zero_first(*args, **kwargs):
+        fields = draw(*args, **kwargs)
+        f = fields[0]
+        fields[0] = HalfField(f.grid, np.zeros_like(f.values), f.bc)
+        return fields
+
+    monkeypatch.setattr(experiments, "make_family", zero_first)
+    rep = ratio_sweep(_cfg(count=2, resolutions=(512, 1024)))
+    assert [(r["pair"], r["N"]) for r in rep.excluded] == [(0, 512),
+                                                          (0, 1024)]
+    assert all(r["degenerate"] and np.isnan(r["ratio"])
+               for r in rep.excluded)
+    assert [(r["pair"], r["N"]) for r in rep.items] == [(1, 512), (1, 1024)]
+    assert [e["pairs"] for e in rep.per_resolution] == [1, 1]
+    assert rep.meta["max_ratio"] == max(r["ratio"] for r in rep.items)
+
+
 def test_sweep_report_shape():
     cfg = _cfg(count=2, resolutions=(512, 1024))
     rep = ratio_sweep(cfg)
@@ -429,6 +467,14 @@ def test_product_rule_requires_dirichlet_tags(grid1d):
         leibniz_decomposition(f, g)
     with pytest.raises(ConfigError):
         leibniz_decomposition(g, f.with_bc(BC_NEUMANN))
+
+
+def test_product_rule_requires_one_grid(grid1d):
+    f = sample_half(grid1d, lambda x: bump(x, 4.0, 1.2), bc=BC_DIRICHLET)
+    g = sample_half(make_grid(1, 16.0, 2048), lambda x: bump(x, 5.0, 1.5),
+                    bc=BC_DIRICHLET)
+    with pytest.raises(ConfigError, match="different grids"):
+        leibniz_decomposition(f, g)
 
 
 # ---------------------------------------------------------------------------

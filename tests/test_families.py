@@ -141,6 +141,26 @@ def test_counterexample_tag_follows_requested_operator(grid1d):
     assert np.array_equal(d.values, n.values)
 
 
+def test_counterexample_carries_tangential_cutoffs(grid2d):
+    f = make_family("counterexample", grid2d, OP_DIRICHLET, 0, 1)[0]
+    x, xh = grid2d.axis_coords(), grid2d.half_coords()
+    expect = np.outer(cutoff_profile(np.abs(x)), xh * cutoff_profile(xh))
+    np.testing.assert_allclose(f.values, expect, rtol=1e-15, atol=0.0)
+
+
+def test_adversarial_fields_carry_a_tangential_bump(grid2d):
+    # each field is the wall profile times one bump in x_1 whose centre
+    # lies in [-L/4, L/4] and whose half-width lies in [0.8, 1.6]
+    x = grid2d.axis_coords()
+    for f in make_family("boundary_adversarial", grid2d, OP_DIRICHLET, 3, 3):
+        sv = np.linalg.svd(f.values, compute_uv=False)
+        assert sv[1] <= 1e-12 * sv[0]
+        support = x[np.any(f.values != 0.0, axis=1)]
+        assert support.size > 0
+        assert support.max() - support.min() <= 3.2
+        assert np.all(np.abs(support) < grid2d.L / 4.0 + 1.6)
+
+
 def test_counterexample_expr_matches_family(grid1d):
     via_family = make_family("counterexample", grid1d, OP_DIRICHLET, 0, 1)[0]
     direct = sample_half(grid1d, counterexample_expr())

@@ -257,6 +257,13 @@ def test_load_rejects_truncated_file(tmp_path, grid1d):
         load_field(path)
 
 
+def test_load_rejects_a_truncated_header(tmp_path):
+    path = tmp_path / "f.hsf"
+    path.write_bytes(b"HSFIELD1" + b"\x00" * 8)
+    with pytest.raises(ConfigError, match="truncated header"):
+        load_field(path)
+
+
 def _write_header(path, kind=1, bc=0, n=1, N=64, L=16.0, count=32,
                   values=32, stagger=1):
     """A field container with a hand-made header and ``values`` zeros."""

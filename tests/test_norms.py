@@ -278,6 +278,22 @@ def test_semigroup_refuses_a_non_finite_t_grid(t_grid):
         besov_norm_semigroup(f, spec, t_grid=t_grid)
 
 
+@pytest.mark.parametrize("homogeneous, kwargs, match", [
+    (True, {"M": 0}, "moment count"),
+    (True, {"M": 1.5}, "moment count"),
+    (True, {"bank": None}, "bank or a t_grid"),
+    (True, {"t_grid": [1e-2, 1e-3]}, "increasing"),
+    (True, {"t_grid": [1e-2, 1e-2, 1e-1]}, "increasing"),
+    (False, {"t_grid": [2.0, 4.0]}, r"\(0, 1\]"),
+], ids=["M_zero", "M_float", "no_bank", "decreasing", "repeated_node",
+        "nothing_in_unit_interval"])
+def test_semigroup_refusals(grid1d, bank1d, homogeneous, kwargs, match):
+    f = _band_field(grid1d)
+    spec = SpaceSpec("besov", 0.8, 2.0, 2.0, homogeneous, OP_DIRICHLET)
+    with pytest.raises(ConfigError, match=match):
+        besov_norm_semigroup(f, spec, **{"bank": bank1d, **kwargs})
+
+
 # ---------------------------------------------------------------------------
 # extension equivalence
 
