@@ -340,8 +340,8 @@ def cmd_counterexample(ns):
         raise ConfigError("counterexample needs 1 < p < inf")
     s = 2.0 + 1.0 / p
     _say(f"# probing s = 2 + 1/p = {s} at N in {list(o['resolutions'])}")
-    common = dict(s=s, p=p, family="counterexample", count=1,
-                  seed=o["seed"], resolutions=o["resolutions"], L=o["L"])
+    common = dict(s=s, p=p, family="counterexample", seed=o["seed"],
+                  resolutions=o["resolutions"], L=o["L"])
     report = ratio_sweep(BilinearConfig(**common))
     payload = {
         "regularity": s,

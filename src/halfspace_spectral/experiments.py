@@ -8,6 +8,11 @@ when built, the family draw and each rung's grid included;
 constructors, with the diagonal exponents by default.  Every
 resolution ladder, a sweep's or a diagnostic's, goes through ``_rungs``.
 
+A ladder that ends in a verdict, a product sweep's or a derivative
+mapping's, keeps one growth record, built by ``_growth``: its rows, the
+degenerate rule, the rung maxima and the one ``classify_growth`` call.
+A new fit of a ladder belongs there, so that every ladder reports it.
+
 The sweeps measure empirical constants only.  A ratio staying flat
 under refinement is evidence of boundedness at that regularity, and a
 monotone, statistically significant climb is evidence of divergence;
@@ -131,7 +136,8 @@ class _ProductConfig:
 
     def __post_init__(self):
         """Every sweep check: each term's Hoelder sum, the target norm's
-        space (kind, op, s, p, q), the family draw and each rung's grid."""
+        space (kind, op, s, p, q), each rung's grid and the family draw
+        on the coarsest."""
         p = _exponent(self.p, "p")
         k = len(self.exponents)
         if any(len(t) != k for t in self.exponents):
@@ -142,12 +148,14 @@ class _ProductConfig:
         for i, t in enumerate(exponents):
             _check_holder(p, t, f"term {i + 1}")
         SpaceSpec(self.kind, self.s, p, self.q, self.homogeneous, self.op)
-        _check_draw(self.family, self.op, self.count, self.seed)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "exponents", exponents)
         object.__setattr__(self, "resolutions", _rungs(self.resolutions))
-        for N in self.resolutions:
-            make_grid(self.n, self.L, N)
+        grids = [make_grid(self.n, self.L, N) for N in self.resolutions]
+        _check_draw(self.family, grids[0], self.op, self.count, self.seed)
+        if self.family == "counterexample":
+            # one fixed field: a sweep draws it once, whatever the count
+            object.__setattr__(self, "count", 1)
 
     @property
     def arity(self):
@@ -319,15 +327,7 @@ class RatioReport:
     wall_time_s: float = dc_field(default=0.0, compare=False)
 
     def to_json_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "items": self.items,
-            "per_resolution": self.per_resolution,
-            "fits": self.fits,
-            "verdict": self.verdict,
-            "excluded": self.excluded,
-            "meta": self.meta,
-        }
+        return {k: v for k, v in vars(self).items() if k != "wall_time_s"}
 
 
 def _fmt_exponent(p: float):
@@ -362,51 +362,57 @@ def _family_tuples(cfg, grid, ref_N):
             for i in range(cfg.count)]
 
 
+def _growth(rungs, measured, label) -> dict:
+    """The growth record of a ladder; ``measured[i]`` holds the (lhs,
+    rhs) of each draw at rung ``rungs[i]``, a row numbered under
+    ``label``.  A draw with rhs = 0 is set aside under ``excluded``,
+    ``degenerate`` with a NaN ratio.  A rung reports the max ratio of
+    the others and their number ("pairs"); the finite rung maxima are
+    classified when there are two or more."""
+    items, excluded, per_rung = [], [], []
+    for N, draws in zip(rungs, measured):
+        ratios = []
+        for i, (lhs, rhs) in enumerate(draws):
+            row = {label: i, "N": N, "lhs": lhs, "rhs": rhs,
+                   "ratio": np.nan if rhs == 0.0 else lhs / rhs}
+            if rhs == 0.0:
+                row["degenerate"] = True
+                excluded.append(row)
+            else:
+                items.append(row)
+                ratios.append(row["ratio"])
+        per_rung.append({"N": N, "max_ratio": max(ratios, default=np.nan),
+                         "pairs": len(ratios)})
+    usable = [(e["N"], e["max_ratio"]) for e in per_rung
+              if np.isfinite(e["max_ratio"])]
+    verdict, fits = (classify_growth(*zip(*usable)) if len(usable) >= 2
+                     else ("inconclusive", {}))
+    return {"items": items, "per_resolution": per_rung, "fits": fits,
+            "verdict": verdict, "excluded": excluded,
+            "max_ratio": max((m for _, m in usable), default=np.nan)}
+
+
 def ratio_sweep(cfg) -> RatioReport:
     """Run the configured family over every resolution and classify."""
     t0 = time.perf_counter()
     ratio = bilinear_ratio if cfg.arity == 2 else trilinear_ratio
     ref_N = min(cfg.resolutions)
-    items, excluded, per_res = [], [], []
+    measured, banks = [], []
     for N in cfg.resolutions:
         grid = make_grid(cfg.n, cfg.L, N)
-        bank = get_bank(grid) if cfg.kind == "besov" else None
-        ratios = []
-        for idx, tup in enumerate(_family_tuples(cfg, grid, ref_N)):
-            r = ratio(*tup, cfg, bank)
-            row = {"pair": idx, "N": N, "lhs": r["lhs"], "rhs": r["rhs"],
-                   "ratio": r["ratio"]}
-            if r["degenerate"]:
-                row["degenerate"] = True
-                excluded.append(row)
-            else:
-                items.append(row)
-                ratios.append(r["ratio"])
-        entry = {"N": N, "max_ratio": max(ratios) if ratios else np.nan,
-                 "pairs": len(ratios)}
+        banks.append(get_bank(grid) if cfg.kind == "besov" else None)
+        measured.append([])
+        for tup in _family_tuples(cfg, grid, ref_N):
+            r = ratio(*tup, cfg, banks[-1])
+            measured[-1].append((r["lhs"], r["rhs"]))
+    rec = _growth(cfg.resolutions, measured, "pair")
+    for entry, bank in zip(rec["per_resolution"], banks):
         if bank is not None:
             entry["bank_hash"] = bank.table_hash
-        per_res.append(entry)
-
-    usable = [(e["N"], e["max_ratio"]) for e in per_res
-              if np.isfinite(e["max_ratio"])]
-    if len(usable) >= 2:
-        verdict, fits = classify_growth([u[0] for u in usable],
-                                        [u[1] for u in usable])
-    else:
-        verdict, fits = "inconclusive", {}
-    report = RatioReport(
-        config=_config_echo(cfg),
-        items=items,
-        per_resolution=per_res,
-        fits=fits,
-        verdict=verdict,
-        excluded=excluded,
-        meta={"version": __version__, "seed": cfg.seed,
-              "max_ratio": max((u[1] for u in usable), default=np.nan)},
-        wall_time_s=time.perf_counter() - t0,
-    )
-    return report
+    meta = {"version": __version__, "seed": cfg.seed,
+            "max_ratio": rec.pop("max_ratio")}
+    return RatioReport(config=_config_echo(cfg), meta=meta,
+                       wall_time_s=time.perf_counter() - t0, **rec)
 
 
 # ---------------------------------------------------------------------------
@@ -683,13 +689,12 @@ def derivative_mapping_sweep(s: float, p: float, family: str, op: str,
     resolutions = list(_rungs(resolutions))
     ref_N = min(resolutions)
     other = OP_NEUMANN if op == OP_DIRICHLET else OP_DIRICHLET
-    cross_items, same_items = [], []
-    cross_max, same_max = [], []
+    cross, same = [], []
     for N in resolutions:
         grid = make_grid(n, L, N)
-        fields = make_family(family, grid, op, seed, count, ref_N)
-        c_ratios, s_ratios = [], []
-        for i, f in enumerate(fields):
+        cross.append([])
+        same.append([])
+        for f in make_family(family, grid, op, seed, count, ref_N):
             nd = normal_derivative(f)
             den_cross = sobolev_norm(
                 f, SpaceSpec("sobolev", s, p, None, True, op))
@@ -698,24 +703,14 @@ def derivative_mapping_sweep(s: float, p: float, family: str, op: str,
             num_same = lp_norm(frac_power(nd.with_bc(None), op, s), p)
             den_same = sobolev_norm(
                 f, SpaceSpec("sobolev", s + 1.0, p, None, True, op))
-            if den_cross > 0:
-                c_ratios.append(num_cross / den_cross)
-                cross_items.append({"index": i, "N": N,
-                                    "ratio": num_cross / den_cross})
-            if den_same > 0:
-                s_ratios.append(num_same / den_same)
-                same_items.append({"index": i, "N": N,
-                                   "ratio": num_same / den_same})
-        cross_max.append(max(c_ratios) if c_ratios else np.nan)
-        same_max.append(max(s_ratios) if s_ratios else np.nan)
-    cross_verdict, cross_fits = classify_growth(resolutions, cross_max)
-    same_verdict, same_fits = classify_growth(resolutions, same_max)
-    return {
-        "s": s, "p": p, "family": family, "op": op,
-        "threshold": 1.0 / p,
-        "resolutions": resolutions,
-        "cross": {"items": cross_items, "max": cross_max,
-                  "verdict": cross_verdict, "fits": cross_fits},
-        "same": {"items": same_items, "max": same_max,
-                 "verdict": same_verdict, "fits": same_fits},
-    }
+            cross[-1].append((num_cross, den_cross))
+            same[-1].append((num_same, den_same))
+    out = {"s": s, "p": p, "family": family, "op": op,
+           "threshold": 1.0 / p, "resolutions": resolutions}
+    for name, measured in (("cross", cross), ("same", same)):
+        rec = _growth(resolutions, measured, "index")
+        out[name] = {"items": rec["items"],
+                     "max": [e["max_ratio"] for e in rec["per_resolution"]],
+                     "verdict": rec["verdict"], "fits": rec["fits"],
+                     "excluded": rec["excluded"]}
+    return out

@@ -106,11 +106,17 @@ def _band_random(grid: GridSpec, parity: str, rng, ref_N: int) -> HalfField:
     return HalfField(grid, values, BC_DIRICHLET if odd else BC_NEUMANN)
 
 
-def _bump_random(grid: GridSpec, parity: str, rng) -> HalfField:
-    n_bumps = int(rng.integers(1, 4))
+def _bump_span(grid: GridSpec):
+    """The normal range of the bump centres, well inside the box."""
     lo, hi = 1.5, grid.L / 2.0 - 1.5
     if hi <= lo:
         raise ConfigError(f"box L={grid.L} too small for interior bumps")
+    return lo, hi
+
+
+def _bump_random(grid: GridSpec, parity: str, rng) -> HalfField:
+    n_bumps = int(rng.integers(1, 4))
+    lo, hi = _bump_span(grid)
     centers = rng.uniform(lo, hi, (n_bumps, grid.n))
     widths = rng.uniform(0.4, 1.2, (n_bumps, grid.n))
     amps = rng.uniform(0.5, 1.5, n_bumps) * rng.choice([-1.0, 1.0], n_bumps)
@@ -153,9 +159,10 @@ def _eigenmode(grid: GridSpec, parity: str, index: int) -> HalfField:
     return sample_half(grid, lambda *c: np.cos(k * c[-1]), bc=BC_NEUMANN)
 
 
-def _check_draw(name: str, op: str, count, seed) -> None:
+def _check_draw(name: str, grid, op: str, count, seed, ref_N=None) -> None:
     """The one check of a draw: a known name and operator (the adversarial
-    family is Dirichlet-tagged), integers count >= 1 and seed >= 0."""
+    family is Dirichlet-tagged), integers count >= 1 and seed >= 0, room
+    for bumps in the box and modes in the band of ref_N (default N)."""
     if name not in FAMILY_NAMES:
         raise ConfigError(f"unknown family {name!r} (have {FAMILY_NAMES})")
     if _check_op(op) != OP_DIRICHLET and name == "boundary_adversarial":
@@ -164,6 +171,10 @@ def _check_draw(name: str, op: str, count, seed) -> None:
     for what, v, least in (("family count", count, 1), ("seed", seed, 0)):
         if not isinstance(v, (int, np.integer)) or v < least:
             raise ConfigError(f"{what} {v!r} must be an integer >= {least}")
+    if name == "bump_random":
+        _bump_span(grid)
+    elif name == "band_random":
+        _mode_range(grid, ref_N or grid.N)
 
 
 def make_family(name: str, grid: GridSpec, op: str, seed: int, count: int,
@@ -174,8 +185,8 @@ def make_family(name: str, grid: GridSpec, op: str, seed: int, count: int,
     band-random family keeps its frequencies inside that grid's band so
     refinement only re-samples.
     """
-    _check_draw(name, op, count, seed)
     ref_N = grid.N if ref_N is None else min(ref_N, grid.N)
+    _check_draw(name, grid, op, count, seed, ref_N)
     rng = np.random.default_rng(seed)
     out = []
     for i in range(count):

@@ -58,13 +58,13 @@ class GridSpec:
     N: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= 3:
-            raise ConfigError(f"dimension n={self.n} outside 1..3")
+        if not isinstance(self.n, (int, np.integer)) or not 1 <= self.n <= 3:
+            raise ConfigError(f"dimension n={self.n!r} not an integer in 1..3")
         if not (self.L > 0 and np.isfinite(self.L)):
             raise ConfigError(f"box half-width L={self.L} must be positive and finite")
         N = self.N
-        if N < 8 or (N & (N - 1)) != 0:
-            raise ConfigError(f"N={N} must be a power of two >= 8")
+        if not isinstance(N, (int, np.integer)) or N < 8 or N & (N - 1):
+            raise ConfigError(f"N={N!r} must be a power of two >= 8")
 
     @property
     def h(self) -> float:

@@ -40,6 +40,7 @@ from halfspace_spectral import (
     sample_half,
     singular_window_growth,
     singularity_profile,
+    sobolev_norm,
     trilinear_ratio,
 )
 from halfspace_spectral import experiments
@@ -113,8 +114,12 @@ def test_sobolev_sweeps_take_no_q():
     {"family": "perlin"}, {"seed": -1}, {"L": -1.0}, {"n": 0},
     {"count": 1.5}, {"resolutions": (512, 1000)},
     {"family": "boundary_adversarial", "op": OP_NEUMANN},
+    {"family": "bump_random", "L": 3.0},
+    {"family": "band_random", "resolutions": (16, 32)},
+    {"n": 1.5},
 ], ids=["op", "s_nan", "s_inf", "family", "seed", "L", "n", "count_float",
-        "rung_1000", "adversarial_neumann"])
+        "rung_1000", "adversarial_neumann", "bump_box", "band_coarse",
+        "n_float"])
 def test_sweep_configs_refuse_bad_op_or_s_at_construction(make, bad):
     with pytest.raises(ConfigError):
         make(**bad)
@@ -129,6 +134,17 @@ def test_configs_take_the_diagonal_exponents_when_none_are_given():
     # a subset of p1..p4 is not completed from the diagonal
     with pytest.raises(ConfigError, match=r"p1\.\.p4"):
         BilinearConfig(s=1.0, p=3.0, p1=3.0, p2=INF, p3=INF)
+
+
+def test_counterexample_family_is_one_draw():
+    # the one fixed field is drawn once, so the echoed count is the
+    # number of draws each rung took
+    assert TrilinearConfig(s=2.5, p=2.0, family="counterexample",
+                           resolutions=(512,)).count == 1
+    rep = ratio_sweep(BilinearConfig(s=2.5, p=2.0, family="counterexample",
+                                     count=8, resolutions=(512, 1024)))
+    assert rep.config["count"] == 1
+    assert [e["pairs"] for e in rep.per_resolution] == [1, 1]
 
 
 def _mapping(resolutions):
@@ -489,6 +505,70 @@ def test_cross_condition_derivative_is_an_isometry_at_p_two():
         assert item["ratio"] == pytest.approx(1.0, rel=1e-6)
     assert out["cross"]["verdict"] == "bounded"
     assert out["threshold"] == 0.5
+
+
+def test_mapping_rows_carry_their_norms():
+    # lhs is the derivative's norm, rhs the field's, and each rung's max
+    # is taken over the rows of that rung
+    s, p, res = 0.3, 2.0, (512, 1024)
+    out = derivative_mapping_sweep(s, p, "band_random", OP_DIRICHLET, 0, 2,
+                                   res)
+    for side in ("cross", "same"):
+        rows = out[side]["items"]
+        assert [(r["index"], r["N"]) for r in rows] == [
+            (i, N) for N in res for i in range(2)]
+        assert all(r["ratio"] == r["lhs"] / r["rhs"] for r in rows)
+        assert out[side]["max"] == [max(r["ratio"] for r in rows
+                                        if r["N"] == N) for N in res]
+        assert out[side]["excluded"] == []
+    f = make_family("band_random", make_grid(1, 16.0, 1024), OP_DIRICHLET,
+                    0, 2, 512)[1]
+    row = out["cross"]["items"][-1]
+    assert row["lhs"] == sobolev_norm(
+        normal_derivative(f),
+        SpaceSpec("sobolev", s - 1.0, p, None, True, OP_NEUMANN))
+    assert row["rhs"] == sobolev_norm(
+        f, SpaceSpec("sobolev", s, p, None, True, OP_DIRICHLET))
+
+
+@pytest.mark.parametrize("zeroed", [(512,), (512, 1024, 2048)],
+                         ids=["coarsest", "every"])
+def test_mapping_sets_degenerate_draws_aside(monkeypatch, zeroed):
+    # a zero field has zero norms, so each of its draws is degenerate in
+    # both mappings; only the finite rung maxima reach the classifier
+    res = (512, 1024, 2048)
+    draw, classify = experiments.make_family, experiments.classify_growth
+    classified = []
+
+    def zero_rungs(*args, **kwargs):
+        return [HalfField(f.grid, np.zeros_like(f.values), f.bc)
+                if f.grid.N in zeroed else f for f in draw(*args, **kwargs)]
+
+    def spy(resolutions, maxima):
+        classified.append((list(resolutions), list(maxima)))
+        return classify(resolutions, maxima)
+
+    monkeypatch.setattr(experiments, "make_family", zero_rungs)
+    monkeypatch.setattr(experiments, "classify_growth", spy)
+    out = derivative_mapping_sweep(0.3, 2.0, "bump_random", OP_DIRICHLET, 0,
+                                   2, res)
+    kept = [N for N in res if N not in zeroed]
+    for side in ("cross", "same"):
+        m = out[side]
+        assert [(r["index"], r["N"]) for r in m["excluded"]] == [
+            (i, N) for N in zeroed for i in range(2)]
+        assert all(r["degenerate"] and r["rhs"] == 0.0
+                   and np.isnan(r["ratio"]) for r in m["excluded"])
+        assert [r["N"] for r in m["items"]] == [N for N in kept
+                                               for _ in range(2)]
+        assert [bool(np.isnan(v)) for v in m["max"]] == [
+            N in zeroed for N in res]
+    assert [r for r, _ in classified] == ([kept] * 2 if len(kept) > 1
+                                          else [])
+    assert all(np.all(np.isfinite(maxima)) for _, maxima in classified)
+    if not kept:
+        assert (out["same"]["verdict"], out["same"]["fits"]) == (
+            "inconclusive", {})
 
 
 def test_same_condition_derivative_splits_at_the_threshold():

@@ -11,6 +11,7 @@ from halfspace_spectral import (
     BC_DIRICHLET,
     BC_NEUMANN,
     ConfigError,
+    GridSpec,
     HalfField,
     SampledField,
     bump,
@@ -82,6 +83,17 @@ def test_dimension_out_of_range_rejected(n):
 def test_resolution_must_be_power_of_two_at_least_eight(N):
     with pytest.raises(ConfigError):
         make_grid(1, 16.0, N)
+
+
+@pytest.mark.parametrize("n, N", [(1.5, 512), (1, 512.0),
+                                  (np.float64(2.0), 64), (1, 64.5)])
+def test_grid_refuses_non_integer_n_or_N(n, N):
+    with pytest.raises(ConfigError):
+        GridSpec(n, 16.0, N)
+
+
+def test_grid_takes_numpy_integers():
+    assert GridSpec(np.int64(2), 16.0, np.int64(64)).h == 0.5
 
 
 @pytest.mark.parametrize("L", [0.0, -2.0, float("inf"), float("nan")])

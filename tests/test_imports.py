@@ -2,8 +2,9 @@
 private name it defines is read, every name it re-exports is listed by
 its module, every transform it makes is
 one the benchmark's tracer counts, only ``spectral.py`` calls a
-transform or touches the half-space coefficient layout, and the modules
-of the hot paths call no BLAS-backed numpy function."""
+transform or touches the half-space coefficient layout, the modules
+of the hot paths call no BLAS-backed numpy function, and only
+``experiments._growth`` calls the growth classifier."""
 
 import ast
 import pathlib
@@ -346,3 +347,42 @@ def test_hot_modules_call_no_blas():
              if (hits := _blas_calls(ast.parse(
                  (PACKAGE / name).read_text())))}
     assert found == {}
+
+
+def _callers(tree: ast.Module, name: str) -> list:
+    """(line, owner) of each call of ``name``, however the module
+    imported it, with the top-level function or class that makes it;
+    the owner is None for a call at module level."""
+    aliases = _import_aliases(tree)
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                called = _dotted(node.func, aliases)
+                if called and called.split(".")[-1] == name:
+                    found.append((node.lineno, owner))
+    return sorted(found)
+
+
+def test_scan_finds_a_classifier_call():
+    tree = ast.parse(
+        "from .experiments import classify_growth as cg\n"
+        "from . import experiments\n"
+        "def _growth(m):\n    return classify_growth(m)\n"
+        "class Sweep:\n    def run(self):\n"
+        "        return experiments.classify_growth(1)\n"
+        "cg(2)\nverdict = classify_growth\n")
+    assert _callers(tree, "classify_growth") == [
+        (4, "_growth"), (7, "Sweep"), (8, None)]
+
+
+def test_only_growth_calls_the_classifier():
+    """One owner of the verdict: the one call of ``classify_growth`` in
+    ``src/`` is in ``experiments._growth``, which both sweeps use."""
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    found = [(str(path.relative_to(SRC)), owner) for path in files
+             for _, owner in _callers(ast.parse(path.read_text()),
+                                      "classify_growth")]
+    assert found == [("halfspace_spectral/experiments.py", "_growth")]
