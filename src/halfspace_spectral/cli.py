@@ -208,10 +208,7 @@ def _build_field(spec_text, grid, op, seed):
             raise ConfigError(
                 f"{rest!r} was sampled on n={obj.grid.n} N={obj.grid.N} "
                 f"L={obj.grid.L}, not the requested grid")
-        if obj.bc is not None and obj.bc != op:
-            raise ConfigError(
-                f"field is tagged {obj.bc!r} but the norm asked for {op!r}")
-        return obj.with_bc(op)
+        return obj
     if grid.n != 1:
         raise ConfigError("inline field specs are 1-D; use file:PATH")
     if name in ("sine", "cosine"):
@@ -235,8 +232,7 @@ def _build_field(spec_text, grid, op, seed):
     if name == "xphi":
         if kwargs:
             raise ConfigError("xphi takes no options")
-        return sample_half(grid, counterexample_expr(), bc=BC_DIRICHLET
-                           if op == OP_DIRICHLET else None).with_bc(op)
+        return sample_half(grid, counterexample_expr(), bc=op)
     if name == "random":
         fam = kwargs.pop("family", "bump_random")
         if kwargs:

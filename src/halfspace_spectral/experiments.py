@@ -49,9 +49,8 @@ from .extension import odd_extend
 from .families import _check_draw, cutoff_profile, make_family
 from .grid import (GridSpec, HalfField, _exponent, lp_norm, make_grid,
                    sample_half)
-from .halfspace_ops import (OP_DIRICHLET, OP_NEUMANN, boundary_trace,
-                            frac_power, normal_derivative,
-                            tangential_derivative)
+from .halfspace_ops import (OP_DIRICHLET, boundary_trace, frac_power,
+                            normal_derivative, tangential_derivative)
 from .norms import SpaceSpec, _band_norms, besov_norm, sobolev_norm
 from .spectral import (DyadicBank, _HalfSpectrum, _Octave, build_bank,
                        singular_integral_frac_lap)
@@ -212,6 +211,10 @@ def _product_ratio(fields, cfg, bank: DyadicBank | None) -> dict:
     on factor i and the Lebesgue exponents of ``cfg.exponents[i]`` on
     the others.  Zero denominators are flagged, not divided.  A factor
     may recur, as in (f, f); each of its norms is taken once."""
+    if len(fields) != cfg.arity:
+        raise ConfigError(f"{cfg.arity} factors needed, {len(fields)} given")
+    if any(fld.grid != fields[0].grid for fld in fields[1:]):
+        raise ConfigError("factors live on different grids")
     if bank is None and cfg.kind == "besov":
         bank = get_bank(fields[0].grid)
     values = fields[0].values
@@ -495,15 +498,14 @@ def _phi_half(grid: GridSpec) -> HalfField:
     return sample_half(grid, lambda x: cutoff_profile(x) ** 2, OP_DIRICHLET)
 
 
-def singularity_profile(p: float, grid: GridSpec, delta: float = 0.2,
-                        fit_lo_cells: int = 8) -> dict:
+def singularity_profile(p: float, grid: GridSpec) -> dict:
     """Fit |Lambda^(1/p) Phi_odd|(x) ~ c x^(-1/p) near the boundary.
 
     Both engines (the sine transform of the Dirichlet calculus, and the
-    real-space quadrature of Phi_odd) are fitted; they must agree to 5
-    percent in L^2 over the fit window or the profile is rejected as
-    aliased.  ``antisymmetry_residual`` is measured on the quadrature's
-    box output, which nothing forces to be odd.
+    real-space quadrature of Phi_odd) are fitted over the window (8 h,
+    0.2); they must agree there to 5 percent in L^2 or the profile is
+    rejected as aliased.  ``antisymmetry_residual`` is measured on the
+    quadrature's box output, which nothing forces to be odd.
     """
     _check_diagnostic_exponent(p)
     s = 1.0 / p
@@ -513,11 +515,13 @@ def singularity_profile(p: float, grid: GridSpec, delta: float = 0.2,
     quad_vals = quad_box[grid.N // 2:]
 
     x = grid.half_coords()
-    lo = fit_lo_cells * grid.h
+    lo, delta = 8 * grid.h, 0.2
     if lo >= delta / 2.0:
         raise ConfigError(
             f"grid too coarse: fit window [{lo:.3g}, {delta:.3g}] is empty")
     mask = (x > lo) & (x < delta)
+    # cells 8..15 lie inside; only a half-box of under 16 cells (N <= 16,
+    # L < 0.1) ends before them
     if int(mask.sum()) < 8:
         raise ConfigError("fewer than 8 samples in the fit window")
 
@@ -587,8 +591,7 @@ def _limit_profile(bank: DyadicBank, p: float) -> dict:
     }
 
 
-def besov_block_floor(p: float, grid: GridSpec,
-                      q_list=(1.0, 2.0)) -> dict:
+def besov_block_floor(p: float, grid: GridSpec) -> dict:
     """Weighted block norms 2^(j/p) ||phi_j Phi_odd||_p over the octaves.
 
     At the critical regularity these stop decaying: the block sequence
@@ -616,7 +619,7 @@ def besov_block_floor(p: float, grid: GridSpec,
 
     partial_fits = {}
     counts = np.arange(1, blocks_arr.size + 1, dtype=float)
-    for q in q_list:
+    for q in (1.0, 2.0):
         sums = np.cumsum(blocks_arr ** q) ** (1.0 / q)
         # the growth exponent is asymptotic; fit past the pre-plateau
         # transient, over the last four octave counts
@@ -645,16 +648,15 @@ def besov_block_floor(p: float, grid: GridSpec,
     }
 
 
-def singular_window_growth(p: float, L: float, resolutions,
-                           delta: float = 0.25,
-                           eps_cells: int = 4) -> dict:
+def singular_window_growth(p: float, L: float, resolutions) -> dict:
     """||Lambda^(1/p) Phi_odd||_{L^2(eps, delta)}^2 against log N.
 
-    The window floor eps = eps_cells * h shrinks with the mesh, so at
+    The window is (4 h, 0.25); its floor shrinks with the mesh, so at
     the critical order the squared norm grows linearly in log N.
     """
     _check_diagnostic_exponent(p)
     resolutions = list(_rungs(resolutions))
+    delta, eps_cells = 0.25, 4
     norms2 = []
     for N in resolutions:
         grid = make_grid(1, L, N)
@@ -688,7 +690,6 @@ def derivative_mapping_sweep(s: float, p: float, family: str, op: str,
     """
     resolutions = list(_rungs(resolutions))
     ref_N = min(resolutions)
-    other = OP_NEUMANN if op == OP_DIRICHLET else OP_DIRICHLET
     cross, same = [], []
     for N in resolutions:
         grid = make_grid(n, L, N)
@@ -699,7 +700,7 @@ def derivative_mapping_sweep(s: float, p: float, family: str, op: str,
             den_cross = sobolev_norm(
                 f, SpaceSpec("sobolev", s, p, None, True, op))
             num_cross = sobolev_norm(
-                nd, SpaceSpec("sobolev", s - 1.0, p, None, True, other))
+                nd, SpaceSpec("sobolev", s - 1.0, p, None, True, nd.bc))
             num_same = lp_norm(frac_power(nd.with_bc(None), op, s), p)
             den_same = sobolev_norm(
                 f, SpaceSpec("sobolev", s + 1.0, p, None, True, op))

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BoundaryTagError
-from .grid import BC_DIRICHLET, BC_NEUMANN, HalfField, SampledField
+from .grid import (BC_DIRICHLET, BC_NEUMANN, HalfField, SampledField,
+                   _bc_guard)
 
 __all__ = ["odd_extend", "even_extend", "restrict"]
 
@@ -31,15 +31,13 @@ def _extend(hf: HalfField, sign: float) -> SampledField:
 
 def odd_extend(hf: HalfField) -> SampledField:
     """Extend by f(-x') = -f(x') in the normal coordinate."""
-    if hf.bc == BC_NEUMANN:
-        raise BoundaryTagError("odd extension of a Neumann-tagged field")
+    _bc_guard(BC_DIRICHLET, hf)
     return _extend(hf, -1.0)
 
 
 def even_extend(hf: HalfField) -> SampledField:
     """Extend by f(-x') = f(x') in the normal coordinate."""
-    if hf.bc == BC_DIRICHLET:
-        raise BoundaryTagError("even extension of a Dirichlet-tagged field")
+    _bc_guard(BC_NEUMANN, hf)
     return _extend(hf, +1.0)
 
 

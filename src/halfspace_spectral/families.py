@@ -17,23 +17,24 @@ Available names:
     smooth compactly supported bumps well inside the half-box;
     admissible for both calculi.
 ``boundary_adversarial``
-    a x_n step(x_n / sigma) profiles: Dirichlet-admissible with a
+    a x_n step(x_n / sigma) profiles: Dirichlet-only, with a
     deliberately nonzero normal derivative at the boundary.
 ``counterexample``
     the fixed pair f = g = x_n phi(x_n) (times tangential cutoffs for
     n >= 2) with phi the canonical smooth step equal to 1 on
     [0, 1/2] and 0 beyond 1.
 ``sine`` / ``cosine``
-    single eigenmodes, lowest ones first.
+    single eigenmodes, lowest ones first; ``sine`` is Dirichlet-only
+    and ``cosine`` Neumann-only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
-from .grid import BC_DIRICHLET, BC_NEUMANN, GridSpec, HalfField, sample_half
-from .halfspace_ops import OP_DIRICHLET, _check_op
+from .errors import BoundaryTagError, ConfigError
+from .grid import (BC_DIRICHLET, BC_NEUMANN, GridSpec, HalfField, _bc_guard,
+                   sample_half)
 from .spectral import _half_synthesis, _resolved_octaves, smooth_step
 
 __all__ = ["cutoff_profile", "bump", "counterexample_expr", "make_family",
@@ -41,6 +42,10 @@ __all__ = ["cutoff_profile", "bump", "counterexample_expr", "make_family",
 
 FAMILY_NAMES = ("band_random", "bump_random", "boundary_adversarial",
                 "counterexample", "sine", "cosine")
+
+#: the families with one boundary condition; the rest are tagged ``op``
+_FIXED_BC = {"boundary_adversarial": BC_DIRICHLET, "sine": BC_DIRICHLET,
+             "cosine": BC_NEUMANN}
 
 
 def cutoff_profile(x, scale: float = 1.0):
@@ -88,7 +93,7 @@ def _mode_range(grid: GridSpec, ref_N: int):
     return m_lo, m_hi
 
 
-def _band_random(grid: GridSpec, parity: str, rng, ref_N: int) -> HalfField:
+def _band_random(grid: GridSpec, op: str, rng, ref_N: int) -> HalfField:
     m_lo, m_hi = _mode_range(grid, ref_N)
     n_modes = int(rng.integers(6, 13))
     # log-uniform spread over the usable modes; distinct, as synthesis asks
@@ -97,13 +102,12 @@ def _band_random(grid: GridSpec, parity: str, rng, ref_N: int) -> HalfField:
     amps = rng.normal(0.0, 1.0, ms.size)
     phases = rng.uniform(0.0, 2.0 * np.pi, (ms.size, max(grid.n - 1, 1)))
 
-    odd = parity == BC_DIRICHLET
     # each tangential factor at a low mode, random phase
-    values = _half_synthesis(grid, odd, [
+    values = _half_synthesis(grid, _bc_guard(op)[1], [
         (m, amps[i], [(1 + (int(m) + ax) % 4, phases[i, ax])
                       for ax in range(grid.n - 1)])
         for i, m in enumerate(ms)])
-    return HalfField(grid, values, BC_DIRICHLET if odd else BC_NEUMANN)
+    return HalfField(grid, values, op)
 
 
 def _bump_span(grid: GridSpec):
@@ -114,7 +118,7 @@ def _bump_span(grid: GridSpec):
     return lo, hi
 
 
-def _bump_random(grid: GridSpec, parity: str, rng) -> HalfField:
+def _bump_random(grid: GridSpec, op: str, rng) -> HalfField:
     n_bumps = int(rng.integers(1, 4))
     lo, hi = _bump_span(grid)
     centers = rng.uniform(lo, hi, (n_bumps, grid.n))
@@ -131,8 +135,7 @@ def _bump_random(grid: GridSpec, parity: str, rng) -> HalfField:
             out = out + term
         return out
 
-    bc = BC_DIRICHLET if parity == BC_DIRICHLET else BC_NEUMANN
-    return sample_half(grid, expr, bc=bc)
+    return sample_half(grid, expr, bc=op)
 
 
 def _boundary_adversarial(grid: GridSpec, rng) -> HalfField:
@@ -151,23 +154,23 @@ def _boundary_adversarial(grid: GridSpec, rng) -> HalfField:
     return sample_half(grid, expr, bc=BC_DIRICHLET)
 
 
-def _eigenmode(grid: GridSpec, parity: str, index: int) -> HalfField:
+def _eigenmode(grid: GridSpec, op: str, index: int) -> HalfField:
     k = np.pi * (index + 1) / grid.L
-    if parity == BC_DIRICHLET:
-        return sample_half(grid, lambda *c: np.sin(k * c[-1]),
-                           bc=BC_DIRICHLET)
-    return sample_half(grid, lambda *c: np.cos(k * c[-1]), bc=BC_NEUMANN)
+    mode = np.sin if _bc_guard(op)[1] else np.cos
+    return sample_half(grid, lambda *c: mode(k * c[-1]), bc=op)
 
 
 def _check_draw(name: str, grid, op: str, count, seed, ref_N=None) -> None:
-    """The one check of a draw: a known name and operator (the adversarial
-    family is Dirichlet-tagged), integers count >= 1 and seed >= 0, room
+    """The one check of a draw: a known name and operator, one the
+    family takes (``_FIXED_BC``), integers count >= 1 and seed >= 0, room
     for bumps in the box and modes in the band of ref_N (default N)."""
     if name not in FAMILY_NAMES:
         raise ConfigError(f"unknown family {name!r} (have {FAMILY_NAMES})")
-    if _check_op(op) != OP_DIRICHLET and name == "boundary_adversarial":
-        raise ConfigError(
-            "the adversarial family is Dirichlet-tagged by design")
+    _bc_guard(op)
+    if _FIXED_BC.get(name, op) != op:
+        raise BoundaryTagError(
+            f"the {name} family is tagged {_FIXED_BC[name]!r} by design, "
+            f"not {op!r}")
     for what, v, least in (("family count", count, 1), ("seed", seed, 0)):
         if not isinstance(v, (int, np.integer)) or v < least:
             raise ConfigError(f"{what} {v!r} must be an integer >= {least}")
@@ -200,8 +203,6 @@ def make_family(name: str, grid: GridSpec, op: str, seed: int, count: int,
             # the same samples under either interpretation; the tag
             # decides which reflection the norms will use
             out.append(sample_half(grid, counterexample_expr(), bc=op))
-        elif name == "sine":
-            out.append(_eigenmode(grid, BC_DIRICHLET, i))
         else:
-            out.append(_eigenmode(grid, BC_NEUMANN, i))
+            out.append(_eigenmode(grid, op, i))
     return out

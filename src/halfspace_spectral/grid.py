@@ -14,6 +14,10 @@ supported in the central half of the box (|x_i| <= L/2) so that
 periodization error stays below 1e-10.  Exactly band-limited fields are
 native to the box and exempt.  Nothing enforces this; the spectral leak
 guards downstream catch the worst offenders.
+
+The boundary tags and their one rule live here: every module reads
+which calculus a field runs in through ``_bc_guard``, and the tag of a
+normal derivative through ``_BC_SWAP``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import BoundaryTagError, ConfigError
 
 __all__ = [
     "BC_DIRICHLET",
@@ -46,6 +50,8 @@ BC_DIRICHLET = "dirichlet"
 BC_NEUMANN = "neumann"
 _BC_CODES = {None: 0, BC_DIRICHLET: 1, BC_NEUMANN: 2}
 _BC_FROM_CODE = {v: k for k, v in _BC_CODES.items()}
+#: the normal derivative maps each calculus to the other
+_BC_SWAP = {BC_DIRICHLET: BC_NEUMANN, BC_NEUMANN: BC_DIRICHLET}
 
 
 @dataclass(frozen=True)
@@ -147,6 +153,21 @@ class HalfField:
 
     def with_bc(self, bc: str | None) -> "HalfField":
         return HalfField(self.grid, self.values, bc)
+
+
+def _bc_guard(op: str, hf: HalfField | None = None):
+    """The boundary rule: ``op`` is Dirichlet or Neumann (ConfigError),
+    and ``hf`` is untagged or tagged ``op`` (BoundaryTagError).  Returns
+    ``hf`` tagged ``op`` (None without a field) and whether the calculus
+    is the odd one, the sine modes of Dirichlet."""
+    if op not in (BC_DIRICHLET, BC_NEUMANN):
+        raise ConfigError(f"unknown operator {op!r}")
+    if hf is not None and hf.bc != op:
+        if hf.bc is not None:
+            raise BoundaryTagError(
+                f"field is tagged {hf.bc!r} but the calculus is {op!r}")
+        hf = hf.with_bc(op)
+    return hf, op == BC_DIRICHLET
 
 
 def make_grid(n: int, L: float, N: int) -> GridSpec:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import BoundaryTagError, ConfigError
 from .extension import even_extend, odd_extend
-from .grid import BC_DIRICHLET, BC_NEUMANN, HalfField
+from .grid import BC_DIRICHLET, BC_NEUMANN, HalfField, _BC_SWAP, _bc_guard
 from .spectral import (Multiplier, _half_multiplier, _half_multiplier_energy,
                        _half_normal_derivative, _half_tangential_derivative,
                        _power_multiplier, _require_zero_mean,
@@ -53,31 +53,16 @@ OP_DIRICHLET = BC_DIRICHLET
 OP_NEUMANN = BC_NEUMANN
 
 
-def _check_op(op: str) -> str:
-    if op not in (OP_DIRICHLET, OP_NEUMANN):
-        raise ConfigError(f"unknown operator {op!r}")
-    return op
-
-
 def extend_for(hf: HalfField, op: str):
     """Parity extension matching the operator's boundary condition."""
-    return odd_extend(hf) if _check_op(op) == OP_DIRICHLET else even_extend(hf)
-
-
-def _is_odd(hf: HalfField, bc: str) -> bool:
-    """Whether ``hf`` goes through the sine modes in the ``bc`` calculus
-    (Dirichlet) rather than the cosine modes, after the tag check."""
-    if hf.bc is not None and hf.bc != bc:
-        raise BoundaryTagError(
-            f"{hf.bc}-tagged field in the {bc} calculus")
-    return bc != OP_NEUMANN
+    return odd_extend(hf) if _bc_guard(op)[1] else even_extend(hf)
 
 
 def _calculus(hf: HalfField, op: str, m: Multiplier,
               key: tuple | None = None) -> HalfField:
     """The multiplier ``m`` in the ``op`` calculus, tagged ``op``; ``key``
     names a package multiplier whose checked symbol may be reused."""
-    odd = _is_odd(hf, _check_op(op))
+    odd = _bc_guard(op, hf)[1]
     return HalfField(hf.grid,
                      _half_multiplier(hf.values, hf.grid, m, odd, key), op)
 
@@ -86,14 +71,14 @@ def _calculus_energy(hf: HalfField, op: str, m: Multiplier,
                      key: tuple | None = None) -> float:
     """The squared half-space L^2 norm of ``_calculus(hf, op, m, key)``,
     by Parseval on its coefficients, with no inverse transform."""
-    odd = _is_odd(hf, _check_op(op))
+    odd = _bc_guard(op, hf)[1]
     return _half_multiplier_energy(hf.values, hf.grid, m, odd, key)
 
 
 def _power_symbol(hf: HalfField, op: str, s: float) -> tuple:
     """The multiplier and symbol key of :func:`frac_power`, after its
     zero-mean guard."""
-    if s < 0 and not _is_odd(hf, _check_op(op)):
+    if s < 0 and not _bc_guard(op, hf)[1]:
         _require_zero_mean(hf, f"negative-order power s={s}")
     return _power_multiplier(s), ("power", float(s))
 
@@ -130,12 +115,12 @@ def normal_derivative(hf: HalfField) -> HalfField:
     Untagged input is refused: the choice of calculus would be
     arbitrary and the two choices genuinely differ.
     """
-    if hf.bc not in (BC_DIRICHLET, BC_NEUMANN):
+    if hf.bc is None:
         raise BoundaryTagError(
             "normal derivative needs a boundary-tagged field")
-    odd = _is_odd(hf, hf.bc)
+    odd = _bc_guard(hf.bc)[1]
     return HalfField(hf.grid, _half_normal_derivative(hf.values, hf.grid, odd),
-                     BC_NEUMANN if odd else BC_DIRICHLET)
+                     _BC_SWAP[hf.bc])
 
 
 def tangential_derivative(hf: HalfField, k: int) -> HalfField:

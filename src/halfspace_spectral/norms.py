@@ -45,10 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalGuardError
-from .grid import HalfField, _exponent, lp_norm
+from .grid import HalfField, _bc_guard, _exponent, lp_norm
 from .halfspace_ops import (OP_DIRICHLET, _calculus, _calculus_energy,
-                            _check_op, _is_odd, _power_symbol, extend_for,
-                            frac_power)
+                            _power_symbol, extend_for, frac_power)
 from .spectral import DyadicBank, Multiplier, _HalfSpectrum, _Octave
 
 __all__ = [
@@ -81,7 +80,7 @@ class SpaceSpec:
     def __post_init__(self):
         if self.kind not in ("sobolev", "besov"):
             raise ConfigError(f"unknown space kind {self.kind!r}")
-        _check_op(self.op)
+        _bc_guard(self.op)
         if not np.isfinite(self.s):
             raise ConfigError("regularity s must be finite")
         _exponent(self.p, "integrability p")
@@ -98,13 +97,11 @@ class SpaceSpec:
 
 
 def _checked(hf: HalfField, spec: SpaceSpec, kind: str, what: str):
-    """Kind and boundary-tag checks; returns the field tagged spec.op."""
+    """The kind check and the boundary guard: returns the field tagged
+    spec.op and whether its calculus is the odd (sine) one."""
     if spec.kind != kind:
         raise ConfigError(f"{what} needs a {kind} SpaceSpec")
-    if hf.bc is not None and hf.bc != spec.op:
-        raise ConfigError(
-            f"field tagged {hf.bc!r} evaluated in a {spec.op!r} norm")
-    return hf if hf.bc is not None else hf.with_bc(spec.op)
+    return _bc_guard(spec.op, hf)
 
 
 def _image_norms(p: float, image, energy, box_op: str | None = None):
@@ -126,7 +123,7 @@ def _image_norms(p: float, image, energy, box_op: str | None = None):
 
 
 def sobolev_norm(hf: HalfField, spec: SpaceSpec) -> float:
-    work = _checked(hf, spec, "sobolev", "sobolev_norm")
+    work = _checked(hf, spec, "sobolev", "sobolev_norm")[0]
     if spec.homogeneous:
         return _image_norms(
             spec.p, lambda: frac_power(work, spec.op, spec.s),
@@ -193,8 +190,8 @@ def _dyadic_pass(hf: HalfField, spec: SpaceSpec, bank: DyadicBank,
     Returns the half-space report and, with ``box``, the same norm over
     the full box of the blocks' parity extensions (else None).
     """
-    work = _checked(hf, spec, "besov", what)
-    spectrum = _HalfSpectrum(work.values, work.grid, _is_odd(work, spec.op))
+    work, odd = _checked(hf, spec, "besov", what)
+    spectrum = _HalfSpectrum(work.values, work.grid, odd)
     leak = _check_leak(spectrum, bank, spec)
     norms = _band_norms(work, spectrum, spec.p, spec.op if box else None)
     j_lo = bank.j_min if spec.homogeneous else max(bank.j_min, 1)
@@ -271,7 +268,7 @@ def besov_norm_semigroup(hf: HalfField, spec: SpaceSpec, M: int | None = None,
     ``bank`` at 16 quadrature nodes per decade.  Pass a wider custom
     ``t_grid`` when validating against closed forms.
     """
-    work = _checked(hf, spec, "besov", "semigroup characterization")
+    work, odd = _checked(hf, spec, "besov", "semigroup characterization")
     if M is None:
         M = int(np.ceil(spec.s / 2.0)) + 1
     if not (isinstance(M, (int, np.integer)) and M > spec.s / 2.0 and M >= 1):
@@ -295,9 +292,8 @@ def besov_norm_semigroup(hf: HalfField, spec: SpaceSpec, M: int | None = None,
         if t_grid.size == 0:
             raise ConfigError("inhomogeneous variant integrates over (0, 1]")
 
-    norms = _band_norms(
-        work, _HalfSpectrum(work.values, work.grid, _is_odd(work, spec.op)),
-        spec.p)
+    norms = _band_norms(work, _HalfSpectrum(work.values, work.grid, odd),
+                        spec.p)
     cut = _heat_cut(M)
     vals = np.empty(t_grid.size)
     for i, t in enumerate(t_grid):

@@ -114,12 +114,14 @@ def test_sobolev_sweeps_take_no_q():
     {"family": "perlin"}, {"seed": -1}, {"L": -1.0}, {"n": 0},
     {"count": 1.5}, {"resolutions": (512, 1000)},
     {"family": "boundary_adversarial", "op": OP_NEUMANN},
+    {"family": "sine", "op": OP_NEUMANN},
+    {"family": "cosine", "op": OP_DIRICHLET},
     {"family": "bump_random", "L": 3.0},
     {"family": "band_random", "resolutions": (16, 32)},
     {"n": 1.5},
 ], ids=["op", "s_nan", "s_inf", "family", "seed", "L", "n", "count_float",
-        "rung_1000", "adversarial_neumann", "bump_box", "band_coarse",
-        "n_float"])
+        "rung_1000", "adversarial_neumann", "sine_neumann",
+        "cosine_dirichlet", "bump_box", "band_coarse", "n_float"])
 def test_sweep_configs_refuse_bad_op_or_s_at_construction(make, bad):
     with pytest.raises(ConfigError):
         make(**bad)
@@ -235,8 +237,32 @@ def test_trilinear_ratio_structure(grid1d):
     assert out["ratio"] > 0.0
 
 
+def test_ratio_wrappers_refuse_a_wrong_factor_count_or_mixed_grids():
+    # a ratio of other factors than the config's, or of factors sampled
+    # on different grids, measures nothing
+    grid = make_grid(1, 16.0, 1024)
+    f, g, h = make_family("bump_random", grid, OP_DIRICHLET, 0, 3)
+    bi = BilinearConfig(s=1.0, p=2.0, resolutions=(1024,))
+    tri = TrilinearConfig(s=1.0, p=2.0, resolutions=(1024,))
+    with pytest.raises(ConfigError, match="3 factors needed, 2 given"):
+        bilinear_ratio(f, g, tri)
+    with pytest.raises(ConfigError, match="2 factors needed, 3 given"):
+        trilinear_ratio(f, g, h, bi)
+    for other in (make_grid(1, 12.0, 1024), make_grid(1, 16.0, 2048)):
+        o = make_family("bump_random", other, OP_DIRICHLET, 0, 1)[0]
+        with pytest.raises(ConfigError, match="different grids"):
+            bilinear_ratio(f, o, bi)
+        with pytest.raises(ConfigError, match="different grids"):
+            trilinear_ratio(f, g, o, tri)
+
+
 # ---------------------------------------------------------------------------
 # fits and the growth verdict
+
+def test_fit_line_refuses_a_degenerate_abscissa():
+    with pytest.raises(ConfigError, match="degenerate abscissa"):
+        fit_line(np.full(3, 2.0), np.array([1.0, 2.0, 3.0]))
+
 
 def test_fit_line_recovers_exact_lines():
     x = np.array([0.0, 1.0, 2.0, 3.0])
@@ -593,6 +619,19 @@ def test_profile_window_validation():
     g2 = make_grid(1, 16.0, 8192)
     with pytest.raises(ConfigError):
         singularity_profile(INF, g2)
+
+
+def test_profile_diagnostics_refuse_what_they_cannot_fit():
+    with pytest.raises(ConfigError, match="needs L >= 4"):
+        counterexample_fields(make_grid(1, 3.0, 512))
+    with pytest.raises(ConfigError, match="profile diagnostics are 1-D"):
+        singularity_profile(2.0, make_grid(2, 16.0, 64))
+    with pytest.raises(ConfigError, match="octaves above the support"):
+        besov_block_floor(2.0, make_grid(1, 16.0, 512))
+    # a box narrower than the window: the cells from 8 h on run out
+    # before the window is filled
+    with pytest.raises(ConfigError, match="fewer than 8 samples"):
+        singularity_profile(2.0, make_grid(1, 0.05, 16))
 
 
 def test_profile_fits_the_expected_exponent_small():

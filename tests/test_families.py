@@ -8,6 +8,7 @@ import pytest
 from halfspace_spectral import (
     BC_DIRICHLET,
     BC_NEUMANN,
+    BoundaryTagError,
     ConfigError,
     FAMILY_NAMES,
     OP_DIRICHLET,
@@ -15,15 +16,18 @@ from halfspace_spectral import (
     bump,
     cutoff_profile,
     counterexample_expr,
+    derivative_mapping_sweep,
     make_family,
     make_grid,
     sample_half,
 )
+from halfspace_spectral import families
 
 
 def test_every_advertised_family_builds(grid1d):
     for name in FAMILY_NAMES:
-        op = OP_DIRICHLET
+        # the cosine modes are the one Neumann-only family
+        op = OP_NEUMANN if name == "cosine" else OP_DIRICHLET
         flds = make_family(name, grid1d, op, 1, 2, grid1d.N)
         assert len(flds) == 2
         for f in flds:
@@ -108,11 +112,21 @@ def test_negative_seed_is_a_config_error(grid1d):
         make_family("bump_random", grid1d, OP_DIRICHLET, -1, 1)
 
 
-def test_adversarial_family_is_dirichlet_only(grid1d):
+def test_adversarial_family_is_dirichlet_only(grid1d, monkeypatch):
     flds = make_family("boundary_adversarial", grid1d, OP_DIRICHLET, 2, 2)
     assert all(f.bc == BC_DIRICHLET for f in flds)
-    with pytest.raises(ConfigError):
-        make_family("boundary_adversarial", grid1d, OP_NEUMANN, 2, 2)
+
+    # the families with one boundary condition refuse the other before
+    # any field is drawn, by themselves and inside a mapping sweep
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a field was drawn")
+    monkeypatch.setattr(families, "sample_half", no_draw)
+    for name, op in (("boundary_adversarial", OP_NEUMANN),
+                     ("sine", OP_NEUMANN), ("cosine", OP_DIRICHLET)):
+        with pytest.raises(BoundaryTagError, match=f"the {name} family"):
+            make_family(name, grid1d, op, 2, 2)
+        with pytest.raises(BoundaryTagError, match=f"the {name} family"):
+            derivative_mapping_sweep(0.3, 2.0, name, op, 0, 2, (512, 1024))
 
 
 def test_adversarial_fields_are_linear_at_the_wall(grid1d):

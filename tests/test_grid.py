@@ -1,5 +1,8 @@
-"""Grid geometry, sampling, norms and the binary field format."""
+"""Grid geometry, sampling, norms, the boundary rule and the binary
+field format."""
 
+import contextlib
+import io
 import struct
 
 import numpy as np
@@ -10,19 +13,32 @@ from hypothesis import strategies as st
 from halfspace_spectral import (
     BC_DIRICHLET,
     BC_NEUMANN,
+    BoundaryTagError,
     ConfigError,
     GridSpec,
     HalfField,
     SampledField,
+    SpaceSpec,
+    besov_norm,
+    besov_norm_semigroup,
     bump,
+    even_extend,
+    extend_for,
+    extension_norm_equivalence,
+    frac_power,
+    get_bank,
     integrate,
     load_field,
     lp_norm,
     make_grid,
+    odd_extend,
     sample,
     sample_half,
     save_field,
+    semigroup,
+    sobolev_norm,
 )
+from halfspace_spectral.cli import build_parser, cmd_norm, main
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +224,60 @@ def test_integrate_bump_matches_quadrature(grid1d):
 def test_integrate_odd_mode_vanishes(grid1d):
     full = sample(grid1d, lambda x: np.sin(np.pi * 3 * x / grid1d.L))
     assert abs(integrate(full)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the boundary rule
+
+def _besov(op):
+    return SpaceSpec("besov", 0.5, 2.0, 2.0, True, op)
+
+
+def _cli_norm(f, op, tmp_path):
+    """`norm` on a saved file: the command raises, and the CLI exits 2
+    with the message."""
+    path = tmp_path / "field.hsf"
+    save_field(f, path)
+    argv = ["norm", "--field", f"file:{path}", "--N", str(f.grid.N),
+            "--L", str(f.grid.L), "--op", op]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        assert main(argv) == 2
+    assert f"is tagged {f.bc!r}" in err.getvalue()
+    cmd_norm(build_parser().parse_args(argv))
+
+
+# each entry runs a field in the calculus that its tag excludes
+_TAG_FAULTS = {
+    "frac_power": lambda f, op, _: frac_power(f, op, 1.0),
+    "semigroup": lambda f, op, _: semigroup(f, op, 0.1),
+    "extend_for": lambda f, op, _: extend_for(f, op),
+    "odd_extend": lambda f, op, _: odd_extend(f.with_bc(BC_NEUMANN)),
+    "even_extend": lambda f, op, _: even_extend(f),
+    "sobolev_norm": lambda f, op, _: sobolev_norm(
+        f, SpaceSpec("sobolev", 1.0, 2.0, None, True, op)),
+    "besov_norm": lambda f, op, _: besov_norm(f, _besov(op),
+                                              get_bank(f.grid)),
+    "besov_norm_semigroup": lambda f, op, _: besov_norm_semigroup(
+        f, _besov(op), bank=get_bank(f.grid)),
+    "extension_norm_equivalence": lambda f, op, _: extension_norm_equivalence(
+        f, _besov(op), get_bank(f.grid)),
+    "cli_norm": _cli_norm,
+}
+
+
+@pytest.mark.parametrize("entry", list(_TAG_FAULTS.values()),
+                         ids=list(_TAG_FAULTS))
+def test_every_entry_refuses_a_tag_fault_alike(entry, tmp_path):
+    # one guard owns the rule, so every entry raises the same error with
+    # the same message
+    f = sample_half(make_grid(1, 16.0, 512), lambda x: bump(x, 4.0, 1.0),
+                    bc=BC_DIRICHLET)
+    with pytest.raises(BoundaryTagError,
+                       match=r"^field is tagged '(dirichlet|neumann)' but "
+                             r"the calculus is '(dirichlet|neumann)'$"):
+        entry(f, BC_NEUMANN, tmp_path)
 
 
 # ---------------------------------------------------------------------------

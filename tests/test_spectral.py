@@ -606,6 +606,12 @@ def test_quadrature_route_order_range():
         singular_integral_frac_lap(f, 0.0)
 
 
+def test_quadrature_route_is_one_dimensional():
+    f = sample(make_grid(2, 8.0, 16), lambda x, y: bump(x, 0.0, 2.0) * y)
+    with pytest.raises(ConfigError, match="1-D only"):
+        singular_integral_frac_lap(f, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # property checks
 
