@@ -5,8 +5,12 @@ A sweep's config is a frozen, keyword-only ``_ProductConfig``, which
 owns the shared sweep fields and their defaults and checks every one
 when built, the family draw and each rung's grid included;
 ``BilinearConfig`` and ``TrilinearConfig`` only translate their
-constructors, with the diagonal exponents by default.  Every
-resolution ladder, a sweep's or a diagnostic's, goes through ``_rungs``.
+constructors, with the diagonal exponents by default, and the
+derivative mapping checks its input as the config of one factor.
+Every resolution ladder, a sweep's, a mapping's or a diagnostic's, is
+owned by ``_rungs``: it gives the ladder's grids, coarsest first, and
+refuses a bad ladder before the first draw or transform.  Nothing else
+here sorts, dedupes or casts a resolution list.
 
 A ladder that ends in a verdict, a product sweep's or a derivative
 mapping's, keeps one growth record, built by ``_growth``: its rows, the
@@ -45,10 +49,10 @@ import numpy as np
 
 from . import __version__, norms
 from .errors import ConfigError, NumericalGuardError
-from .extension import odd_extend
+from .extension import odd_extend, restrict
 from .families import _check_draw, cutoff_profile, make_family
-from .grid import (GridSpec, HalfField, _exponent, lp_norm, make_grid,
-                   sample_half)
+from .grid import (GridSpec, HalfField, _bc_guard, _exponent, lp_norm,
+                   make_grid, sample_half)
 from .halfspace_ops import (OP_DIRICHLET, boundary_trace, frac_power,
                             normal_derivative, tangential_derivative)
 from .norms import SpaceSpec, _band_norms, besov_norm, sobolev_norm
@@ -94,15 +98,17 @@ def _check_holder(p, parts, what):
             f"{what}: 1/p = {lhs!r} but exponents {parts} sum to {rhs!r}")
 
 
-def _rungs(resolutions) -> tuple:
-    """A resolution ladder, sorted; refuses an empty one or a repeated
-    rung."""
-    res = tuple(sorted(int(N) for N in resolutions))
+def _rungs(resolutions, n: int, L: float) -> tuple:
+    """The grids of a resolution ladder, coarsest first; refuses an
+    empty ladder, a repeated rung and any rung that GridSpec refuses."""
+    grids = sorted((make_grid(n, L, N) for N in resolutions),
+                   key=lambda g: g.N)
+    res = tuple(g.N for g in grids)
     if not res:
         raise ConfigError("at least one resolution required")
     if len(set(res)) < len(res):
         raise ConfigError(f"resolutions {res} repeat a rung")
-    return res
+    return tuple(grids)
 
 
 def _diagonal(p, k):
@@ -149,8 +155,8 @@ class _ProductConfig:
         SpaceSpec(self.kind, self.s, p, self.q, self.homogeneous, self.op)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "resolutions", _rungs(self.resolutions))
-        grids = [make_grid(self.n, self.L, N) for N in self.resolutions]
+        grids = _rungs(self.resolutions, self.n, self.L)
+        object.__setattr__(self, "resolutions", tuple(g.N for g in grids))
         _check_draw(self.family, grids[0], self.op, self.count, self.seed)
         if self.family == "counterexample":
             # one fixed field: a sweep draws it once, whatever the count
@@ -354,13 +360,15 @@ def _config_echo(cfg) -> dict:
     return out
 
 
-def _family_tuples(cfg, grid, ref_N):
+def _family_tuples(cfg, grid):
+    """The draws of ``cfg`` on ``grid``, one ``arity``-tuple each, kept
+    in the band of the coarsest rung."""
     arity = cfg.arity
     if cfg.family == "counterexample":
         f = make_family("counterexample", grid, cfg.op, cfg.seed, 1)[0]
         return [(f,) * arity]
     fields = make_family(cfg.family, grid, cfg.op, cfg.seed,
-                         arity * cfg.count, ref_N)
+                         arity * cfg.count, cfg.resolutions[0])
     return [tuple(fields[arity * i + j] for j in range(arity))
             for i in range(cfg.count)]
 
@@ -399,13 +407,12 @@ def ratio_sweep(cfg) -> RatioReport:
     """Run the configured family over every resolution and classify."""
     t0 = time.perf_counter()
     ratio = bilinear_ratio if cfg.arity == 2 else trilinear_ratio
-    ref_N = min(cfg.resolutions)
     measured, banks = [], []
     for N in cfg.resolutions:
         grid = make_grid(cfg.n, cfg.L, N)
         banks.append(get_bank(grid) if cfg.kind == "besov" else None)
         measured.append([])
-        for tup in _family_tuples(cfg, grid, ref_N):
+        for tup in _family_tuples(cfg, grid):
             r = ratio(*tup, cfg, banks[-1])
             measured[-1].append((r["lhs"], r["rhs"]))
     rec = _growth(cfg.resolutions, measured, "pair")
@@ -432,9 +439,10 @@ def leibniz_decomposition(f: HalfField, g: HalfField) -> dict:
     counterexample exploits, and it shows up here as a residual that
     decays like N^(-1/2) instead.  When fg vanishes, so that A_D(fg)
     is exactly 0, the report is ``degenerate`` and the residual NaN.
+    Untagged factors run in the Dirichlet calculus.
     """
-    if f.bc != OP_DIRICHLET or g.bc != OP_DIRICHLET:
-        raise ConfigError("leibniz decomposition expects Dirichlet tags")
+    f, _ = _bc_guard(OP_DIRICHLET, f)
+    g, _ = _bc_guard(OP_DIRICHLET, g)
     if f.grid != g.grid:
         raise ConfigError("factors live on different grids")
     n = f.grid.n
@@ -510,10 +518,6 @@ def singularity_profile(p: float, grid: GridSpec) -> dict:
     _check_diagnostic_exponent(p)
     s = 1.0 / p
     field = _phi_half(grid)
-    spec_vals = frac_power(field, OP_DIRICHLET, s).values
-    quad_box = singular_integral_frac_lap(odd_extend(field), s).values
-    quad_vals = quad_box[grid.N // 2:]
-
     x = grid.half_coords()
     lo, delta = 8 * grid.h, 0.2
     if lo >= delta / 2.0:
@@ -524,6 +528,10 @@ def singularity_profile(p: float, grid: GridSpec) -> dict:
     # L < 0.1) ends before them
     if int(mask.sum()) < 8:
         raise ConfigError("fewer than 8 samples in the fit window")
+
+    spec_vals = frac_power(field, OP_DIRICHLET, s).values
+    quad = singular_integral_frac_lap(odd_extend(field), s)
+    quad_box, quad_vals = quad.values, restrict(quad).values
 
     sv, qv = spec_vals[mask], quad_vals[mask]
     diff = float(np.linalg.norm(sv - qv) / np.linalg.norm(sv))
@@ -652,18 +660,22 @@ def singular_window_growth(p: float, L: float, resolutions) -> dict:
     """||Lambda^(1/p) Phi_odd||_{L^2(eps, delta)}^2 against log N.
 
     The window is (4 h, 0.25); its floor shrinks with the mesh, so at
-    the critical order the squared norm grows linearly in log N.
+    the critical order the squared norm grows linearly in log N.  The
+    line needs a ladder of two rungs or more.
     """
     _check_diagnostic_exponent(p)
-    resolutions = list(_rungs(resolutions))
+    grids = _rungs(resolutions, 1, L)
+    resolutions = [g.N for g in grids]
+    if len(grids) < 2:
+        raise ConfigError(f"window growth fits a line over the ladder "
+                          f"{resolutions}, which needs two rungs or more")
     delta, eps_cells = 0.25, 4
     norms2 = []
-    for N in resolutions:
-        grid = make_grid(1, L, N)
+    for grid in grids:
         out = frac_power(_phi_half(grid), OP_DIRICHLET, 1.0 / p).values
         x = grid.half_coords()
         mask = (x > eps_cells * grid.h) & (x < delta)
-        norms2.append(float(grid.h * np.sum(out[mask] ** 2)))
+        norms2.append(float(grid.cell_volume * np.sum(out[mask] ** 2)))
     fit = fit_line(np.log(np.asarray(resolutions, dtype=float)),
                    np.asarray(norms2))
     return {
@@ -687,15 +699,20 @@ def derivative_mapping_sweep(s: float, p: float, family: str, op: str,
             bounded only for 0 <= s < 1/p; above that threshold the
             odd extension of d_n f carries a jump and the ratio climbs
             under refinement.
+
+    The input is checked as the product config of one factor, before
+    the first draw; like a sweep, it draws the fixed ``counterexample``
+    field once per rung, whatever the count.
     """
-    resolutions = list(_rungs(resolutions))
-    ref_N = min(resolutions)
+    cfg = _ProductConfig(s=s, p=p, exponents=((p,),), op=op, family=family,
+                         seed=seed, count=count, resolutions=resolutions,
+                         L=L, n=n)
     cross, same = [], []
-    for N in resolutions:
+    for N in cfg.resolutions:
         grid = make_grid(n, L, N)
         cross.append([])
         same.append([])
-        for f in make_family(family, grid, op, seed, count, ref_N):
+        for (f,) in _family_tuples(cfg, grid):
             nd = normal_derivative(f)
             den_cross = sobolev_norm(
                 f, SpaceSpec("sobolev", s, p, None, True, op))
@@ -707,9 +724,9 @@ def derivative_mapping_sweep(s: float, p: float, family: str, op: str,
             cross[-1].append((num_cross, den_cross))
             same[-1].append((num_same, den_same))
     out = {"s": s, "p": p, "family": family, "op": op,
-           "threshold": 1.0 / p, "resolutions": resolutions}
+           "threshold": 1.0 / p, "resolutions": list(cfg.resolutions)}
     for name, measured in (("cross", cross), ("same", same)):
-        rec = _growth(resolutions, measured, "index")
+        rec = _growth(cfg.resolutions, measured, "index")
         out[name] = {"items": rec["items"],
                      "max": [e["max_ratio"] for e in rec["per_resolution"]],
                      "verdict": rec["verdict"], "fits": rec["fits"],

@@ -43,6 +43,6 @@ def even_extend(hf: HalfField) -> SampledField:
 
 def restrict(f: SampledField, bc: str | None = None) -> HalfField:
     """Keep the x_n > 0 samples and tag the result."""
-    half = f.grid.N // 2
-    return HalfField(f.grid, f.values[..., half:].copy(), bc)
+    half = f.grid.shape(half=True)[-1]
+    return HalfField(f.grid, f.values[..., -half:].copy(), bc)
 

@@ -15,13 +15,17 @@ periodization error stays below 1e-10.  Exactly band-limited fields are
 native to the box and exempt.  Nothing enforces this; the spectral leak
 guards downstream catch the worst offenders.
 
-The boundary tags and their one rule live here: every module reads
-which calculus a field runs in through ``_bc_guard``, and the tag of a
-normal derivative through ``_BC_SWAP``.
+``GridSpec`` is the one check of a grid and the one owner of its
+layout: every module reads a field's array shape (``shape``), its cell
+volume h^n (``cell_volume``) and its coordinates and frequencies from
+it, never from N, n and h.  The boundary tags and their one rule live
+here too: every module reads which calculus a field runs in through
+``_bc_guard``, and the tag of a normal derivative through ``_BC_SWAP``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -57,7 +61,8 @@ _BC_SWAP = {BC_DIRICHLET: BC_NEUMANN, BC_NEUMANN: BC_DIRICHLET}
 @dataclass(frozen=True)
 class GridSpec:
     """Isotropic periodic grid on [-L, L)^n with N points per axis,
-    always staggered: samples sit at cell midpoints."""
+    always staggered: samples sit at cell midpoints.  Integer n and N of
+    any integer type are kept as Python ints; nothing else is cast."""
 
     n: int
     L: float
@@ -71,11 +76,23 @@ class GridSpec:
         N = self.N
         if not isinstance(N, (int, np.integer)) or N < 8 or N & (N - 1):
             raise ConfigError(f"N={N!r} must be a power of two >= 8")
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "N", int(N))
 
     @property
     def h(self) -> float:
         """Mesh width 2L/N."""
         return 2.0 * self.L / self.N
+
+    @property
+    def cell_volume(self) -> float:
+        """h^n, the midpoint-rule weight of one sample."""
+        return self.h ** self.n
+
+    def shape(self, half: bool = False) -> tuple:
+        """Array shape of a field on the box, or on the half-grid x_n > 0
+        (``half``): N along every axis but the normal one of a half."""
+        return (self.N,) * (self.n - 1) + (self.N // 2 if half else self.N,)
 
     def axis_coords(self) -> np.ndarray:
         """Sample coordinates along one axis (all axes are identical)."""
@@ -83,8 +100,7 @@ class GridSpec:
 
     def half_coords(self) -> np.ndarray:
         """Coordinates of the x_n > 0 samples, increasing."""
-        x = self.axis_coords()
-        return x[self.N // 2:]
+        return self.coord_mesh(half=True)[-1].ravel()
 
     def freq_axis(self) -> np.ndarray:
         """Angular frequencies resolved along one axis (fft order)."""
@@ -101,14 +117,14 @@ class GridSpec:
         return tuple(out)
 
     def coord_mesh(self, half: bool = False):
-        """Tuple of n broadcastable coordinate arrays."""
+        """Tuple of n broadcastable coordinate arrays, on the half-grid
+        when ``half``: an axis of M points keeps the last M samples."""
         x = self.axis_coords()
         out = []
-        for ax in range(self.n):
+        for ax, size in enumerate(self.shape(half)):
             shape = [1] * self.n
-            ax_x = x if (ax < self.n - 1 or not half) else x[self.N // 2:]
-            shape[ax] = ax_x.size
-            out.append(ax_x.reshape(shape))
+            shape[ax] = size
+            out.append(x[self.N - size:].reshape(shape))
         return tuple(out)
 
 
@@ -120,7 +136,7 @@ class SampledField:
     values: np.ndarray
 
     def __post_init__(self):
-        expect = (self.grid.N,) * self.grid.n
+        expect = self.grid.shape()
         if self.values.shape != expect:
             raise ConfigError(
                 f"full-grid values shape {self.values.shape}, expected {expect}")
@@ -140,8 +156,7 @@ class HalfField:
     bc: str | None = None
 
     def __post_init__(self):
-        N, n = self.grid.N, self.grid.n
-        expect = (N,) * (n - 1) + (N // 2,)
+        expect = self.grid.shape(half=True)
         if self.values.shape != expect:
             raise ConfigError(
                 f"half-grid values shape {self.values.shape}, expected {expect}")
@@ -172,21 +187,20 @@ def _bc_guard(op: str, hf: HalfField | None = None):
 
 def make_grid(n: int, L: float, N: int) -> GridSpec:
     """Validated grid constructor; see :class:`GridSpec`."""
-    return GridSpec(n=n, L=float(L), N=int(N))
+    return GridSpec(n=n, L=float(L), N=N)
 
 
-def _check_finite(vals: np.ndarray, grid: GridSpec, half: bool) -> None:
-    if np.all(np.isfinite(vals)):
-        return
-    idx = np.argwhere(~np.isfinite(vals))[0]
-    x = grid.axis_coords()
-    coords = []
-    for ax, i in enumerate(idx):
-        if half and ax == grid.n - 1:
-            coords.append(grid.half_coords()[i])
-        else:
-            coords.append(x[i])
-    raise ConfigError(f"sampled expression not finite at x = {tuple(coords)}")
+def _sampled(grid: GridSpec, expr, half: bool) -> np.ndarray:
+    """``expr`` on the box or, when ``half``, on the half-grid; a sample
+    that is not finite raises, naming its point."""
+    mesh = grid.coord_mesh(half)
+    vals = np.asarray(expr(*mesh), dtype=float)
+    vals = np.broadcast_to(vals, grid.shape(half)).copy()
+    if not np.all(np.isfinite(vals)):
+        idx = np.argwhere(~np.isfinite(vals))[0]
+        coords = tuple(x.ravel()[i] for x, i in zip(mesh, idx))
+        raise ConfigError(f"sampled expression not finite at x = {coords}")
+    return vals
 
 
 def sample(grid: GridSpec, expr) -> SampledField:
@@ -195,19 +209,12 @@ def sample(grid: GridSpec, expr) -> SampledField:
     ``expr`` receives broadcastable coordinate arrays and must return a
     real array.  Non-finite samples raise, naming the offending point.
     """
-    vals = np.asarray(expr(*grid.coord_mesh()), dtype=float)
-    vals = np.broadcast_to(vals, (grid.N,) * grid.n).copy()
-    _check_finite(vals, grid, half=False)
-    return SampledField(grid, vals)
+    return SampledField(grid, _sampled(grid, expr, half=False))
 
 
 def sample_half(grid: GridSpec, expr, bc: str | None = None) -> HalfField:
     """Evaluate ``expr`` on the half-grid {x_n > 0} and tag the result."""
-    vals = np.asarray(expr(*grid.coord_mesh(half=True)), dtype=float)
-    shape = (grid.N,) * (grid.n - 1) + (grid.N // 2,)
-    vals = np.broadcast_to(vals, shape).copy()
-    _check_finite(vals, grid, half=True)
-    return HalfField(grid, vals, bc)
+    return HalfField(grid, _sampled(grid, expr, half=True), bc)
 
 
 def _exponent(p, what: str) -> float:
@@ -239,12 +246,12 @@ def lp_norm(field, p: float) -> float:
     elif p != 1:
         # only the nonzero entries, for the same reason
         np.power(mass, p, out=mass, where=mass > 0)
-    return float((field.grid.h ** field.grid.n * np.sum(mass)) ** (1.0 / p))
+    return float((field.grid.cell_volume * np.sum(mass)) ** (1.0 / p))
 
 
 def integrate(field) -> float:
     """Plain midpoint integral of the field over its domain."""
-    return float(field.grid.h ** field.grid.n * np.sum(field.values))
+    return float(field.grid.cell_volume * np.sum(field.values))
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +305,8 @@ def load_field(path):
             raise ConfigError(f"{path}: stagger byte {stagger}, not 1")
         grid = make_grid(int(n), float(L), int(N))
         full = kind == 0
-        shape = (grid.N,) * (grid.n - 1) + (grid.N if full else grid.N // 2,)
-        need = grid.N ** (grid.n - 1) * shape[-1]
+        shape = grid.shape(half=not full)
+        need = math.prod(shape)
         if count != need:
             raise ConfigError(
                 f"{path}: header counts {count} values, the grid needs {need}")

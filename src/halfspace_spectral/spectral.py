@@ -508,7 +508,8 @@ def _half_synthesis(grid: GridSpec, odd: bool, modes) -> np.ndarray:
     pair +-m_t of c N/2 and conj(c) N/2, c = exp(i (phase - pi m_t +
     pi m_t / N)) on the staggered grid.
     """
-    N, M = grid.N, grid.N // 2
+    shape = grid.shape(half=True)
+    N, M = grid.N, shape[-1]
     h = M // 2
     top = max((m_t for *_, tangential in modes for m_t, _ in tangential),
               default=0)
@@ -529,8 +530,7 @@ def _half_synthesis(grid: GridSpec, odd: bool, modes) -> np.ndarray:
         half, k = divmod(M - m if odd else m, h)
         coef[half, ..., k] = functools.reduce(np.multiply.outer, factors,
                                               amp * M / 2)
-    return _half_inverse_rows(_by_rows(coef), rows,
-                              (N,) * (grid.n - 1) + (M,), odd)
+    return _half_inverse_rows(_by_rows(coef), rows, shape, odd)
 
 
 def _normal_wavenumbers(xi: np.ndarray, odd: bool) -> np.ndarray:
@@ -555,7 +555,7 @@ def _parseval_scale(grid: GridSpec) -> float:
     """The weight that turns the Parseval sum of half-space coefficients
     into a squared half-space L^2 norm: the cell volume h^n over the
     N^(n-1) N/2 points of the unnormalized transform."""
-    return grid.h ** grid.n / (grid.N ** (grid.n - 1) * (grid.N // 2))
+    return grid.cell_volume / math.prod(grid.shape(half=True))
 
 
 def _parseval_power(coef: np.ndarray) -> np.ndarray:
@@ -696,7 +696,8 @@ class _HalfSpectrum:
         key = (self.grid, octave.j)
         table = tables.get(key)
         if table is None:
-            modes2 = np.abs(self.grid.freq_axis()[:self.shape[-1] + 1]) ** 2
+            normal = self.grid.freq_mesh()[-1].ravel()
+            modes2 = np.abs(normal[:self.shape[-1] + 1]) ** 2
             modes2 = modes2[np.sqrt(modes2) < octave.radius]
             count = self.tangential.size if rows is None else rows.size
             table = np.empty((count, modes2.size))
@@ -842,7 +843,7 @@ def _half_normal_derivative(values: np.ndarray, grid: GridSpec,
     coef = _half_forward(values, odd, tangential=False)
     lo, hi = coef
     h = lo.shape[-1]
-    k = _normal_wavenumbers(grid.freq_axis(), not odd)
+    k = _normal_wavenumbers(grid.freq_mesh()[-1], not odd).ravel()
     if not odd:
         k = -k
     pair = hi[..., :0:-1]

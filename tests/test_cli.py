@@ -174,16 +174,22 @@ def test_bad_ini_boolean_exits_two(tmp_path):
 
 
 def test_malformed_exponents_exit_two(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        with contextlib.redirect_stderr(io.StringIO()):
-            main(["trilinear", "--s", "1.0", "--exponents", "2,inf;inf,2"])
-    assert exc.value.code == 2
+    # the config alone checks the table's shape, from a flag or a file
+    rc, out, err = run_cli(["trilinear", "--s", "1.0",
+                            "--exponents", "2,inf;inf,2"])
+    assert rc == 2
+    assert out == ""
+    assert "trilinear exponents are three triples" in err
     ini = tmp_path / "run.ini"
     ini.write_text("[trilinear]\ns = 1.0\nexponents = 2,inf;inf,2\n")
     rc, out, err = run_cli(["trilinear", "--config", str(ini)])
     assert rc == 2
     assert out == ""
-    assert "three semicolon-separated triples" in err
+    assert "trilinear exponents are three triples" in err
+    rc, out, err = run_cli(["trilinear", "--s", "1.0",
+                            "--exponents", "2,inf,inf;inf,2;inf,inf,2"])
+    assert rc == 2
+    assert "3 factors need 3 exponents per term" in err
 
 
 @pytest.mark.parametrize("command", ["bilinear", "trilinear"])
@@ -366,6 +372,15 @@ def test_counterexample_needs_finite_p_above_one():
                               "--resolutions", "512,1024"])
         assert rc == 2
         assert "probing" not in err      # refused before any work starts
+
+
+def test_counterexample_of_one_rung_is_refused_before_its_diagnostics():
+    # the window growth fits a line over the ladder, so it goes first
+    rc, out, err = run_cli(["counterexample", "--resolutions", "512"])
+    assert rc == 2
+    assert out == ""
+    assert "ladder [512], which needs two rungs" in err
+    assert "block floor" not in err
 
 
 # ---------------------------------------------------------------------------

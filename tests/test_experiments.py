@@ -9,6 +9,7 @@ from halfspace_spectral import (
     BC_DIRICHLET,
     BC_NEUMANN,
     BilinearConfig,
+    BoundaryTagError,
     ConfigError,
     HalfField,
     NumericalGuardError,
@@ -108,7 +109,18 @@ def test_sobolev_sweeps_take_no_q():
         _tri(q=2.0)
 
 
-@pytest.mark.parametrize("make", [_cfg, _tri])
+def _mapping(**kw):
+    base = dict(s=0.3, p=2.0, family="band_random", op=OP_DIRICHLET,
+                seed=0, count=2, resolutions=(512, 1024), L=16.0, n=1)
+    base.update(kw)
+    return derivative_mapping_sweep(**base)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("drew or transformed before refusing the input")
+
+
+@pytest.mark.parametrize("make", [_cfg, _tri, _mapping])
 @pytest.mark.parametrize("bad", [
     {"op": "foo"}, {"s": float("nan")}, {"s": INF},
     {"family": "perlin"}, {"seed": -1}, {"L": -1.0}, {"n": 0},
@@ -118,13 +130,40 @@ def test_sobolev_sweeps_take_no_q():
     {"family": "cosine", "op": OP_DIRICHLET},
     {"family": "bump_random", "L": 3.0},
     {"family": "band_random", "resolutions": (16, 32)},
-    {"n": 1.5},
+    {"n": 1.5}, {"p": 0.5}, {"resolutions": (512.7, 1024)},
 ], ids=["op", "s_nan", "s_inf", "family", "seed", "L", "n", "count_float",
         "rung_1000", "adversarial_neumann", "sine_neumann",
-        "cosine_dirichlet", "bump_box", "band_coarse", "n_float"])
-def test_sweep_configs_refuse_bad_op_or_s_at_construction(make, bad):
+        "cosine_dirichlet", "bump_box", "band_coarse", "n_float", "p_half",
+        "rung_512_7"])
+def test_sweep_configs_refuse_bad_op_or_s_at_construction(make, bad,
+                                                          monkeypatch):
+    # a ladder is checked whole before its first draw, the derivative
+    # mapping's too
+    monkeypatch.setattr(experiments, "make_family", _no_work)
     with pytest.raises(ConfigError):
         make(**bad)
+
+
+@pytest.mark.parametrize("rungs, match", [
+    ((512, 1000), "power of two"), ((512.7, 1024), "power of two"),
+    ((), "at least one"), ((512, 512), "repeat a rung"),
+    ((4096,), r"ladder \[4096\], which needs two rungs"),
+], ids=["rung_1000", "rung_512_7", "empty", "repeat", "one_rung"])
+def test_window_growth_refuses_a_bad_ladder_before_any_transform(
+        rungs, match, monkeypatch):
+    monkeypatch.setattr(experiments, "frac_power", _no_work)
+    with pytest.raises(ConfigError, match=match):
+        singular_window_growth(2.0, 16.0, rungs)
+
+
+def test_ladders_take_numpy_integer_rungs_as_python_ints():
+    rungs = (np.int64(1024), np.int64(512))
+    cfg = _cfg(resolutions=rungs)
+    assert cfg.resolutions == (512, 1024)
+    assert all(type(N) is int for N in cfg.resolutions)
+    out = _mapping(count=1, resolutions=rungs)
+    assert out["resolutions"] == [512, 1024]
+    assert all(type(N) is int for N in out["resolutions"])
 
 
 def test_configs_take_the_diagonal_exponents_when_none_are_given():
@@ -147,11 +186,6 @@ def test_counterexample_family_is_one_draw():
                                      count=8, resolutions=(512, 1024)))
     assert rep.config["count"] == 1
     assert [e["pairs"] for e in rep.per_resolution] == [1, 1]
-
-
-def _mapping(resolutions):
-    return derivative_mapping_sweep(0.3, 2.0, "band_random", OP_DIRICHLET,
-                                    0, 2, resolutions)
 
 
 def _window(resolutions):
@@ -503,11 +537,18 @@ def test_product_rule_boundary_residual_shrinks_like_sqrt_h():
 
 
 def test_product_rule_requires_dirichlet_tags(grid1d):
+    # an untagged factor runs in the Dirichlet calculus, as in every
+    # other entry; a Neumann tag is refused by the one guard
     f = sample_half(grid1d, lambda x: bump(x, 4.0, 1.2))
     g = sample_half(grid1d, lambda x: bump(x, 5.0, 1.5), bc=BC_DIRICHLET)
-    with pytest.raises(ConfigError):
-        leibniz_decomposition(f, g)
-    with pytest.raises(ConfigError):
+    untagged = leibniz_decomposition(f, g)
+    tagged = leibniz_decomposition(f.with_bc(BC_DIRICHLET), g)
+    assert untagged["residual_rel_l2"] == tagged["residual_rel_l2"]
+    assert untagged["middle_trace_max"] == tagged["middle_trace_max"]
+    for a, b in zip(untagged["pieces"] + (untagged["direct"],),
+                    tagged["pieces"] + (tagged["direct"],)):
+        assert np.array_equal(a.values, b.values)
+    with pytest.raises(BoundaryTagError, match="tagged 'neumann'"):
         leibniz_decomposition(g, f.with_bc(BC_NEUMANN))
 
 
@@ -531,6 +572,16 @@ def test_cross_condition_derivative_is_an_isometry_at_p_two():
         assert item["ratio"] == pytest.approx(1.0, rel=1e-6)
     assert out["cross"]["verdict"] == "bounded"
     assert out["threshold"] == 0.5
+
+
+def test_mapping_draws_the_counterexample_once_per_rung():
+    # one fixed field: as in the sweeps, the count does not repeat it
+    res = (1024, 2048)
+    out = derivative_mapping_sweep(0.75, 2.0, "counterexample",
+                                   OP_DIRICHLET, 0, 3, res)
+    for side in ("cross", "same"):
+        assert [(r["index"], r["N"]) for r in out[side]["items"]] == [
+            (0, N) for N in res]
 
 
 def test_mapping_rows_carry_their_norms():
@@ -630,6 +681,15 @@ def test_profile_diagnostics_refuse_what_they_cannot_fit():
         besov_block_floor(2.0, make_grid(1, 16.0, 512))
     # a box narrower than the window: the cells from 8 h on run out
     # before the window is filled
+    with pytest.raises(ConfigError, match="fewer than 8 samples"):
+        singularity_profile(2.0, make_grid(1, 0.05, 16))
+
+
+def test_profile_refuses_its_window_before_either_engine(monkeypatch):
+    monkeypatch.setattr(experiments, "frac_power", _no_work)
+    monkeypatch.setattr(experiments, "singular_integral_frac_lap", _no_work)
+    with pytest.raises(ConfigError, match="fit window .* is empty"):
+        singularity_profile(2.0, make_grid(1, 16.0, 512))
     with pytest.raises(ConfigError, match="fewer than 8 samples"):
         singularity_profile(2.0, make_grid(1, 0.05, 16))
 

@@ -28,10 +28,12 @@ from halfspace_spectral import (
     frac_power,
     get_bank,
     integrate,
+    leibniz_decomposition,
     load_field,
     lp_norm,
     make_grid,
     odd_extend,
+    restrict,
     sample,
     sample_half,
     save_field,
@@ -112,6 +114,17 @@ def test_grid_takes_numpy_integers():
     assert GridSpec(np.int64(2), 16.0, np.int64(64)).h == 0.5
 
 
+def test_make_grid_casts_no_resolution():
+    # GridSpec is the one check: make_grid hands N on as given
+    with pytest.raises(ConfigError, match="power of two"):
+        make_grid(1, 16.0, 512.7)
+    with pytest.raises(ConfigError, match="power of two"):
+        make_grid(1, 16.0, 512.0)
+    g = make_grid(np.int64(1), 16.0, np.int64(512))
+    assert type(g.n) is int and type(g.N) is int
+    assert g == make_grid(1, 16.0, 512)
+
+
 @pytest.mark.parametrize("L", [0.0, -2.0, float("inf"), float("nan")])
 def test_bad_box_size_rejected(L):
     with pytest.raises(ConfigError):
@@ -133,6 +146,37 @@ def test_sample_shapes(grid2d):
     assert f.values.shape == (grid2d.N, grid2d.N)
     hf = sample_half(grid2d, lambda x, y: x + 0.0 * y)
     assert hf.values.shape == (grid2d.N, grid2d.N // 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_grid_owns_the_layout_of_its_fields(n):
+    g = make_grid(n, 8.0, 16)
+    assert g.shape() == (16,) * n
+    assert g.shape(half=True) == (16,) * (n - 1) + (8,)
+    assert g.cell_volume == g.h ** n
+    for half in (False, True):
+        mesh = g.coord_mesh(half)
+        assert np.broadcast_shapes(*(x.shape for x in mesh)) == g.shape(half)
+    f = sample(g, lambda *c: sum(c))
+    assert f.values.shape == g.shape()
+    half = restrict(f)
+    assert half.values.shape == g.shape(half=True)
+    assert np.array_equal(half.values, sample_half(g, lambda *c: sum(c)).values)
+    assert integrate(f) == float(g.cell_volume * np.sum(f.values))
+
+
+@pytest.mark.parametrize("half", [False, True])
+def test_a_sample_that_is_not_finite_is_named(grid2d, half):
+    # the point is read off the same coordinate mesh the sample used
+    x0, y0 = grid2d.axis_coords()[3], grid2d.half_coords()[5]
+
+    def expr(x, y):
+        return np.where((x == x0) & (y == y0), np.nan, 0.0)
+
+    draw = sample_half if half else sample
+    with pytest.raises(ConfigError,
+                       match=rf"not finite at x = \(.*{x0}.*{y0}.*\)$"):
+        draw(grid2d, expr)
 
 
 def test_sample_half_takes_positive_normal_samples(grid1d):
@@ -263,6 +307,8 @@ _TAG_FAULTS = {
         f, _besov(op), bank=get_bank(f.grid)),
     "extension_norm_equivalence": lambda f, op, _: extension_norm_equivalence(
         f, _besov(op), get_bank(f.grid)),
+    "leibniz_decomposition": lambda f, op, _: leibniz_decomposition(
+        f, f.with_bc(op)),
     "cli_norm": _cli_norm,
 }
 
