@@ -30,8 +30,7 @@ from .experiments import (BilinearConfig, RatioReport, TrilinearConfig,
                           classify_growth, counterexample_fields,
                           derivative_mapping_sweep, fit_line, get_bank,
                           leibniz_decomposition, ratio_sweep,
-                          singular_window_growth, singularity_profile,
-                          trilinear_ratio)
+                          singularity_profile, trilinear_ratio, wall_rate)
 
 __all__ = [
     "__version__",
@@ -54,6 +53,6 @@ __all__ = [
     "BilinearConfig", "TrilinearConfig", "RatioReport", "bilinear_ratio",
     "trilinear_ratio", "ratio_sweep", "leibniz_decomposition",
     "counterexample_fields", "singularity_profile",
-    "besov_block_floor", "singular_window_growth",
+    "besov_block_floor", "wall_rate",
     "derivative_mapping_sweep", "fit_line", "classify_growth", "get_bank",
 ]

@@ -28,8 +28,8 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, NumericalGuardError
 from .experiments import (BilinearConfig, TrilinearConfig, besov_block_floor,
-                          get_bank, ratio_sweep, singular_window_growth,
-                          singularity_profile)
+                          get_bank, ratio_sweep, singularity_profile,
+                          wall_rate)
 from .extension import odd_extend, restrict
 from .families import counterexample_expr, make_family
 from .grid import (BC_DIRICHLET, HalfField, load_field, lp_norm, make_grid,
@@ -43,8 +43,16 @@ from .spectral import build_bank, fractional_laplacian, \
 _ENV_SEED = "HALFSPACE_SPECTRAL_SEED"
 
 
+def _rung(token):
+    """An integer token as int, any other number as a float for GridSpec."""
+    try:
+        return int(token)
+    except ValueError:
+        return float(token)
+
+
 def _res_list(text):
-    return tuple(int(p) for p in str(text).split(",") if p.strip())
+    return tuple(_rung(t) for t in str(text).split(",") if t.strip())
 
 
 def _bool(text):
@@ -337,22 +345,18 @@ def cmd_counterexample(ns):
     _say(f"# probing s = 2 + 1/p = {s} at N in {list(o['resolutions'])}")
     common = dict(s=s, p=p, family="counterexample", seed=o["seed"],
                   resolutions=o["resolutions"], L=o["L"])
-    report = ratio_sweep(BilinearConfig(**common))
-    payload = {
-        "regularity": s,
-        "p": p,
-        "sweep": report.to_json_dict(),
-        "meta": {"version": __version__, "seed": o["seed"]},
-    }
+    cfg = BilinearConfig(**common)
+    payload = {"regularity": s, "p": p,
+               "meta": {"version": __version__, "seed": o["seed"]}}
+    if not o["quick"]:
+        # first, so that a ladder of one rung is refused before any draw
+        payload["wall_rate"] = wall_rate(p, o["L"], o["resolutions"])
+    report = ratio_sweep(cfg)
+    payload["sweep"] = report.to_json_dict()
     _say(f"# bilinear sweep verdict: {report.verdict} "
          f"({report.wall_time_s:.2f}s)")
     if not o["quick"]:
-        # the window growth refuses a ladder of one rung: ask it first
-        t0 = time.perf_counter()
-        payload["window_growth"] = singular_window_growth(
-            p, o["L"], o["resolutions"])
-        _say(f"# window growth done ({time.perf_counter() - t0:.2f}s)")
-        grid = make_grid(1, o["L"], max(o["resolutions"]))
+        grid = cfg.grids[-1]
         t0 = time.perf_counter()
         payload["block_floor"] = besov_block_floor(p, grid)
         _say(f"# block floor done ({time.perf_counter() - t0:.2f}s)")

@@ -9,8 +9,8 @@ constructors, with the diagonal exponents by default, and the
 derivative mapping checks its input as the config of one factor.
 Every resolution ladder, a sweep's, a mapping's or a diagnostic's, is
 owned by ``_rungs``: it gives the ladder's grids, coarsest first, and
-refuses a bad ladder before the first draw or transform.  Nothing else
-here sorts, dedupes or casts a resolution list.
+refuses a bad ladder before the first draw or transform, and a config
+keeps them for its sweep.  Nothing else here builds a ladder's grids.
 
 A ladder that ends in a verdict, a product sweep's or a derivative
 mapping's, keeps one growth record, built by ``_growth``: its rows, the
@@ -41,6 +41,7 @@ log(N) fit reported alongside.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
@@ -73,7 +74,7 @@ __all__ = [
     "counterexample_fields",
     "singularity_profile",
     "besov_block_floor",
-    "singular_window_growth",
+    "wall_rate",
     "derivative_mapping_sweep",
 ]
 
@@ -138,6 +139,7 @@ class _ProductConfig:
     resolutions: tuple = (4096, 8192, 16384)
     L: float = 16.0
     n: int = 1
+    grids: tuple = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """Every sweep check: each term's Hoelder sum, the target norm's
@@ -156,6 +158,7 @@ class _ProductConfig:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "exponents", exponents)
         grids = _rungs(self.resolutions, self.n, self.L)
+        object.__setattr__(self, "grids", grids)
         object.__setattr__(self, "resolutions", tuple(g.N for g in grids))
         _check_draw(self.family, grids[0], self.op, self.count, self.seed)
         if self.family == "counterexample":
@@ -408,8 +411,7 @@ def ratio_sweep(cfg) -> RatioReport:
     t0 = time.perf_counter()
     ratio = bilinear_ratio if cfg.arity == 2 else trilinear_ratio
     measured, banks = [], []
-    for N in cfg.resolutions:
-        grid = make_grid(cfg.n, cfg.L, N)
+    for grid in cfg.grids:
         banks.append(get_bank(grid) if cfg.kind == "besov" else None)
         measured.append([])
         for tup in _family_tuples(cfg, grid):
@@ -656,36 +658,31 @@ def besov_block_floor(p: float, grid: GridSpec) -> dict:
     }
 
 
-def singular_window_growth(p: float, L: float, resolutions) -> dict:
-    """||Lambda^(1/p) Phi_odd||_{L^2(eps, delta)}^2 against log N.
+def _wall_amplitude(alpha: float) -> float:
+    """c_a = (2/pi) Gamma(a) sin(pi a / 2), the amplitude of
+    Lambda^a sign(x) = c_a sign(x) |x|^(-a), for a = ``alpha``."""
+    return 2.0 / math.pi * math.gamma(alpha) * math.sin(math.pi * alpha / 2)
 
-    The window is (4 h, 0.25); its floor shrinks with the mesh, so at
-    the critical order the squared norm grows linearly in log N.  The
-    line needs a ladder of two rungs or more.
-    """
+
+def wall_rate(p: float, L: float, resolutions) -> dict:
+    """P_N = ||A_D^(1/(2p)) Phi||_p^p per doubling of N, on a ladder of
+    two rungs or more.  The jump of Phi_odd at the wall makes its order
+    a = 1/p derivative c_a sign(x) |x|^(-a) there, so each doubling adds
+    one octave of |x|^(-1) to P_N: ``predicted`` = c_a^p ln 2."""
     _check_diagnostic_exponent(p)
     grids = _rungs(resolutions, 1, L)
     resolutions = [g.N for g in grids]
     if len(grids) < 2:
-        raise ConfigError(f"window growth fits a line over the ladder "
+        raise ConfigError(f"the wall rate reads increments over the ladder "
                           f"{resolutions}, which needs two rungs or more")
-    delta, eps_cells = 0.25, 4
-    norms2 = []
-    for grid in grids:
-        out = frac_power(_phi_half(grid), OP_DIRICHLET, 1.0 / p).values
-        x = grid.half_coords()
-        mask = (x > eps_cells * grid.h) & (x < delta)
-        norms2.append(float(grid.cell_volume * np.sum(out[mask] ** 2)))
-    fit = fit_line(np.log(np.asarray(resolutions, dtype=float)),
-                   np.asarray(norms2))
-    return {
-        "p": p,
-        "resolutions": resolutions,
-        "window_norms_sq": norms2,
-        "delta": delta,
-        "eps_cells": eps_cells,
-        "fit": fit,
-    }
+    spec = SpaceSpec("sobolev", 1.0 / p, p, None, True, OP_DIRICHLET)
+    powers = [sobolev_norm(_phi_half(g), spec) ** p for g in grids]
+    increments = [(b - a) / math.log2(M / N) for a, b, N, M in
+                  zip(powers, powers[1:], resolutions, resolutions[1:])]
+    predicted = _wall_amplitude(1.0 / p) ** p * math.log(2.0)
+    return {"resolutions": resolutions, "powers": powers,
+            "increments": increments, "predicted": predicted,
+            "rel_gap": [abs(d - predicted) / predicted for d in increments]}
 
 
 def derivative_mapping_sweep(s: float, p: float, family: str, op: str,
@@ -708,8 +705,7 @@ def derivative_mapping_sweep(s: float, p: float, family: str, op: str,
                          seed=seed, count=count, resolutions=resolutions,
                          L=L, n=n)
     cross, same = [], []
-    for N in cfg.resolutions:
-        grid = make_grid(n, L, N)
+    for grid in cfg.grids:
         cross.append([])
         same.append([])
         for (f,) in _family_tuples(cfg, grid):

@@ -196,11 +196,14 @@ def test_criterion_06_breakdown_at_critical_order(cex_payload):
     fit = sweep["fits"]["log_vs_loglogN"]
     assert fit["slope"] > 3.0 * fit["stderr"]
 
-    # the squared window norm grows like (2/pi) log N: the jump carried
-    # by the odd reflection has amplitude sqrt(2/pi) per unit frequency
-    win = cex_payload["window_growth"]["fit"]
-    assert win["r2"] > 0.95
-    assert win["slope"] == pytest.approx(2.0 / np.pi, rel=0.10)
+    # the jump carried by the odd reflection of Phi = phi^2 makes
+    # ||A_D^(1/4) Phi||_2^2 grow by c_(1/2)^2 ln 2 = (2/pi) ln 2 per
+    # doubling of N
+    wall = cex_payload["wall_rate"]
+    assert wall["predicted"] == pytest.approx(2.0 / np.pi * np.log(2.0),
+                                              rel=1e-12)
+    assert len(wall["rel_gap"]) == 3
+    assert max(wall["rel_gap"]) <= 1e-4
 
     cfg_n = BilinearConfig(s=2.5, p=2.0, p1=2.0, p2=INF, p3=INF, p4=2.0,
                            op=OP_NEUMANN, family="counterexample",
@@ -210,8 +213,8 @@ def test_criterion_06_breakdown_at_critical_order(cex_payload):
     assert rep_n.verdict == "bounded"
     _report(6, "critical-order breakdown",
             f"dirichlet diverging (slope/se "
-            f"{fit['slope'] / fit['stderr']:.1f}), window slope "
-            f"{win['slope']:.3f} (r2 {win['r2']:.6f}), neumann reading "
+            f"{fit['slope'] / fit['stderr']:.1f}), wall rate within "
+            f"{max(wall['rel_gap']):.1e} of its law, neumann reading "
             f"bounded")
 
 

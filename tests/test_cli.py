@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 import halfspace_spectral
-from halfspace_spectral import (BC_DIRICHLET, make_grid, sample,
-                                sample_half, save_field)
+from halfspace_spectral import (BC_DIRICHLET, BilinearConfig, ConfigError,
+                                cli, make_grid, sample, sample_half,
+                                save_field)
 from halfspace_spectral.cli import (_CHOICES, _SUBCOMMANDS, _resolve,
                                     build_parser, main)
 
@@ -374,13 +375,47 @@ def test_counterexample_needs_finite_p_above_one():
         assert "probing" not in err      # refused before any work starts
 
 
-def test_counterexample_of_one_rung_is_refused_before_its_diagnostics():
-    # the window growth fits a line over the ladder, so it goes first
-    rc, out, err = run_cli(["counterexample", "--resolutions", "512"])
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("swept before refusing the ladder")
+
+
+def test_counterexample_of_one_rung_is_refused_before_its_diagnostics(
+        monkeypatch):
+    # the wall rate reads increments over the ladder, so it goes first,
+    # before the sweep draws a field
+    monkeypatch.setattr(cli, "ratio_sweep", _no_sweep)
+    rc, out, err = run_cli(["counterexample", "--resolutions", "4096"])
     assert rc == 2
     assert out == ""
-    assert "ladder [512], which needs two rungs" in err
-    assert "block floor" not in err
+    assert "ladder [4096], which needs two rungs" in err
+
+
+def _ladder_args(route, ladder, tmp_path):
+    if route == "flag":
+        return ["bilinear", "--s", "1", "--resolutions", ladder]
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[bilinear]\nresolutions = {ladder}\n")
+    return ["bilinear", "--s", "1", "--config", str(ini)]
+
+
+@pytest.mark.parametrize("route", ["flag", "ini", "config"])
+def test_a_non_integer_rung_has_one_message(route, tmp_path):
+    # the flag, the INI file and the config all leave the rung to GridSpec
+    message = "N=512.7 must be a power of two >= 8"
+    if route == "config":
+        with pytest.raises(ConfigError, match=message):
+            BilinearConfig(s=1.0, p=2.0, resolutions=(512.7, 1024))
+        return
+    rc, out, err = run_cli(_ladder_args(route, "512.7,1024", tmp_path))
+    assert (rc, out) == (2, "")
+    assert message in err
+    # a token that is no number at all still exits 2, from the cast
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = main(_ladder_args(route, "512,1k", tmp_path))
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc == 2
 
 
 # ---------------------------------------------------------------------------

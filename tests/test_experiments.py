@@ -1,5 +1,7 @@
 """Ratio sweeps, the growth classifier and the product decompositions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,13 +38,12 @@ from halfspace_spectral import (
     normal_derivative,
     odd_extend,
     ratio_sweep,
-    restrict,
     sample,
     sample_half,
-    singular_window_growth,
     singularity_profile,
     sobolev_norm,
     trilinear_ratio,
+    wall_rate,
 )
 from halfspace_spectral import experiments
 from halfspace_spectral.experiments import get_bank
@@ -149,11 +150,11 @@ def test_sweep_configs_refuse_bad_op_or_s_at_construction(make, bad,
     ((), "at least one"), ((512, 512), "repeat a rung"),
     ((4096,), r"ladder \[4096\], which needs two rungs"),
 ], ids=["rung_1000", "rung_512_7", "empty", "repeat", "one_rung"])
-def test_window_growth_refuses_a_bad_ladder_before_any_transform(
+def test_wall_rate_refuses_a_bad_ladder_before_any_transform(
         rungs, match, monkeypatch):
-    monkeypatch.setattr(experiments, "frac_power", _no_work)
+    monkeypatch.setattr(experiments, "sobolev_norm", _no_work)
     with pytest.raises(ConfigError, match=match):
-        singular_window_growth(2.0, 16.0, rungs)
+        wall_rate(2.0, 16.0, rungs)
 
 
 def test_ladders_take_numpy_integer_rungs_as_python_ints():
@@ -188,11 +189,11 @@ def test_counterexample_family_is_one_draw():
     assert [e["pairs"] for e in rep.per_resolution] == [1, 1]
 
 
-def _window(resolutions):
-    return singular_window_growth(2.0, 16.0, resolutions)
+def _wall_rate(resolutions):
+    return wall_rate(2.0, 16.0, resolutions)
 
 
-@pytest.mark.parametrize("make", [_cfg, _tri, _mapping, _window])
+@pytest.mark.parametrize("make", [_cfg, _tri, _mapping, _wall_rate])
 @pytest.mark.parametrize("res", [(512, 512, 1024), (512, 512)])
 def test_sweep_configs_refuse_a_repeated_rung(make, res):
     with pytest.raises(ConfigError, match="repeat"):
@@ -707,8 +708,8 @@ def test_profile_fits_the_expected_exponent_small():
 @pytest.mark.parametrize("diagnostic", [
     lambda p: singularity_profile(p, make_grid(1, 16.0, 4096)),
     lambda p: besov_block_floor(p, make_grid(1, 16.0, 4096)),
-    lambda p: singular_window_growth(p, 16.0, (4096,)),
-], ids=["profile", "block_floor", "window_growth"])
+    lambda p: wall_rate(p, 16.0, (4096,)),
+], ids=["profile", "block_floor", "wall_rate"])
 def test_diagnostics_refuse_exponents_outside_one_to_inf(diagnostic, p):
     # one check for the three, before any work, so that nan is not
     # reported as a symbol that is not finite
@@ -730,7 +731,9 @@ def test_diagnostics_make_quarter_size_transforms(monkeypatch):
         monkeypatch.setattr(np.fft, name, record)
     g = make_grid(1, 16.0, 4096)
     # box and quarter sizes of the ladder are disjoint
-    for run, Ns in ((lambda: singular_window_growth(2.0, 16.0, (4096, 8192)),
+    for run, Ns in ((lambda: wall_rate(2.0, 16.0, (4096, 8192)),
+                     (4096, 8192)),
+                    (lambda: wall_rate(3.0, 16.0, (4096, 8192)),
                      (4096, 8192)),
                     (lambda: besov_block_floor(2.0, g), (4096,)),
                     (lambda: singularity_profile(2.0, g), (4096,))):
@@ -741,22 +744,69 @@ def test_diagnostics_make_quarter_size_transforms(monkeypatch):
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_diagnostics_agree_with_the_image_oracle(p):
-    # the box route on the odd extension of Phi, built here
-    g = make_grid(1, 16.0, 8192)
-    phi_odd = odd_extend(sample_half(g, lambda x: cutoff_profile(x) ** 2,
-                                     bc=BC_DIRICHLET))
-    out = restrict(fractional_laplacian(phi_odd, 1.0 / p)).values
-    x = g.half_coords()
-    mask = (x > 4 * g.h) & (x < 0.25)
-    window = g.h * np.sum(out[mask] ** 2)
-    got = singular_window_growth(p, 16.0, (4096, 8192))["window_norms_sq"][1]
-    assert got == pytest.approx(window, rel=1e-12)
+    # the box route on the odd extension of Phi, built here; an odd
+    # field's box integral is twice its half-line one
+    grids = [make_grid(1, 16.0, N) for N in (4096, 8192)]
+    odd = [odd_extend(sample_half(g, lambda x: cutoff_profile(x) ** 2,
+                                  bc=BC_DIRICHLET)) for g in grids]
+    box = [0.5 * g.cell_volume
+           * np.sum(np.abs(fractional_laplacian(f, 1.0 / p).values) ** p)
+           for g, f in zip(grids, odd)]
+    got = wall_rate(p, 16.0, [g.N for g in grids])["powers"]
+    assert got == pytest.approx(box, rel=1e-12)
 
+    g, phi_odd = grids[-1], odd[-1]
     floor = besov_block_floor(p, g)
     bank = get_bank(g)
     box = [2.0 ** (j / p) * lp_norm(dyadic_block(phi_odd, j, bank), p)
            for j in floor["octaves"]]
     assert floor["blocks"] == pytest.approx(box, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+def test_wall_rate_matches_its_closed_form(p):
+    # Phi_odd jumps at the wall: each doubling adds c_a^p ln 2 to the
+    # p-th power of its order-1/p Sobolev norm, a = 1/p
+    a = 1.0 / p
+    c = 2.0 / np.pi * math.gamma(a) * np.sin(np.pi * a / 2.0)
+    out = wall_rate(p, 16.0, (32768, 4096, 16384, 8192))
+    assert out["resolutions"] == [4096, 8192, 16384, 32768]
+    assert out["predicted"] == pytest.approx(c ** p * np.log(2.0),
+                                             rel=1e-14)
+    assert np.diff(out["powers"]) == pytest.approx(out["increments"],
+                                                   rel=1e-14)
+    assert len(out["rel_gap"]) == 3
+    assert max(out["rel_gap"]) <= 1e-4
+    assert out["increments"] == pytest.approx([out["predicted"]] * 3,
+                                              rel=1e-4)
+
+
+def test_wall_rate_reads_increments_per_doubling():
+    # a gap of two octaves between rungs counts as two doublings
+    out = wall_rate(2.0, 16.0, (4096, 16384))
+    assert out["increments"] == pytest.approx(
+        [(out["powers"][1] - out["powers"][0]) / 2.0], rel=1e-14)
+    assert out["rel_gap"][0] <= 1e-4
+
+
+def test_sweeps_build_each_rung_grid_once(monkeypatch):
+    calls = []
+
+    def counting(*args, _orig=experiments.make_grid):
+        calls.append(args)
+        return _orig(*args)
+    monkeypatch.setattr(experiments, "make_grid", counting)
+    cfg = _cfg(resolutions=(512, 1024, 2048))
+    assert len(calls) == 3
+    calls.clear()
+    ratio_sweep(cfg)
+    assert calls == []
+    _mapping(count=1, resolutions=(512, 1024, 2048))
+    assert len(calls) == 3
+    assert [g.N for g in cfg.grids] == [512, 1024, 2048]
+    # the grids the config keeps are no part of its value
+    assert "grids" not in repr(cfg)
+    assert cfg == _cfg(resolutions=(2048, 1024, 512))
 
 
 def test_get_bank_caches(grid1d):
