@@ -5,8 +5,8 @@ matching the boundary condition (odd for Dirichlet, even for Neumann),
 apply the full-space multiplier, restrict back.  On the staggered grid
 that is exactly the multiplier applied to the sine modes sin(k x_n)
 (Dirichlet) or the cosine modes cos(k x_n) (Neumann), k = pi m / L,
-times the tangential Fourier modes.  The operators here are computed
-that way, by the half-length sine/cosine transform that
+times the tangential Fourier modes.  The operators here are profiles
+of |xi|^2 applied that way, to the sine or cosine spectrum that
 :mod:`halfspace_spectral.spectral` owns, on half the points and with no
 extension.  The image route (``extend_for``, ``fractional_laplacian``
 or ``apply_multiplier``, ``restrict``) stays public as the oracle that
@@ -33,10 +33,9 @@ import numpy as np
 from .errors import BoundaryTagError, ConfigError
 from .extension import even_extend, odd_extend
 from .grid import BC_DIRICHLET, BC_NEUMANN, HalfField, _BC_SWAP, _bc_guard
-from .spectral import (Multiplier, _half_multiplier, _half_multiplier_energy,
-                       _half_normal_derivative, _half_tangential_derivative,
-                       _power_multiplier, _require_zero_mean,
-                       _semigroup_multiplier)
+from .spectral import (_HalfSpectrum, _half_normal_derivative,
+                       _half_tangential_derivative, _Operator,
+                       _require_zero_mean)
 
 __all__ = [
     "OP_DIRICHLET",
@@ -58,40 +57,27 @@ def extend_for(hf: HalfField, op: str):
     return odd_extend(hf) if _bc_guard(op)[1] else even_extend(hf)
 
 
-def _calculus(hf: HalfField, op: str, m: Multiplier,
-              key: tuple | None = None) -> HalfField:
-    """The multiplier ``m`` in the ``op`` calculus, tagged ``op``; ``key``
-    names a package multiplier whose checked symbol may be reused."""
+def _spectrum(hf: HalfField, op: str,
+              power: float | None = None) -> _HalfSpectrum:
+    """The sine or cosine spectrum of ``hf`` in the ``op`` calculus, for
+    one operator image, after the zero-mean guard of a Neumann ``power``
+    of negative order, which cannot invert the cosine zero mode."""
     odd = _bc_guard(op, hf)[1]
-    return HalfField(hf.grid,
-                     _half_multiplier(hf.values, hf.grid, m, odd, key), op)
-
-
-def _calculus_energy(hf: HalfField, op: str, m: Multiplier,
-                     key: tuple | None = None) -> float:
-    """The squared half-space L^2 norm of ``_calculus(hf, op, m, key)``,
-    by Parseval on its coefficients, with no inverse transform."""
-    odd = _bc_guard(op, hf)[1]
-    return _half_multiplier_energy(hf.values, hf.grid, m, odd, key)
-
-
-def _power_symbol(hf: HalfField, op: str, s: float) -> tuple:
-    """The multiplier and symbol key of :func:`frac_power`, after its
-    zero-mean guard."""
-    if s < 0 and not _bc_guard(op, hf)[1]:
-        _require_zero_mean(hf, f"negative-order power s={s}")
-    return _power_multiplier(s), ("power", float(s))
+    if power is not None and power < 0 and not odd:
+        _require_zero_mean(hf, f"negative-order power s={power}")
+    return _HalfSpectrum(hf.values, hf.grid, odd)
 
 
 def frac_power(hf: HalfField, op: str, s: float) -> HalfField:
     """A^(s/2) f for A the Dirichlet or Neumann Laplacian.
 
     s is the order in terms of |xi|^s on the extension; s = 2 is the
-    operator itself.  Negative s under Neumann requires a zero-mean
-    field, the mean of its even extension; the sine modes of Dirichlet
-    have no zero mode.
+    operator itself; s = 0 subtracts the Neumann half-space mean.
+    Negative s under Neumann requires a zero-mean field, the mean of
+    its even extension; the sine modes of Dirichlet have no zero mode.
     """
-    return _calculus(hf, op, *_power_symbol(hf, op, s))
+    power = _Operator("power", s)
+    return HalfField(hf.grid, _spectrum(hf, op, s).image(power), op)
 
 
 def semigroup(hf: HalfField, op: str, t: float, s: float = 2.0) -> HalfField:
@@ -102,8 +88,8 @@ def semigroup(hf: HalfField, op: str, t: float, s: float = 2.0) -> HalfField:
     """
     if not 0.0 < s <= 2.0:
         raise ConfigError(f"semigroup order s={s} outside (0, 2]")
-    return _calculus(hf, op, _semigroup_multiplier(t, s),
-                     ("semigroup", float(t), float(s)))
+    flow = _Operator("flow", s, t)
+    return HalfField(hf.grid, _spectrum(hf, op).image(flow), op)
 
 
 def normal_derivative(hf: HalfField) -> HalfField:

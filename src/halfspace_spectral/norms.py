@@ -3,10 +3,11 @@
 Homogeneous Sobolev: ||f||_{H^s_p(A)} = ||A^(s/2) f||_{L^p(half)}.
 Inhomogeneous replaces the symbol by (1 + |xi|^2)^(s/2).
 
-Besov norms run the dyadic bank, and the semigroup characterization
-its heat flows, as profiles of |xi|^2 that ``spectral`` applies to the
-sine (Dirichlet) or cosine (Neumann) coefficients of the field; each
-profile carries the radius from which it vanishes.  Each block's
+Every norm is a profile of |xi|^2 that ``spectral`` applies to the
+sine (Dirichlet) or cosine (Neumann) coefficients of the field: a
+Sobolev power or Bessel symbol, or the Besov bank and, for the
+semigroup characterization, its heat flows; a Besov profile carries
+the radius from which it vanishes.  Each block's
 half-space norm is weighted by 2^(sj) and the l^q sum taken over the
 resolved octaves.  Truncating the j-sum to the resolved band
 is only honest when the field actually lives there, so the spectral
@@ -46,9 +47,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericalGuardError
 from .grid import HalfField, _bc_guard, _exponent, lp_norm
-from .halfspace_ops import (OP_DIRICHLET, _calculus, _calculus_energy,
-                            _power_symbol, extend_for, frac_power)
-from .spectral import DyadicBank, Multiplier, _HalfSpectrum, _Octave
+from .halfspace_ops import OP_DIRICHLET, _spectrum, extend_for, frac_power
+from .spectral import DyadicBank, _HalfSpectrum, _Octave, _Operator
 
 __all__ = [
     "SpaceSpec",
@@ -124,17 +124,16 @@ def _image_norms(p: float, image, energy, box_op: str | None = None):
 
 def sobolev_norm(hf: HalfField, spec: SpaceSpec) -> float:
     work = _checked(hf, spec, "sobolev", "sobolev_norm")[0]
-    if spec.homogeneous:
-        return _image_norms(
-            spec.p, lambda: frac_power(work, spec.op, spec.s),
-            lambda: _calculus_energy(
-                work, spec.op, *_power_symbol(work, spec.op, spec.s)))[0]
-    s = spec.s
-    bessel = Multiplier(
-        lambda *mesh: (1.0 + sum(xi ** 2 for xi in mesh)) ** (s / 2.0),
-        1.0, f"(1+|xi|^2)^{s / 2}")
-    return _image_norms(spec.p, lambda: _calculus(work, spec.op, bessel),
-                        lambda: _calculus_energy(work, spec.op, bessel))[0]
+    power = spec.s if spec.homogeneous else None
+    profile = _Operator("bessel" if power is None else "power", spec.s)
+
+    def image():
+        if power is None:
+            return work.with_values(_spectrum(work, spec.op).image(profile))
+        return frac_power(work, spec.op, power)
+
+    return _image_norms(spec.p, image, lambda: _spectrum(
+        work, spec.op, power).image(profile, energy=True))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ N^(n-1) N/4 points: the DCT-II is the FFT of permuted samples (Makhoul
 1980), packed two real samples to a complex point.  The coefficients
 are two contiguous halves along the normal, shape (2, *T, M/2) for
 M = N/2, so the packed FFT, the mixing and the tangential pairing all
-run on contiguous blocks.  A half-space symbol must be Hermitian in the
-tangential frequencies, exactly, as a box symbol must be in all of
-them; one guard, ``_symbol``, checks both, on slices of the symbol and
-their reversed views, with no mirrored copy.
+run on contiguous blocks.  A symbol that is not radial must be
+Hermitian, exactly; one guard, ``_symbol``, checks it for
+``apply_multiplier`` and the tangential derivative, on slices of the
+symbol and their reversed views, with no mirrored copy.
 
 The derivatives act on one axis each, and transform that axis alone:
 ``_half_normal_derivative`` runs the sine/cosine pair along the normal
@@ -34,30 +34,32 @@ transform points as the full pair.
 
 This module alone reads and writes the half-space coefficients, their
 modes, packing, halves and rows (the normal lines of single tangential
-frequencies).  Other modules pass samples, modes or profiles:
-``_half_multiplier`` and the two derivatives apply operators,
-``_half_synthesis`` samples separable modes, and the ``band`` of
-``_HalfSpectrum`` filters for every Besov pass: dyadic, low-pass or
-heat flow.  A band profile is a function of |xi|^2 that carries the
-radius from which it vanishes, and a band reaches only the disk below
-that radius, held by the rows whose tangential |xi_t| is below it and,
-in each row, the window of normal wavenumbers below it; the product
+frequencies).  Other modules pass samples, modes or profiles of |xi|^2:
+the derivatives apply themselves, ``_half_synthesis`` samples separable
+modes, and ``_HalfSpectrum`` applies every other operator: its
+``image`` an ``_Operator`` (power, flow or Bessel symbol) in place to a
+spectrum used once, and its ``band`` a dyadic, low-pass or heat-flow
+profile of a Besov pass to the spectrum the pass reuses.  A band profile
+carries the radius from which it vanishes, and a band reaches only the
+disk below it, held by the rows whose tangential |xi_t| is below it
+and, in each row, the window of normal wavenumbers below it; the product
 buffer is zero outside.  The octave profiles phi_j and psi are
-tabulated on that window once per bank and grid, shared by the sine
-and cosine coefficients, bitwise the profile, and kept with the bank;
-any other profile, such as a heat node, is evaluated on every call a
+tabulated on that window once per bank and grid, shared by the sine and
+cosine coefficients and kept with the bank; the last operator's table,
+on every coefficient, is kept too.  A table is bitwise the profile.
+Any other profile, such as a heat node, is evaluated on every call a
 block of rows at a time.  Of the field's size, a spectrum holds its
-coefficients and, at p = 2, their weighted squares.
+coefficients and, at p = 2 in a Besov pass, their weighted squares.
 
 At p = 2 no norm needs the samples.  By Parseval, the squared
 half-space L^2 norm of an image is a weighted sum of its squared
 coefficients, and this module alone knows the weights:
-``_HalfSpectrum.energy`` gives it for a band and
-``_half_multiplier_energy`` for a multiplier, with no inverse transform
-and no BLAS call.  ``_HalfSpectrum.leak_sums`` gives the two sums of
-the leak guard from one weighted |coef|^2 per block of rows, or from
-the one a p = 2 pass forms for its energies; |xi| is formed only on the
-rows and window of the band.
+``_HalfSpectrum.energy`` gives it for a band and ``image`` for an
+operator, with no inverse transform and no BLAS call.
+``_HalfSpectrum.leak_sums`` gives the two sums of the leak guard from
+one weighted |coef|^2 per block of rows, or from the one a p = 2 pass
+forms for its energies; |xi| is formed only on the rows and window of
+the band.
 
 The dyadic bank realizes a standard smooth partition of unity: with
 eta(lambda) equal to 1 on [0, 1], supported in [0, 2] and built from
@@ -80,10 +82,10 @@ frequency |xi|, the octave range a grid resolves, the octave profiles
 filters a field by a profile on the half-length pair, and the octave
 tables.  phi_j vanishes from |xi| = 2^(j+1) on, and the low-pass psi
 from 2 on, so on the half-length pair each block touches only the disk
-its annulus reaches.  On the box, ``dyadic_block`` is
-``apply_multiplier`` with the octave of |xi|^2 as its symbol; composed
-with a parity extension and a restriction, the box route takes any
-profile and evaluates it on every call: it is the oracle.
+its annulus reaches.  On the box, ``dyadic_block``,
+``fractional_laplacian`` and ``semigroup_symbol`` are
+``apply_multiplier`` with an octave, power or flow as symbol; composed
+with a parity extension and a restriction, that box route is the oracle.
 
 A real-space quadrature for the fractional Laplacian at order
 s in (0, 1) lives here too; it is the independent check that the
@@ -254,10 +256,6 @@ def apply_multiplier(f: SampledField, m: Multiplier) -> SampledField:
     return SampledField(grid, np.ascontiguousarray(spectral.real))
 
 
-def _radial(mesh):
-    return np.sqrt(sum(xi ** 2 for xi in mesh))
-
-
 def _require_zero_mean(f: SampledField, what: str) -> None:
     """Raise ConfigError unless |mean| <= 1e-12 * sup|f|."""
     mean = abs(float(np.mean(f.values)))
@@ -276,11 +274,9 @@ def fractional_laplacian(f: SampledField, s: float) -> SampledField:
     """
     if s < 0:
         _require_zero_mean(f, f"negative-order power s={s}")
-    return apply_multiplier(f, _power_multiplier(s))
-
-
-def _power_multiplier(s: float) -> Multiplier:
-    return Multiplier(lambda *mesh: _radial(mesh) ** s, 0.0, f"|xi|^{s}")
+    power = _Operator("power", s)
+    return apply_multiplier(f, Multiplier(
+        lambda *mesh: power(sum(xi ** 2 for xi in mesh)), 0.0, power.name))
 
 
 def derivative_multiplier(grid: GridSpec, axis: int) -> Multiplier:
@@ -305,14 +301,49 @@ def derivative_multiplier(grid: GridSpec, axis: int) -> Multiplier:
 
 def semigroup_symbol(f: SampledField, t: float, s: float) -> SampledField:
     """exp(-t |xi|^s); the zero mode rides along with value 1."""
-    return apply_multiplier(f, _semigroup_multiplier(t, s))
+    flow = _Operator("flow", s, t)
+    return apply_multiplier(f, Multiplier(
+        lambda *mesh: flow(sum(xi ** 2 for xi in mesh)), 1.0, flow.name))
 
 
-def _semigroup_multiplier(t: float, s: float) -> Multiplier:
-    if t < 0:
-        raise ConfigError(f"semigroup time t={t} must be >= 0")
-    return Multiplier(lambda *mesh: np.exp(-t * _radial(mesh) ** s), 1.0,
-                      f"exp(-{t}|xi|^{s})")
+@dataclass(frozen=True)
+class _Operator:
+    """An operator of the calculus as a profile of |xi|^2: the ``power``
+    |xi|^s, 0 at the zero mode for every s, s = 0 included, so that it
+    annihilates the mean of a Neumann field; the ``flow`` exp(-t
+    |xi|^s), 1 there; or the ``bessel`` symbol (1 + |xi|^2)^(s/2) of
+    the inhomogeneous Sobolev norm.  It vanishes nowhere, and a value
+    that is not finite is a ConfigError."""
+
+    kind: str
+    s: float
+    t: float = 0.0
+
+    def __post_init__(self):
+        if self.t < 0:
+            raise ConfigError(f"semigroup time t={self.t} must be >= 0")
+
+    @property
+    def name(self) -> str:
+        return {"power": f"|xi|^{self.s}",
+                "flow": f"exp(-{self.t}|xi|^{self.s})",
+                "bessel": f"(1+|xi|^2)^{self.s / 2}"}[self.kind]
+
+    def __call__(self, lam2):
+        # homogeneous symbols are singular at the origin
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if self.kind == "bessel":
+                out = (1.0 + lam2) ** (self.s / 2.0)
+            elif self.kind == "flow":
+                out = np.exp(-self.t * np.sqrt(lam2) ** self.s)
+            else:
+                out = np.sqrt(lam2) ** self.s
+                if self.s <= 0:     # 0^s is 0 already for s > 0
+                    out[lam2 == 0.0] = 0.0
+        if not np.all(np.isfinite(out)):
+            raise ConfigError(f"multiplier {self.name} not finite "
+                              "on the resolved frequency grid")
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -551,32 +582,17 @@ def _half_mesh(grid: GridSpec, odd: bool) -> tuple:
     return mesh[:-1] + (k.reshape((2,) + k.shape[:-1] + (k.shape[-1] // 2,)),)
 
 
-def _parseval_scale(grid: GridSpec) -> float:
-    """The weight that turns the Parseval sum of half-space coefficients
-    into a squared half-space L^2 norm: the cell volume h^n over the
-    N^(n-1) N/2 points of the unnormalized transform."""
-    return grid.cell_volume / math.prod(grid.shape(half=True))
-
-
 def _parseval_power(coef: np.ndarray) -> np.ndarray:
     """|coef|^2 weighted as Parseval weighs the extension's spectrum,
     for coefficients shaped (2, ..., M/2): coefficient 0 holds cosine
     mode 0 or sine mode M, which is unpaired, and every other
     coefficient stands for +-m on the box.  |coef|^2 is the sum of the
-    squared real and imaginary parts, as in
-    :func:`_half_multiplier_energy`, with no hypot."""
+    squared real and imaginary parts, with no hypot."""
     power = np.square(coef.real)
     power += np.square(coef.imag)
     power[1] *= 2.0
     power[0, ..., 1:] *= 2.0
     return power
-
-
-def _sum_of_squares(a: np.ndarray) -> float:
-    """sum(a ** 2) of a real array by numpy's own loop: no BLAS call,
-    whose threads stall on sums this small, and no temporary."""
-    axes = list(range(a.ndim))
-    return float(np.einsum(a, axes, a, axes, []))
 
 
 def _slice_of(mask: np.ndarray) -> slice:
@@ -600,7 +616,7 @@ _BLOCK_BYTES = 2 ** 20
 
 class _HalfSpectrum:
     """The sine (``odd``) or cosine coefficients of a real half-grid
-    array, for the Besov passes.
+    array, for an operator's image or a Besov pass.
 
     Of the field's size it holds ``coef`` and, once a p = 2 pass has
     read it, ``power``, the weighted |coef|^2 of
@@ -620,33 +636,50 @@ class _HalfSpectrum:
 
     The weights of an :class:`_Octave` on the rows and the normal modes
     below its radius are tabulated once per bank and grid, shared by
-    both parities and kept with the bank; any other profile is
+    both parities and kept with the bank, and those of an operator on
+    every coefficient, the last operator's kept; any other profile is
     evaluated on every call a block of rows (about ``_BLOCK_BYTES``) at
-    a time.  Both form |xi|^2 from the squared tangential |xi_t| of
-    each row and the squared normal wavenumbers, added in the order of
-    :func:`_radial`, so a table is bitwise the profile of the full
-    |xi|^2.
+    a time.  All form |xi|^2 from the squared tangential |xi_t| of each
+    row and the squared normal wavenumbers, formed on first use and
+    added in the order of the box multipliers' sum, so a table is
+    bitwise the profile of the full |xi|^2 on the box.
 
     ``leak_sums(low, high)`` are the two energies of the leak guard, by
     one weighted |coef|^2 per block of rows, or from ``power`` at p = 2.
     """
 
     def __init__(self, values: np.ndarray, grid: GridSpec, odd: bool):
-        self.coef = _half_forward(values, odd)
-        *mesh, k = _half_mesh(grid, odd)
-        self.tangential2 = np.ravel(sum((xi ** 2 for xi in mesh),
-                                        np.zeros(1)))
-        self.tangential = np.sqrt(self.tangential2)
-        self.normal2 = (k ** 2).reshape(2, -1)
-        self.normal = np.sqrt(self.normal2)
+        self.values = values
         self.grid = grid
         self.shape = values.shape
         self.odd = odd
-        self.scale = _parseval_scale(grid)
+        # the Parseval weight: the cell volume h^n over the N^(n-1) N/2
+        # points of the unnormalized transform
+        self.scale = grid.cell_volume / math.prod(values.shape)
+
+    @functools.cached_property
+    def coef(self) -> np.ndarray:
+        return _half_forward(self.values, self.odd)
 
     @functools.cached_property
     def power(self) -> np.ndarray:
         return _parseval_power(self.coef)
+
+    @functools.cached_property
+    def _radii2(self) -> tuple:
+        """The squared tangential |xi_t| of each row and the squared
+        normal wavenumbers of the coefficients, one row per half: formed
+        on first use, which an operator whose table is kept does not
+        make, as are their roots."""
+        *mesh, k = _half_mesh(self.grid, self.odd)
+        return (np.ravel(sum((xi ** 2 for xi in mesh), np.zeros(1))),
+                (k ** 2).reshape(2, -1))
+
+    tangential2 = property(lambda self: self._radii2[0])
+    normal2 = property(lambda self: self._radii2[1])
+    tangential = functools.cached_property(
+        lambda self: np.sqrt(self.tangential2))
+    normal = functools.cached_property(lambda self: np.sqrt(self.normal2))
 
     def _disk(self, radius: float) -> tuple:
         """(rows, window) that hold the disk |xi| < ``radius``: the flat
@@ -661,7 +694,7 @@ class _HalfSpectrum:
         row), ``width`` coefficients wide: ``span`` slices the block's
         positions in ``rows`` and ``picked`` indexes its rows as
         :func:`_by_rows` lays them out."""
-        count = self.tangential.size if rows is None else rows.size
+        count = math.prod(self.shape[:-1]) if rows is None else rows.size
         step = max(1, _BLOCK_BYTES // (8 * max(width, 1)))
         for start in range(0, count, step):
             span = slice(start, min(start + step, count))
@@ -706,6 +739,41 @@ class _HalfSpectrum:
             table.flags.writeable = False
             tables[key] = table
         return table
+
+    def _operator_table(self, operator) -> np.ndarray:
+        """The weights of ``operator``, a profile that vanishes nowhere,
+        on every coefficient, laid out as the coefficients and read-only:
+        the table of the last operator, grid and parity, or one built a
+        block of rows at a time in its place."""
+        key = (self.grid, self.odd, operator)
+        table = _OPERATOR_TABLE.get(key)
+        if table is None:
+            _OPERATOR_TABLE.clear()     # one operator table at most is held
+            table = np.empty((2,) + self.shape[:-1] + (self.shape[-1] // 2,))
+            rows = _by_rows(table)
+            for span, _ in self._blocks(None, 2 * rows.shape[-1]):
+                rows[:, span] = operator(self.tangential2[span, None]
+                                         + self.normal2[:, None])
+            table.flags.writeable = False
+            _OPERATOR_TABLE[key] = table
+        return table
+
+    def image(self, operator, energy: bool = False):
+        """The image of ``operator``, formed in ``coef`` itself, so that
+        the spectrum serves this one image: its samples, by the inverse
+        transform, which overwrites ``coef``, or with ``energy`` their
+        squared half-space L^2 norm by Parseval, one
+        :func:`_parseval_power` per block of rows."""
+        # tabulated before the coefficients are formed: a miss then frees
+        # its temporaries before the transform allocates
+        table = self._operator_table(operator)
+        self.coef *= table
+        if not energy:
+            return _half_inverse(self.coef, self.odd)
+        coef = _by_rows(self.coef)
+        return self.scale * sum(
+            float(_parseval_power(coef[:, span]).sum())
+            for span, _ in self._blocks(None, 2 * coef.shape[-1]))
 
     def band(self, profile) -> np.ndarray:
         rows, window = self._disk(profile.radius)
@@ -766,64 +834,6 @@ class _HalfSpectrum:
             total += beyond
             outside += beyond
         return total, outside
-
-
-#: the last keyed symbol: {(grid, odd, key): checked read-only array}
-_SYMBOL_CACHE: dict = {}
-
-
-def _half_image(values: np.ndarray, grid: GridSpec, m: Multiplier,
-                odd: bool, key: tuple | None) -> np.ndarray:
-    """The coefficients of ``m`` applied in the sine (``odd``) or cosine
-    calculus, as :func:`_half_multiplier` describes."""
-    tag = (grid, odd, key)
-    sym = _SYMBOL_CACHE.get(tag)
-    if sym is None:
-        _SYMBOL_CACHE.clear()
-        h = values.shape[-1] // 2
-        sym = _symbol(m, _half_mesh(grid, odd),
-                      (2,) + values.shape[:-1] + (h,), not odd,
-                      tuple(range(1, grid.n)))
-        if key is not None:
-            sym.flags.writeable = False
-            _SYMBOL_CACHE[tag] = sym
-    coef = _half_forward(values, odd)
-    coef *= sym
-    return coef
-
-
-def _half_multiplier(values: np.ndarray, grid: GridSpec, m: Multiplier,
-                     odd: bool, key: tuple | None = None) -> np.ndarray:
-    """Apply ``m`` in the sine (``odd``) or cosine calculus.
-
-    Only the cosine modes hold the zero mode, and the symbol must be
-    Hermitian in the tangential frequencies; in 1-D that makes it real.
-
-    ``key`` names a multiplier the package builds, such as ("power", s),
-    whose symbol is a function of the key alone.  The last keyed symbol
-    is kept, checked and read-only, so that repeated calls on one grid
-    evaluate and check it once.  A miss drops it before the new symbol
-    is built, so that one symbol at most is held.  A multiplier with no
-    key is evaluated and checked on every call.
-    """
-    return _half_inverse(_half_image(values, grid, m, odd, key), odd)
-
-
-def _half_multiplier_energy(values: np.ndarray, grid: GridSpec,
-                            m: Multiplier, odd: bool,
-                            key: tuple | None = None) -> float:
-    """The squared half-space L^2 norm of what :func:`_half_multiplier`
-    returns, by Parseval on its coefficients, with no inverse transform.
-
-    The weights are those of ``_HalfSpectrum.power``: coefficient 0 is
-    unpaired and every other counts twice, so the sum is twice the
-    whole |coef|^2 less coefficient 0's, taken on the real and
-    imaginary parts with no full-size temporary.
-    """
-    coef = _half_image(values, grid, m, odd, key)
-    parts, unpaired = coef.view(float), coef[0, ..., :1].view(float)
-    total = 2.0 * _sum_of_squares(parts) - _sum_of_squares(unpaired)
-    return _parseval_scale(grid) * total
 
 
 def _half_normal_derivative(values: np.ndarray, grid: GridSpec,
@@ -954,6 +964,9 @@ class _Octave:
 #: the half spectrum's octave tables, {bank: {(grid, j): weights}},
 #: dropped with their bank
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+#: the last operator's table, {(grid, odd, operator): weights}
+_OPERATOR_TABLE: dict = {}
 
 
 def build_bank(grid: GridSpec, phi0_scale: float = 1.0) -> DyadicBank:

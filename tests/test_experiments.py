@@ -816,9 +816,9 @@ def test_get_bank_caches(grid1d):
 @pytest.mark.parametrize("arity", [2, 3])
 def test_recurring_factor_norms_are_taken_once(arity, monkeypatch):
     # the counterexample sweeps pass (f, f) or (f, f, f): one order-s
-    # symbol applied for the numerator and one for f, whatever the arity.
-    # At p = 2 both norms are taken from the coefficients, so the count
-    # is made where either route applies the symbol
+    # power applied for the numerator and one for f, whatever the arity,
+    # from one table.  At p = 2 both norms are taken from the
+    # coefficients, so the count is made where either route applies it
     from halfspace_spectral import spectral
 
     g = make_grid(1, 16.0, 4096)
@@ -835,16 +835,25 @@ def test_recurring_factor_norms_are_taken_once(arity, monkeypatch):
               if arity == 2 else
               trilinear_ratio(f, f.with_values(f.values.copy()),
                               f.with_values(f.values.copy()), cfg))
-    calls = []
+    calls, built = [], []
 
-    def counting(*args, _orig=spectral._half_image):
-        calls.append(args[-1])
-        return _orig(*args)
+    def applying(self, profile, *args, _orig=spectral._HalfSpectrum.image,
+                 **kw):
+        calls.append(profile)
+        return _orig(self, profile, *args, **kw)
 
-    monkeypatch.setattr(spectral, "_half_image", counting)
+    def evaluating(self, lam2, _orig=spectral._Operator.__call__):
+        built.append(self)
+        return _orig(self, lam2)
+
+    spectral._OPERATOR_TABLE.clear()
+    monkeypatch.setattr(spectral._HalfSpectrum, "image", applying)
+    monkeypatch.setattr(spectral._Operator, "__call__", evaluating)
     out = (bilinear_ratio(f, f, cfg) if arity == 2
            else trilinear_ratio(f, f, f, cfg))
-    assert calls == [("power", 2.5), ("power", 2.5)]
+    power = spectral._Operator("power", 2.5)
+    assert calls == [power, power]
+    assert built == [power]
     assert out == expect
 
 

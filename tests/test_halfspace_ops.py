@@ -40,7 +40,7 @@ from halfspace_spectral import (
     tangential_derivative,
 )
 from halfspace_spectral.spectral import (_half_forward, _half_inverse,
-                                         _half_inverse_rows, _half_multiplier)
+                                         _half_inverse_rows)
 
 
 def _dirichlet_mode(grid, m):
@@ -547,46 +547,52 @@ def test_overflowing_symbol_is_a_config_error(grid2d):
 
 
 @pytest.mark.parametrize("odd", [True, False])
-def test_half_size_symbol_hermitian_check_is_exact(grid2d, odd):
+def test_half_size_symbol_hermitian_check_is_exact(grid2d, odd, monkeypatch):
+    # the tangential derivative checks its symbol on the half-size packed
+    # buffer, as the box checks its own on the full grid
+    from halfspace_spectral import spectral
+
+    op = OP_DIRICHLET if odd else OP_NEUMANN
     f = sample_half(grid2d, lambda x, y: np.cos(np.pi * x / 4.0)
-                    * bump(y, 3.0, 1.0))
-    values, g = f.values, f.grid
+                    * bump(y, 3.0, 1.0), bc=op)
+    g, ext = f.grid, extend_for(f, op)
     # i xi_1 left live on the unpaired tangential Nyquist line
     live = Multiplier(lambda *mesh: 1j * mesh[0], 0.0, "live")
     # real but not even in xi_1
-    asym = Multiplier(lambda *mesh: np.where(mesh[0] >= 0, 1.0, 2.0)
-                      + 0.0 * mesh[1], 1.0, "asym")
+    asym = Multiplier(lambda *mesh: np.where(mesh[0] >= 0, 1.0, 2.0), 1.0,
+                      "asym")
     for bad in (live, asym):
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "derivative_multiplier", lambda *_: bad)
+            with pytest.raises(NumericalGuardError, match="Hermitian"):
+                tangential_derivative(f, 1)
         with pytest.raises(NumericalGuardError, match="Hermitian"):
-            _half_multiplier(values, g, bad, odd)
+            apply_multiplier(ext, bad)
     # the Nyquist-safe derivative passes, and the half-space route
-    # matches the single-axis one to roundoff
-    out = _half_multiplier(values, g, derivative_multiplier(g, 1), odd)
-    ref = tangential_derivative(f.with_bc(BC_DIRICHLET if odd
-                                          else BC_NEUMANN), 1)
+    # matches the box route to roundoff
+    out = tangential_derivative(f, 1)
+    ref = restrict(apply_multiplier(ext, derivative_multiplier(g, 1)), op)
     scale = np.max(np.abs(ref.values))
     assert scale > 0.0
-    assert np.max(np.abs(out - ref.values)) <= 1e-13 * scale
-
-
-def test_complex_symbol_is_refused_in_one_dimension(grid1d):
-    # with no tangential axis the check asks for a real symbol
-    f = sample_half(grid1d, lambda x: bump(x, 4.0, 2.0), bc=BC_DIRICHLET)
-    spin = Multiplier(lambda xi: np.exp(1j * xi), 1.0, "spin")
-    with pytest.raises(NumericalGuardError):
-        _half_multiplier(f.values, f.grid, spin, True)
+    assert np.max(np.abs(out.values - ref.values)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("op", [OP_DIRICHLET, OP_NEUMANN])
 @pytest.mark.parametrize("n", [2, 3])
 def test_constant_symbol_doubles_the_field_on_both_routes(n, op):
-    # a scalar symbol is Hermitian in every frequency; the half route
-    # pads it to the grid's dimensions before the tangential check
+    # a scalar symbol is Hermitian in every frequency, and the box pads
+    # it to the grid's dimensions before its check; the half spectrum
+    # takes the constant as a profile of |xi|^2 that vanishes nowhere
+    from halfspace_spectral.spectral import _HalfSpectrum
+
+    def two_profile(lam2):
+        return np.full_like(lam2, 2.0)
+
     g = make_grid(n, 8.0, 16)
     hf = sample_half(g, lambda *c: bump(c[0], 0.0, 3.0)
                      * bump(c[-1], 3.0, 2.0), bc=op)
     two = Multiplier(lambda *mesh: 2.0, 2.0, "two")
-    half = _half_multiplier(hf.values, g, two, op == OP_DIRICHLET)
+    half = _HalfSpectrum(hf.values, g, op == OP_DIRICHLET).image(two_profile)
     box = restrict(apply_multiplier(extend_for(hf, op), two))
     scale = np.max(np.abs(hf.values))
     assert np.allclose(half, 2.0 * hf.values, rtol=0, atol=1e-14 * scale)
@@ -594,28 +600,55 @@ def test_constant_symbol_doubles_the_field_on_both_routes(n, op):
                        atol=1e-14 * scale)
 
 
-# ---------------------------------------------------------------------------
-# checked symbols are reused within a rung
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_order_zero_annihilates_the_neumann_mean_alone(grid2d, p):
+    # a power pins its zero mode to 0 at every order, s = 0 included:
+    # under Neumann, A^0 f is f less its half-space mean, and the
+    # homogeneous order-0 norm is the L^p norm of that difference; the
+    # sine modes have no zero mode, so under Dirichlet s = 0 is the
+    # identity to roundoff
+    f = make_family("bump_random", grid2d, OP_NEUMANN, 0, 1)[0]
+    lifted = f.with_values(f.values + 0.75)
+    centred = lifted.with_values(lifted.values - np.mean(lifted.values))
+    scale = np.max(np.abs(lifted.values))
+    out = frac_power(lifted, OP_NEUMANN, 0.0)
+    assert out.bc == OP_NEUMANN
+    assert np.max(np.abs(out.values - centred.values)) <= 1e-13 * scale
+    norm = sobolev_norm(lifted, SpaceSpec("sobolev", 0.0, p, None, True,
+                                          OP_NEUMANN))
+    assert norm == pytest.approx(lp_norm(centred, p), rel=1e-12, abs=0)
+    assert norm < 0.9 * lp_norm(lifted, p)
+    sine = lifted.with_bc(OP_DIRICHLET)
+    same = frac_power(sine, OP_DIRICHLET, 0.0)
+    assert np.max(np.abs(same.values - sine.values)) <= 1e-13 * scale
+    norm = sobolev_norm(sine, SpaceSpec("sobolev", 0.0, p, None, True,
+                                        OP_DIRICHLET))
+    assert norm == pytest.approx(lp_norm(sine, p), rel=1e-12, abs=0)
 
-def _count_symbols(monkeypatch):
-    """Empty the symbol cache and count the evaluations of spectral._symbol."""
+
+# ---------------------------------------------------------------------------
+# operator tables are reused within a rung
+
+def _count_tables(monkeypatch):
+    """Empty the kept operator table and record the name of each operator
+    evaluated: one evaluation per table built, on grids this small."""
     from halfspace_spectral import spectral
 
-    spectral._SYMBOL_CACHE.clear()
+    spectral._OPERATOR_TABLE.clear()
     built = []
 
-    def counting(*args, _orig=spectral._symbol):
-        built.append(args[0].name)
-        return _orig(*args)
+    def counting(self, lam2, _orig=spectral._Operator.__call__):
+        built.append(self.name)
+        return _orig(self, lam2)
 
-    monkeypatch.setattr(spectral, "_symbol", counting)
+    monkeypatch.setattr(spectral._Operator, "__call__", counting)
     return built
 
 
 def test_repeated_power_and_flow_evaluate_their_symbol_once(monkeypatch):
     g = make_grid(2, 8.0, 64)
     f = make_family("bump_random", g, OP_DIRICHLET, 0, 1)[0]
-    built = _count_symbols(monkeypatch)
+    built = _count_tables(monkeypatch)
     first = frac_power(f, OP_DIRICHLET, 1.5).values
     for _ in range(3):
         assert np.array_equal(frac_power(f, OP_DIRICHLET, 1.5).values, first)
@@ -640,27 +673,32 @@ def test_new_grid_op_or_order_rebuilds_the_symbol(monkeypatch):
              lambda: semigroup(f, OP_NEUMANN, 0.25, 1.5)]
     cold = []
     for call in calls:
-        spectral._SYMBOL_CACHE.clear()
+        spectral._OPERATOR_TABLE.clear()
         cold.append(call().values)
-    built = _count_symbols(monkeypatch)
+    built = _count_tables(monkeypatch)
     for i, call in enumerate(calls):
         assert np.array_equal(call().values, cold[i]), i
         assert len(built) == i + 1
 
 
 def test_user_multiplier_is_checked_on_every_call(grid2d, monkeypatch):
-    # a keyed symbol is checked once; a multiplier with no key, here one
+    # an operator's table is built once; a box multiplier, here one
     # without Hermitian symmetry, is evaluated and refused on each call
-    from halfspace_spectral.halfspace_ops import _calculus
-
+    # and leaves the kept table alone
     f = make_family("bump_random", grid2d, OP_DIRICHLET, 0, 1)[0]
-    built = _count_symbols(monkeypatch)
-    live = Multiplier(lambda *mesh: 1j * mesh[0], 0.0, "live")
+    ext = extend_for(f, OP_DIRICHLET)
+    built = _count_tables(monkeypatch)
+    evaluated = []
+
+    def live(*mesh):
+        evaluated.append("live")
+        return 1j * mesh[0]
+
     for _ in range(2):
         frac_power(f, OP_DIRICHLET, 1.0)
         with pytest.raises(NumericalGuardError, match="Hermitian"):
-            _calculus(f, OP_DIRICHLET, live)
-    assert built == ["|xi|^1.0", "live", "|xi|^1.0", "live"]
+            apply_multiplier(ext, Multiplier(live, 0.0, "live"))
+    assert built == ["|xi|^1.0"]
+    assert evaluated == ["live", "live"]
     frac_power(f, OP_DIRICHLET, 1.0)
-    frac_power(f, OP_DIRICHLET, 1.0)
-    assert len(built) == 5
+    assert built == ["|xi|^1.0"]

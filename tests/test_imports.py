@@ -2,9 +2,11 @@
 private name it defines is read, every name it re-exports is listed by
 its module, every transform it makes is
 one the benchmark's tracer counts, only ``spectral.py`` calls a
-transform or touches the half-space coefficient layout, the modules
-of the hot paths call no BLAS-backed numpy function, and only
-``experiments._growth`` calls the growth classifier."""
+transform, touches the half-space coefficient layout or builds a
+``Multiplier``, only ``apply_multiplier`` and the tangential derivative
+check a symbol's Hermitian symmetry, the modules of the hot paths call
+no BLAS-backed numpy function, and only ``experiments._growth`` calls
+the growth classifier."""
 
 import ast
 import pathlib
@@ -258,7 +260,7 @@ def test_only_spectral_calls_a_transform():
 #: know their layout: two contiguous halves along the normal, (2, *T, M/2)
 _COEFFICIENT_INTERNALS = {"_half_forward", "_half_inverse",
                           "_half_inverse_rows", "_packed_spectrum",
-                          "_unpacked", "_half_image", "_by_rows",
+                          "_unpacked", "_by_rows",
                           "_half_mesh", "_normal_wavenumbers",
                           "_parseval_power"}
 
@@ -386,3 +388,21 @@ def test_only_growth_calls_the_classifier():
              for _, owner in _callers(ast.parse(path.read_text()),
                                       "classify_growth")]
     assert found == [("halfspace_spectral/experiments.py", "_growth")]
+
+
+def test_only_spectral_builds_a_multiplier_and_two_owners_check_one():
+    """One route per operator: the half-space operators are profiles of
+    |xi|^2, so no module but ``spectral.py`` constructs a ``Multiplier``,
+    and the exact Hermitian guard ``_symbol`` runs only where a symbol
+    can lack the symmetry: in ``apply_multiplier`` and in the tangential
+    derivative."""
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    built = [(str(path.relative_to(SRC)), owner) for path in files
+             if path.name != "spectral.py"
+             for _, owner in _callers(ast.parse(path.read_text()),
+                                      "Multiplier")]
+    assert built == []
+    spectral = ast.parse((PACKAGE / "spectral.py").read_text())
+    checked = {owner for _, owner in _callers(spectral, "_symbol")}
+    assert checked == {"apply_multiplier", "_half_tangential_derivative"}

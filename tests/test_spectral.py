@@ -350,9 +350,9 @@ def _band_profiles(grid, bank, odd):
     nodes at small and large t, whose radius sqrt(cut / t) is that of
     their cut."""
     from halfspace_spectral.norms import _heat_cut, _HeatNode
-    from halfspace_spectral.spectral import _half_mesh, _Octave, _radial
+    from halfspace_spectral.spectral import _half_mesh, _Octave
 
-    top = np.max(_radial(_half_mesh(grid, odd)))
+    top = np.sqrt(np.max(sum(xi ** 2 for xi in _half_mesh(grid, odd))))
     cut = _heat_cut(2)
     return ([_Octave(bank, j) for j in range(-1, 6) if 2.0 ** (j - 1) < top]
             + [_Octave(bank)]
@@ -426,7 +426,7 @@ def test_radii_formed_per_block_are_bitwise_the_full_radii(n, N, odd,
     grid = make_grid(n, 4.0, N)
     rng = np.random.default_rng(n + 10 * odd)
     values = rng.standard_normal((N,) * (n - 1) + (N // 2,))
-    lam = spectral._radial(spectral._half_mesh(grid, odd))
+    lam = np.sqrt(sum(xi ** 2 for xi in spectral._half_mesh(grid, odd)))
     halves = spectral._by_rows(lam)
     full = np.concatenate(list(halves), axis=1)
     count, h = halves.shape[1:]
